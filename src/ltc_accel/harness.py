@@ -32,7 +32,7 @@ from .ltc import (
     angle_trace,
     calibrate_wg,
     detect_interval,
-    golden_section_max,
+    _search_bias,
 )
 from .metrics import (
     RunReport,
@@ -47,16 +47,6 @@ from .sampler import initial_noise, make_timesteps, sample_full, sample_skipping
 from .schedule import PhiMode, build_linear_beta
 
 MODES = ("angles", "calibrate", "sample", "refine", "ablate-skip", "report")
-
-_SECTIONS = {
-    "schedule": {"t_train", "beta_start", "beta_end"},
-    "sampling": {"steps"},
-    "denoiser": {"kind", "dim", "mu", "weights", "means", "variances", "manifest"},
-    "plan": {"interval", "r", "tau", "bias", "phi_mode", "per_seed_wg",
-             "calibration_seed"},
-    "bias": {"lo", "hi", "search"},
-    "run": {"seeds", "out", "jobs"},
-}
 
 _KINDS = ("point", "gmm", "gmm-bench", "trace")
 
@@ -166,6 +156,35 @@ def _parse_bool(text: str) -> bool:
     raise ConfigError(f"expected a boolean, got {text!r}")
 
 
+# (section, key) -> (ExperimentConfig field, parser of the raw value)
+_KEYS = {
+    ("schedule", "t_train"): ("t_train", int),
+    ("schedule", "beta_start"): ("beta_start", float),
+    ("schedule", "beta_end"): ("beta_end", float),
+    ("sampling", "steps"): ("steps", int),
+    ("denoiser", "kind"): ("kind", str.strip),
+    ("denoiser", "dim"): ("dim", int),
+    ("denoiser", "mu"): ("mu", _parse_floats),
+    ("denoiser", "weights"): ("weights", _parse_floats),
+    ("denoiser", "means"): ("means", _parse_matrix),
+    ("denoiser", "variances"): ("variances", _parse_matrix),
+    ("denoiser", "manifest"): ("manifest", str.strip),
+    ("plan", "interval"): ("interval", _parse_interval),
+    ("plan", "r"): ("r", int),
+    ("plan", "tau"): ("tau", float),
+    ("plan", "bias"): ("bias", _parse_bias),
+    ("plan", "phi_mode"): ("phi_mode", str.strip),
+    ("plan", "per_seed_wg"): ("per_seed_wg", _parse_bool),
+    ("plan", "calibration_seed"): ("calibration_seed", int),
+    ("bias", "lo"): ("bias_lo", float),
+    ("bias", "hi"): ("bias_hi", float),
+    ("bias", "search"): ("bias_search", str.strip),
+    ("run", "seeds"): ("seeds", lambda v: tuple(int(x) for x in _parse_floats(v))),
+    ("run", "out"): ("out", str.strip),
+    ("run", "jobs"): ("jobs", int),
+}
+
+
 def parse_config(path: str, base: ExperimentConfig | None = None) -> ExperimentConfig:
     """Overlay an INI file onto a base config, rejecting unknown keys."""
     cp = configparser.ConfigParser(interpolation=None)
@@ -180,71 +199,20 @@ def parse_config(path: str, base: ExperimentConfig | None = None) -> ExperimentC
     cfg = base if base is not None else ExperimentConfig()
     updates: dict = {}
     for section in cp.sections():
-        if section not in _SECTIONS:
+        if section not in {s for s, _ in _KEYS}:
             raise ConfigError(f"unknown config section [{section}]")
         for key, value in cp.items(section):
-            if key not in _SECTIONS[section]:
+            if (section, key) not in _KEYS:
                 raise ConfigError(f"unknown key {key!r} in section [{section}]")
+            name, parse = _KEYS[section, key]
             try:
-                updates.update(_convert(section, key, value))
+                updates[name] = parse(value)
             except ConfigError:
                 raise
             except ValueError:
                 raise ConfigError(
                     f"bad value for {section}.{key}: {value!r}") from None
     return validate_config(replace(cfg, **updates))
-
-
-def _convert(section: str, key: str, value: str) -> dict:
-    if (section, key) == ("schedule", "t_train"):
-        return {"t_train": int(value)}
-    if (section, key) == ("schedule", "beta_start"):
-        return {"beta_start": float(value)}
-    if (section, key) == ("schedule", "beta_end"):
-        return {"beta_end": float(value)}
-    if (section, key) == ("sampling", "steps"):
-        return {"steps": int(value)}
-    if (section, key) == ("denoiser", "kind"):
-        return {"kind": value.strip()}
-    if (section, key) == ("denoiser", "dim"):
-        return {"dim": int(value)}
-    if (section, key) == ("denoiser", "mu"):
-        return {"mu": _parse_floats(value)}
-    if (section, key) == ("denoiser", "weights"):
-        return {"weights": _parse_floats(value)}
-    if (section, key) == ("denoiser", "means"):
-        return {"means": _parse_matrix(value)}
-    if (section, key) == ("denoiser", "variances"):
-        return {"variances": _parse_matrix(value)}
-    if (section, key) == ("denoiser", "manifest"):
-        return {"manifest": value.strip()}
-    if (section, key) == ("plan", "interval"):
-        return {"interval": _parse_interval(value)}
-    if (section, key) == ("plan", "r"):
-        return {"r": int(value)}
-    if (section, key) == ("plan", "tau"):
-        return {"tau": float(value)}
-    if (section, key) == ("plan", "bias"):
-        return {"bias": _parse_bias(value)}
-    if (section, key) == ("plan", "phi_mode"):
-        return {"phi_mode": value.strip()}
-    if (section, key) == ("plan", "per_seed_wg"):
-        return {"per_seed_wg": _parse_bool(value)}
-    if (section, key) == ("plan", "calibration_seed"):
-        return {"calibration_seed": int(value)}
-    if (section, key) == ("bias", "lo"):
-        return {"bias_lo": float(value)}
-    if (section, key) == ("bias", "hi"):
-        return {"bias_hi": float(value)}
-    if (section, key) == ("bias", "search"):
-        return {"bias_search": value.strip()}
-    if (section, key) == ("run", "seeds"):
-        return {"seeds": tuple(int(v) for v in _parse_floats(value))}
-    if (section, key) == ("run", "out"):
-        return {"out": value.strip()}
-    if (section, key) == ("run", "jobs"):
-        return {"jobs": int(value)}
-    raise ConfigError(f"unhandled key {section}.{key}")
 
 
 def validate_config(cfg: ExperimentConfig) -> ExperimentConfig:
@@ -369,8 +337,9 @@ def _seed_task(args):
 
 def _fan_out(cfg, plan, needs, bias_grid=None):
     tasks = [(cfg, plan, seed, needs, bias_grid) for seed in cfg.seeds]
-    if cfg.jobs > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
+    workers = min(cfg.jobs, len(tasks), os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_seed_task, tasks))
     else:
         results = [_seed_task(t) for t in tasks]
@@ -451,10 +420,15 @@ def run(cfg: ExperimentConfig, mode: str) -> RunReport:
         grid = np.linspace(cfg.bias_lo, cfg.bias_hi, 11)
         pre = _fan_out(cfg, plan, frozenset(), grid)
         mean, lo, hi = aggregate([r["bias_psnr"] for r in pre])
-        rows = list(zip(grid, mean, lo, hi))
-        emit("psnr_summary.csv", "psnr_summary", rows)
-        report.psnr_stats = rows
-        bias_star = _refine_on_mean(cfg, plan, grid, mean)
+        emit("psnr_summary.csv", "psnr_summary", list(zip(grid, mean, lo, hi)))
+
+        def mean_psnr(b: float) -> float:
+            probe = _fan_out(cfg, plan, frozenset(), np.array([b]))
+            return float(np.mean([float(r["bias_psnr"][0]) for r in probe]))
+
+        bias_star = _search_bias(mean_psnr, cfg.bias_lo, cfg.bias_hi,
+                                 mode=cfg.bias_search, tol=1e-5,
+                                 known=zip(grid, mean)).bias
         report.bias = bias_star
         result_lines["bias"] = repr(bias_star)
         plan = replace(plan, bias=bias_star)
@@ -470,14 +444,12 @@ def run(cfg: ExperimentConfig, mode: str) -> RunReport:
         emit("angle_mean.csv", "angle", list(zip(iters, mean)))
         emit("angle_min.csv", "angle", list(zip(iters, lo)))
         emit("angle_max.csv", "angle", list(zip(iters, hi)))
-        report.angle_stats = (iters, mean, lo, hi)
 
     if "wg" in needs:
         sel = np.asarray(base.selected(), dtype=np.int64)
         mean, lo, hi = aggregate([r["wg"] for r in results])
         emit("latent_wg_summary.csv", "latent_wg_summary",
              list(zip(sel, mean, lo, hi)))
-        report.wg_stats = (sel, mean, lo, hi)
         report.rows = [r["cal_row"] for r in results]
 
     if "accel" in needs:
@@ -485,11 +457,9 @@ def run(cfg: ExperimentConfig, mode: str) -> RunReport:
         mean, lo, hi = aggregate([r["err_rel"] for r in results])
         emit("error_summary.csv", "error_summary",
              list(zip(positions, mean, lo, hi)))
-        report.error_stats = (positions, mean, lo, hi)
         mean_a, lo_a, hi_a = aggregate([r["err_abs"] for r in results])
         emit("error_abs_summary.csv", "error_summary",
              list(zip(positions, mean_a, lo_a, hi_a)))
-        report.error_abs_stats = (positions, mean_a, lo_a, hi_a)
         report.rows = [r["row"] for r in results]
 
     if "skip" in needs:
@@ -505,27 +475,3 @@ def run(cfg: ExperimentConfig, mode: str) -> RunReport:
     report.files = files
     return report
 
-
-def _refine_on_mean(cfg: ExperimentConfig, plan: AccelerationPlan,
-                    grid: np.ndarray, grid_mean: np.ndarray) -> float:
-    """Golden refinement of the seed-mean PSNR around the best grid bias."""
-    cache = {float(b): float(v) for b, v in zip(grid, grid_mean)}
-
-    def mean_psnr(b: float) -> float:
-        b = float(b)
-        if b not in cache:
-            results = _fan_out(cfg, plan, frozenset(), np.array([b]))
-            cache[b] = float(np.mean(
-                [float(r["bias_psnr"][0]) for r in results]))
-        return cache[b]
-
-    if 0.0 not in cache and cfg.bias_lo <= 0.0 <= cfg.bias_hi:
-        mean_psnr(0.0)
-    if cfg.bias_search == "grid":
-        k = int(np.argmax(grid_mean))
-        lo = float(grid[max(k - 1, 0)])
-        hi = float(grid[min(k + 1, len(grid) - 1)])
-        golden_section_max(mean_psnr, lo, hi, tol=1e-5)
-    else:
-        golden_section_max(mean_psnr, cfg.bias_lo, cfg.bias_hi, tol=1e-5)
-    return max(cache, key=lambda b: (cache[b], -abs(b)))

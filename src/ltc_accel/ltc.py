@@ -28,19 +28,16 @@ never approximated.
 
 from __future__ import annotations
 
-import logging
 import math
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import DegenerateTransitionError, PlanError
 from .metrics import psnr
-from .sampler import Trajectory, check_timesteps, ddim_step, sample_full
+from .sampler import Trajectory, _chain, check_timesteps, ddim_step, sample_full
 from .schedule import NoiseSchedule, PhiMode, gamma, phi
-
-log = logging.getLogger(__name__)
 
 TAU_DEFAULT = 0.1
 TAU_CEILING = 0.15
@@ -221,6 +218,9 @@ class AccelerationPlan:
                 stacklevel=2)
         if not np.isfinite(self.bias):
             raise PlanError(f"bias must be finite, got {self.bias}")
+        bad = sorted(i for i, w in (self.wg or {}).items() if not np.isfinite(w))
+        if bad:
+            raise PlanError(f"wg must be finite; non-finite at iterations {bad}")
         if self.interval is None:
             return ()
         a, b = self.interval
@@ -264,35 +264,13 @@ def accelerated_sample(denoiser, schedule: NoiseSchedule, x_init, timesteps,
     Trajectory.fallbacks) instead of failing mid-run.
     """
     ts = check_timesteps(timesteps, schedule.t_train)
-    n = len(ts) - 1
-    selected = set(plan.validate(n, require_wg=True))
-    x = np.asarray(x_init, dtype=np.float64)
-    states = [x]
-    eps_cache = {}
-    nfe = 0
-    approximated = []
-    fallbacks = []
-    for i in range(1, n + 1):
-        t, t_prev = int(ts[i - 1]), int(ts[i])
-        if i in selected:
-            d_prev2 = states[i - 1] - states[i - 2]
-            if float(np.dot(d_prev2, d_prev2)) == 0.0:
-                log.warning(
-                    "iteration %d: zero previous displacement, real step taken", i)
-                fallbacks.append(i)
-            else:
-                g = _grid_gamma(schedule, ts, i, plan.phi_mode)
-                w = plan.wg[i] + plan.bias
-                states.append(states[-1] + (w * g) * d_prev2)
-                approximated.append(i)
-                continue
-        eps = denoiser.epsilon_hat(states[-1], t)
-        eps_cache[t] = eps
-        nfe += 1
-        states.append(ddim_step(states[-1], eps, schedule, t, t_prev))
-    return Trajectory(timesteps=ts, states=np.asarray(states), eps=eps_cache,
-                      nfe=nfe, approximated=tuple(approximated),
-                      fallbacks=tuple(fallbacks), seed=seed)
+    selected = set(plan.validate(len(ts) - 1, require_wg=True))
+
+    def extrapolate(i, x, d_prev):
+        g = _grid_gamma(schedule, ts, i, plan.phi_mode)
+        return x + ((plan.wg[i] + plan.bias) * g) * d_prev
+
+    return _chain(denoiser, schedule, x_init, ts, selected, extrapolate, seed)
 
 
 @dataclass
@@ -305,7 +283,8 @@ class CalibrationResult:
     both measured against the shadow real step. The chain continues from
     the approximated state, so later measurements see accumulated drift,
     matching deployment. nfe covers every iteration: calibration pays the
-    full run it measures.
+    full run it measures, though `eps` keeps only the real-step
+    predictions.
     """
 
     wg: dict
@@ -322,56 +301,41 @@ def calibrate_wg(denoiser, schedule: NoiseSchedule, x_init, timesteps,
 
     At every selected iteration the real next state is computed, the
     closed-form wg recorded against it, and the chain then continues from
-    the approximated state. A zero previous displacement records the
-    neutral scale 1.0 and is logged; the value is never extrapolated
-    because apply-time degeneracy independently falls back to a real step.
+    the approximated state. A zero previous displacement takes the real
+    step and records the neutral scale 1.0; the value is never
+    extrapolated because apply-time degeneracy independently falls back
+    to a real step.
     """
     ts = check_timesteps(timesteps, schedule.t_train)
     n = len(ts) - 1
     selected = set(plan.validate(n, require_wg=False))
-    x = np.asarray(x_init, dtype=np.float64)
-    states = [x]
-    eps_cache = {}
     wg: dict = {}
     theta: dict = {}
     eps_r: dict = {}
-    fallbacks = []
-    for i in range(1, n + 1):
+
+    def shadow(i, x, d_prev):
         t, t_prev = int(ts[i - 1]), int(ts[i])
-        eps = denoiser.epsilon_hat(states[-1], t)
-        eps_cache[t] = eps
-        x_real = ddim_step(states[-1], eps, schedule, t, t_prev)
-        if i in selected:
-            d_prev2 = states[i - 1] - states[i - 2]
-            d_true = x_real - states[-1]
-            den = float(np.dot(d_prev2, d_prev2))
-            if den == 0.0:
-                log.warning(
-                    "iteration %d: zero previous displacement, neutral wg recorded", i)
-                wg[i] = 1.0
-                fallbacks.append(i)
-                states.append(x_real)
-                continue
-            g = _grid_gamma(schedule, ts, i, plan.phi_mode)
-            w = float(np.dot(d_true, d_prev2)) / (g * den)
-            wg[i] = w
-            x_star = states[-1] + (w * g) * d_prev2
-            tn = float(np.dot(d_true, d_true))
-            if tn == 0.0:
-                theta[i] = np.pi
-                eps_r[i] = 0.0
-            else:
-                theta[i] = _angle_vec(d_true, d_prev2)
-                diff = x_real - x_star
-                eps_r[i] = float(np.dot(diff, diff)) / tn
-            states.append(x_star)
+        x_real = ddim_step(x, denoiser.epsilon_hat(x, t), schedule, t, t_prev)
+        d_true = x_real - x
+        g = _grid_gamma(schedule, ts, i, plan.phi_mode)
+        w = float(np.dot(d_true, d_prev)) / (g * float(np.dot(d_prev, d_prev)))
+        wg[i] = w
+        x_star = x + (w * g) * d_prev
+        tn = float(np.dot(d_true, d_true))
+        if tn == 0.0:
+            theta[i] = np.pi
+            eps_r[i] = 0.0
         else:
-            states.append(x_real)
-    traj = Trajectory(timesteps=ts, states=np.asarray(states), eps=eps_cache,
-                      nfe=n, approximated=(), fallbacks=tuple(fallbacks),
-                      seed=seed)
+            theta[i] = _angle_vec(d_true, d_prev)
+            diff = x_real - x_star
+            eps_r[i] = float(np.dot(diff, diff)) / tn
+        return x_star
+
+    traj = _chain(denoiser, schedule, x_init, ts, selected, shadow, seed)
+    traj.nfe = n
+    wg = {i: wg.get(i, 1.0) for i in sorted(selected)}  # fallbacks: neutral 1.0
     return CalibrationResult(wg=wg, theta=theta, eps_r=eps_r,
-                             fallbacks=tuple(fallbacks), trajectory=traj)
+                             fallbacks=traj.fallbacks, trajectory=traj)
 
 
 def golden_section_max(f, lo: float, hi: float, tol: float = 1e-6,
@@ -415,6 +379,42 @@ class BiasSearchResult:
     evaluations: list  # (bias, psnr) pairs actually probed
 
 
+def _search_bias(objective, lo: float, hi: float, mode: str = "grid",
+                 grid_points: int = 11, tol: float = 1e-6,
+                 known=()) -> BiasSearchResult:
+    """The bias search behind refine_bias and the harness's refine mode.
+
+    Maximizes objective(bias) over [lo, hi] as refine_bias documents.
+    `known` holds (bias, score) pairs already measured; the objective is
+    never called at those biases. Equal scores go to the smallest |bias|.
+    """
+    lo, hi = float(lo), float(hi)
+    if hi < lo:
+        raise ValueError(f"empty bias interval [{lo}, {hi}]")
+    if mode not in ("grid", "binary"):
+        raise ValueError(f"unknown search mode {mode!r}")
+    cache = {float(b): float(v) for b, v in known}
+
+    def ev(b: float) -> float:
+        b = float(b)
+        if b not in cache:
+            cache[b] = float(objective(b))
+        return cache[b]
+
+    if lo <= 0.0 <= hi:
+        ev(0.0)
+    if mode == "grid":
+        grid = np.linspace(lo, hi, grid_points)
+        k = int(np.argmax([ev(b) for b in grid]))
+        golden_section_max(ev, float(grid[max(k - 1, 0)]),
+                           float(grid[min(k + 1, grid_points - 1)]), tol=tol)
+    else:
+        golden_section_max(ev, lo, hi, tol=tol)
+    best = max(cache, key=lambda b: (cache[b], -abs(b)))
+    return BiasSearchResult(bias=best, psnr=cache[best],
+                            evaluations=sorted(cache.items()))
+
+
 def refine_bias(denoiser, schedule: NoiseSchedule, x_init, timesteps,
                 plan: AccelerationPlan,
                 interval: tuple[float, float] = BIAS_INTERVAL_DEFAULT,
@@ -428,12 +428,6 @@ def refine_bias(denoiser, schedule: NoiseSchedule, x_init, timesteps,
     refined bias can never score below the unbiased plan. `evaluator`
     overrides the PSNR-vs-full objective (used for testing the search).
     """
-    c, d = float(interval[0]), float(interval[1])
-    if d < c:
-        raise ValueError(f"empty bias interval [{c}, {d}]")
-    if mode not in ("grid", "binary"):
-        raise ValueError(f"unknown search mode {mode!r}")
-
     if evaluator is None:
         reference = sample_full(denoiser, schedule, x_init, timesteps).final
 
@@ -442,30 +436,5 @@ def refine_bias(denoiser, schedule: NoiseSchedule, x_init, timesteps,
                                       replace(plan, bias=b))
             return psnr(reference, traj.final)
 
-    cache: dict[float, float] = {}
-
-    def ev(b: float) -> float:
-        if b not in cache:
-            cache[b] = float(evaluator(b))
-        return cache[b]
-
-    if c == d:
-        return BiasSearchResult(bias=c, psnr=ev(c), evaluations=[(c, ev(c))])
-
-    if c <= 0.0 <= d:
-        ev(0.0)
-    if mode == "grid":
-        grid = np.linspace(c, d, grid_points)
-        for b in grid:
-            ev(float(b))
-        best = max(grid, key=lambda b: ev(float(b)))
-        k = int(np.where(grid == best)[0][0])
-        lo = float(grid[max(k - 1, 0)])
-        hi = float(grid[min(k + 1, grid_points - 1)])
-        golden_section_max(ev, lo, hi, tol=tol)
-    else:
-        golden_section_max(ev, c, d, tol=tol)
-
-    best_bias = max(cache, key=lambda b: (cache[b], -abs(b)))
-    return BiasSearchResult(bias=best_bias, psnr=cache[best_bias],
-                            evaluations=sorted(cache.items()))
+    return _search_bias(evaluator, interval[0], interval[1], mode=mode,
+                        grid_points=grid_points, tol=tol)

@@ -140,10 +140,5 @@ class RunReport:
     mode: str
     seeds: tuple
     rows: list = field(default_factory=list)          # per-seed report rows
-    angle_stats: tuple | None = None                   # (iterations, mean, min, max)
-    error_stats: tuple | None = None                   # relative %, same layout
-    error_abs_stats: tuple | None = None
-    wg_stats: tuple | None = None
-    psnr_stats: list | None = None                     # (bias, mean, min, max) rows
     bias: float | None = None
     files: dict = field(default_factory=dict)          # emitted name -> sha256

@@ -9,12 +9,15 @@ evaluation per real iteration; nfe counts exactly those.
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import NumericError, OrderingError
 from .schedule import NoiseSchedule
+
+log = logging.getLogger(__name__)
 
 
 @dataclass
@@ -90,22 +93,47 @@ def initial_noise(dim: int, seed: int) -> np.ndarray:
     return np.random.default_rng(seed).standard_normal(dim)
 
 
-def sample_full(denoiser, schedule: NoiseSchedule, x_init, timesteps,
-                seed: int | None = None) -> Trajectory:
-    """Run every iteration through the denoiser."""
-    ts = check_timesteps(timesteps, schedule.t_train)
+def _chain(denoiser, schedule: NoiseSchedule, x_init, ts: np.ndarray,
+           selected=(), reuse=None, seed: int | None = None) -> Trajectory:
+    """The one sampling loop behind full, accelerated and calibration runs.
+
+    `ts` is an already checked grid. A selected iteration calls
+    `reuse(i, x, d_prev)` for the next state instead of taking a real
+    step, unless the previous displacement d_prev is exactly zero: then it
+    falls back to a real step (logged, listed in `fallbacks`, counted in
+    nfe). Real steps alone consume denoiser calls and fill `eps`.
+    """
     x = np.asarray(x_init, dtype=np.float64)
     if x.ndim != 1 or not np.all(np.isfinite(x)):
         raise NumericError("x_init must be a finite vector")
     states = [x]
     eps_cache = {}
+    approximated = []
+    fallbacks = []
     for i in range(1, len(ts)):
+        if i in selected:
+            d_prev = states[-1] - states[-2]
+            if float(np.dot(d_prev, d_prev)) != 0.0:
+                states.append(reuse(i, states[-1], d_prev))
+                approximated.append(i)
+                continue
+            log.warning("iteration %d: zero previous displacement, real step taken", i)
+            fallbacks.append(i)
         t, t_prev = int(ts[i - 1]), int(ts[i])
         eps = denoiser.epsilon_hat(states[-1], t)
         eps_cache[t] = eps
         states.append(ddim_step(states[-1], eps, schedule, t, t_prev))
     return Trajectory(timesteps=ts, states=np.asarray(states), eps=eps_cache,
-                      nfe=len(ts) - 1, seed=seed)
+                      nfe=len(ts) - 1 - len(approximated),
+                      approximated=tuple(approximated),
+                      fallbacks=tuple(fallbacks), seed=seed)
+
+
+def sample_full(denoiser, schedule: NoiseSchedule, x_init, timesteps,
+                seed: int | None = None) -> Trajectory:
+    """Run every iteration through the denoiser."""
+    ts = check_timesteps(timesteps, schedule.t_train)
+    return _chain(denoiser, schedule, x_init, ts, seed=seed)
 
 
 def sample_skipping(denoiser, schedule: NoiseSchedule, x_init, timesteps,

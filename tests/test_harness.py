@@ -1,6 +1,7 @@
 """Harness and CLI behavior: config parsing, presets, mode bundles,
 byte-level determinism, exit codes."""
 
+import configparser
 import hashlib
 import os
 from dataclasses import replace
@@ -18,6 +19,7 @@ from ltc_accel import (
     run,
     write_trace,
 )
+from ltc_accel import harness
 from ltc_accel.cli import main
 from ltc_accel.harness import PRESETS
 from ltc_accel.metrics import read_csv
@@ -53,8 +55,7 @@ def test_defaults_are_valid():
     assert cfg.seeds == tuple(range(20))
 
 
-def test_parse_full_overlay(tmp_path):
-    ini = write_ini(tmp_path / "e.ini", """
+FULL_INI = """
 [schedule]
 t_train = 500
 beta_start = 2e-4
@@ -65,13 +66,14 @@ steps = 25
 
 [denoiser]
 kind = gmm
+dim = 4
 weights = 0.5,0.5
 means = 0.0,0.0;1.0,1.0
 variances = 0.1,0.1;0.2,0.2
 
 [plan]
 interval = 5,21
-r = 2
+r = 3
 tau = 0.12
 bias = 0.01
 phi_mode = snr
@@ -87,16 +89,42 @@ search = binary
 seeds = 3,4
 out = somewhere
 jobs = 2
-""")
-    cfg = parse_config(ini)
+"""
+
+POINT_TRACE_INI = """
+[denoiser]
+kind = trace
+mu = 0.5,-0.25
+manifest = eps.trace
+"""
+
+
+def test_parse_full_overlay(tmp_path):
+    cfg = parse_config(write_ini(tmp_path / "e.ini", FULL_INI))
     assert cfg.t_train == 500 and cfg.steps == 25
     assert cfg.beta_start == 2e-4 and cfg.beta_end == 0.01
-    assert cfg.kind == "gmm" and cfg.means == ((0.0, 0.0), (1.0, 1.0))
-    assert cfg.interval == (5, 21) and cfg.tau == 0.12 and cfg.bias == 0.01
+    assert cfg.kind == "gmm" and cfg.dim == 4 and cfg.weights == (0.5, 0.5)
+    assert cfg.means == ((0.0, 0.0), (1.0, 1.0))
+    assert cfg.variances == ((0.1, 0.1), (0.2, 0.2))
+    assert cfg.interval == (5, 21) and cfg.r == 3
+    assert cfg.tau == 0.12 and cfg.bias == 0.01
     assert cfg.phi_mode == "snr" and cfg.per_seed_wg is True
     assert cfg.calibration_seed == 3
-    assert cfg.bias_lo == -0.02 and cfg.bias_search == "binary"
+    assert cfg.bias_lo == -0.02 and cfg.bias_hi == 0.05
+    assert cfg.bias_search == "binary"
     assert cfg.seeds == (3, 4) and cfg.out == "somewhere" and cfg.jobs == 2
+
+    cfg = parse_config(write_ini(tmp_path / "p.ini", POINT_TRACE_INI))
+    assert cfg.kind == "trace" and cfg.manifest == "eps.trace"
+    assert cfg.mu == (0.5, -0.25)
+
+    # together the two files set every key the parser knows
+    seen = set()
+    for text in (FULL_INI, POINT_TRACE_INI):
+        cp = configparser.ConfigParser()
+        cp.read_string(text)
+        seen |= {(sec, key) for sec in cp.sections() for key in cp[sec]}
+    assert seen == set(harness._KEYS)
 
 
 def test_parse_overlays_base_preserving_unset_keys(tmp_path):
@@ -319,6 +347,40 @@ def test_jobs_do_not_change_output(tmp_path):
     assert da == db
     # and the manifests agree too, because jobs is excluded from them
     assert dir_digests(str(a)) == dir_digests(str(b))
+
+
+@pytest.mark.parametrize("jobs,n_seeds,cpus,want", [
+    (8, 3, 4, 3),       # never more workers than seeds
+    (8, 10, 4, 4),      # nor more than cores
+    (2, 5, 4, 2),
+    (2, 5, None, None),  # unknown core count: one worker, no pool
+    (4, 1, 4, None),     # one seed runs in-process
+    (1, 5, 4, None),
+])
+def test_pool_size_is_bounded(tmp_path, monkeypatch, jobs, n_seeds, cpus, want):
+    made = []
+
+    class InProcessPool:
+        """ProcessPoolExecutor stand-in: records max_workers, forks nothing."""
+
+        def __init__(self, max_workers):
+            made.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: cpus)
+    cfg = replace(SMALL, steps=10, interval=None, seeds=tuple(range(n_seeds)),
+                  jobs=jobs, out=str(tmp_path))
+    run(cfg, "angles")
+    assert made == ([] if want is None else [want])
 
 
 def test_manifest_digests_match_files(tmp_path):

@@ -10,6 +10,7 @@ from ltc_accel import (
     AccelerationPlan,
     DegenerateTransitionError,
     DiagGmmDenoiser,
+    PhiMode,
     PlanError,
     Trajectory,
     TransitionOperator,
@@ -30,7 +31,9 @@ from ltc_accel import (
     wg_closed_form,
     write_trace,
 )
+from ltc_accel.ltc import _search_bias
 from ltc_accel.model import RecordedTraceDenoiser
+from ltc_accel.sampler import ddim_step
 
 
 @pytest.fixture(scope="module")
@@ -43,6 +46,22 @@ def gmm(sched):
     rng = np.random.default_rng(1)
     return DiagGmmDenoiser([0.5, 0.3, 0.2], rng.normal(size=(3, 8)),
                            np.full((3, 8), 0.1), sched)
+
+
+@pytest.fixture(scope="module")
+def recorded(tmp_path_factory, sched, gmm):
+    """Trace denoisers replaying the GMM along full-resolution runs."""
+    ts = make_timesteps(1000, 1000)
+    data = np.empty((12, 1000, 8), dtype=np.float32)
+    for k in range(12):
+        x = initial_noise(8, k)
+        for j in range(1000):
+            data[k, j] = gmm.epsilon_hat(x, int(ts[j]))
+            x = ddim_step(x, data[k, j].astype(np.float64), sched,
+                          int(ts[j]), int(ts[j + 1]))
+    path = str(tmp_path_factory.mktemp("trace") / "eps.trace")
+    write_trace(path, data)
+    return lambda seed: RecordedTraceDenoiser.from_manifest(path, seed)
 
 
 def _vec(*xs):
@@ -270,6 +289,11 @@ class TestAccelerationPlan:
             AccelerationPlan(interval=None, tau=0.0).validate(40, require_wg=False)
         with pytest.raises(PlanError):
             AccelerationPlan(interval=None, bias=np.nan).validate(40, require_wg=False)
+        wg = dict.fromkeys(range(13, 40, 2), 1.0)
+        for bad in (np.nan, np.inf, -np.inf):
+            plan = AccelerationPlan(interval=(13, 39), wg={**wg, 13: bad, 27: bad})
+            with pytest.raises(PlanError, match=r"\[13, 27\]"):
+                plan.validate(40, require_wg=True)
         with pytest.warns(UserWarning, match="ceiling"):
             AccelerationPlan(interval=None, tau=0.2).validate(40, require_wg=False)
         with pytest.warns(UserWarning, match="r="):
@@ -287,6 +311,9 @@ class TestAccelerationPlan:
         assert plan.validate(40, require_wg=True) == ()
 
 
+INTERVALS_100 = [(2, 38), (13, 39), (21, 99)]  # on a 100-step grid
+
+
 class TestCalibrateAndApply:
     def test_error_identity_on_benchmark(self, sched, gmm):
         ts = make_timesteps(1000, 40)
@@ -297,35 +324,58 @@ class TestCalibrateAndApply:
             assert cal.eps_r[i] <= np.sin(cal.theta[i]) ** 2 + 1e-12
         assert cal.trajectory.nfe == 40
 
-    def test_apply_reproduces_calibration_chain(self, sched, gmm):
+    @pytest.mark.parametrize("interval", INTERVALS_100, ids="{0[0]}-{0[1]}".format)
+    @pytest.mark.parametrize("phi_mode", list(PhiMode))
+    @pytest.mark.parametrize("seed", [0, 4])
+    @pytest.mark.parametrize("kind", ["gmm", "trace"])
+    def test_apply_reproduces_calibration_chain(self, sched, gmm, recorded,
+                                                interval, phi_mode, seed, kind):
         # same seed, same wg: the approximated chain is the calibration chain
-        ts = make_timesteps(1000, 40)
-        x0 = initial_noise(8, 4)
-        plan = AccelerationPlan(interval=(13, 39))
-        cal = calibrate_wg(gmm, sched, x0, ts, plan)
-        acc = accelerated_sample(gmm, sched, x0, ts, plan.with_wg(cal.wg))
+        den = gmm if kind == "gmm" else recorded(seed)
+        ts = make_timesteps(1000, 100)
+        x0 = initial_noise(8, seed)
+        plan = AccelerationPlan(interval=interval, phi_mode=phi_mode)
+        cal = calibrate_wg(den, sched, x0, ts, plan)
+        acc = accelerated_sample(den, sched, x0, ts, plan.with_wg(cal.wg))
         assert np.array_equal(acc.states, cal.trajectory.states)
+        assert acc.approximated == cal.trajectory.approximated == plan.selected()
 
-    def test_nfe_accounting(self, sched, gmm):
-        ts = make_timesteps(1000, 40)
-        x0 = initial_noise(8, 2)
-        plan = AccelerationPlan(interval=(13, 39))
-        cal = calibrate_wg(gmm, sched, x0, ts, plan)
-        acc = accelerated_sample(gmm, sched, x0, ts, plan.with_wg(cal.wg))
-        assert acc.nfe + len(acc.approximated) == 40
-        assert acc.nfe == 26
+    @pytest.mark.parametrize("interval", INTERVALS_100, ids="{0[0]}-{0[1]}".format)
+    @pytest.mark.parametrize("phi_mode", list(PhiMode))
+    @pytest.mark.parametrize("seed", [2, 9])
+    @pytest.mark.parametrize("kind", ["gmm", "trace"])
+    def test_nfe_accounting(self, sched, gmm, recorded, interval, phi_mode,
+                            seed, kind):
+        den = gmm if kind == "gmm" else recorded(seed)
+        ts = make_timesteps(1000, 100)
+        x0 = initial_noise(8, seed)
+        plan = AccelerationPlan(interval=interval, phi_mode=phi_mode)
+        cal = calibrate_wg(den, sched, x0, ts, plan)
+        acc = accelerated_sample(den, sched, x0, ts, plan.with_wg(cal.wg))
+        assert cal.trajectory.nfe == 100
+        assert acc.nfe + len(acc.approximated) == 100
+        assert acc.nfe == 100 - len(plan.selected())
         assert acc.approximated == plan.selected()
         # approximated iterations consumed no denoiser call
         approx_ts = {int(ts[i - 1]) for i in acc.approximated}
         assert not approx_ts & set(acc.eps)
+        assert np.array_equal(sorted(acc.eps), sorted(cal.trajectory.eps))
 
-    def test_empty_plan_is_bit_exact_full_run(self, sched, gmm):
-        ts = make_timesteps(1000, 20)
-        x0 = initial_noise(8, 11)
-        full = sample_full(gmm, sched, x0, ts)
-        acc = accelerated_sample(gmm, sched, x0, ts, AccelerationPlan.empty())
+    @pytest.mark.parametrize("steps", [20, 100])
+    @pytest.mark.parametrize("seed", [0, 11])
+    @pytest.mark.parametrize("kind", ["gmm", "trace"])
+    def test_empty_plan_is_bit_exact_full_run(self, sched, gmm, recorded,
+                                              steps, seed, kind):
+        den = gmm if kind == "gmm" else recorded(seed)
+        ts = make_timesteps(1000, steps)
+        x0 = initial_noise(8, seed)
+        full = sample_full(den, sched, x0, ts)
+        acc = accelerated_sample(den, sched, x0, ts, AccelerationPlan.empty())
+        cal = calibrate_wg(den, sched, x0, ts, AccelerationPlan.empty())
         assert np.array_equal(full.states, acc.states)
-        assert full.nfe == acc.nfe
+        assert np.array_equal(full.states, cal.trajectory.states)
+        assert full.nfe == acc.nfe == cal.trajectory.nfe == steps
+        assert cal.wg == {}
 
     def test_bias_shifts_the_result(self, sched, gmm):
         ts = make_timesteps(1000, 40)
@@ -406,6 +456,21 @@ class TestRefineBias:
         res = refine_bias(gmm, sched, initial_noise(8, 0), ts, plan,
                           interval=(0.03, 0.03), evaluator=lambda b: b)
         assert res.bias == 0.03
+
+    def test_known_scores_are_never_reevaluated(self):
+        grid = np.linspace(-0.05, 0.10, 11)
+        known = [(b, 40.0 - 100.0 * (b - 0.02) ** 2) for b in grid]
+        probed = []
+
+        def objective(b):
+            probed.append(b)
+            return 40.0 - 100.0 * (b - 0.02) ** 2
+
+        res = _search_bias(objective, -0.05, 0.10, tol=1e-5, known=known)
+        assert probed and not set(probed) & {float(b) for b in grid}
+        assert probed[0] == 0.0  # zero is still probed, first
+        assert res.bias == pytest.approx(0.02, abs=1e-4)
+        assert len(res.evaluations) == len(grid) + len(probed)
 
     def test_invalid_interval_and_mode_rejected(self, sched, gmm):
         ts = make_timesteps(1000, 40)
