@@ -2,7 +2,8 @@
 
 One subcommand per harness mode. Settings layer as preset < config file
 < command line flags. Exit codes: 0 success, 2 configuration problems,
-3 numeric failures, 4 I/O failures.
+3 numeric failures, 4 I/O failures, 5 worker failure (a process of the
+seed fan-out died).
 """
 
 from __future__ import annotations
@@ -10,6 +11,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import replace
 
 from .errors import (
@@ -93,6 +95,9 @@ def main(argv=None) -> int:
     except _IO_ERRORS as e:
         print(f"ltc: i/o error: {e}", file=sys.stderr)
         return 4
+    except BrokenProcessPool as e:
+        print(f"ltc: worker failure: {e}", file=sys.stderr)
+        return 5
     print(f"mode={report.mode} seeds={len(report.seeds)} "
           f"fingerprint={report.fingerprint[:12]}")
     if report.bias is not None:

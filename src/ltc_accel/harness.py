@@ -2,15 +2,17 @@
 
 Configs are INI files parsed strictly: unknown sections or keys are
 rejected, seeds are always explicit, and reruns of the same config write
-byte-identical files. `--jobs` only changes how seeds are distributed
-over processes, never the output, so it stays out of the manifest.
+byte-identical files. `--jobs` only changes how the final per-seed runs
+are distributed over processes (the bias search always runs in-process),
+never the output, so it stays out of the manifest.
 
 Modes
 -----
 angles       full runs, per-seed angle traces plus mean/min/max
 calibrate    wg tables with shadow real steps, aggregated over seeds
 sample       accelerated vs full runs: error traces, PSNR, NFE, speedup
-refine       PSNR-vs-bias sweep plus golden refinement of the bias
+refine       PSNR-vs-bias sweep plus golden refinement of the bias, over
+             per-seed reference runs computed once
 ablate-skip  accelerated runs vs skipping the same iterations outright
 report       angles + calibrate + sample in one bundle
 """
@@ -32,6 +34,7 @@ from .ltc import (
     angle_trace,
     calibrate_wg,
     detect_interval,
+    _bias_objective,
     _search_bias,
 )
 from .metrics import (
@@ -42,7 +45,8 @@ from .metrics import (
     psnr,
     write_csv,
 )
-from .model import DiagGmmDenoiser, PointMassDenoiser, RecordedTraceDenoiser
+from .model import (DiagGmmDenoiser, PointMassDenoiser, RecordedTraceDenoiser,
+                    read_trace)
 from .sampler import initial_noise, make_timesteps, sample_full, sample_skipping
 from .schedule import PhiMode, build_linear_beta
 
@@ -291,9 +295,7 @@ def _resolve_interval(cfg: ExperimentConfig, schedule, ts) -> object:
 
 def _seed_task(args):
     """Per-seed work unit; top-level so process pools can pickle it."""
-    cfg, plan, seed, needs, bias_grid = args
-    schedule = build_linear_beta(cfg.t_train, cfg.beta_start, cfg.beta_end)
-    ts = make_timesteps(cfg.t_train, cfg.steps)
+    cfg, schedule, ts, plan, seed, needs = args
     den = build_denoiser(cfg, schedule, seed)
     x0 = initial_noise(den.dim, seed)
     out = {"seed": seed}
@@ -302,16 +304,14 @@ def _seed_task(args):
     if "angles" in needs:
         out["angles"] = angle_trace(full).angles
     cal = None
-    if "wg" in needs or (plan is not None and plan.wg is None
-                         and plan.selected()):
+    if "wg" in needs or plan.wg is None:  # None: per-seed calibration
         cal = calibrate_wg(den, schedule, x0, ts, plan, seed=seed)
         out["wg"] = np.array([cal.wg[i] for i in plan.selected()])
         err, rel = end_error(full.final, cal.trajectory.final)
         out["cal_row"] = (seed, cal.trajectory.nfe, n, 1.0,
                           psnr(full.final, cal.trajectory.final), err, rel)
-    if "accel" in needs or bias_grid is not None:
-        plan_eff = plan if plan.wg is not None else plan.with_wg(
-            cal.wg if cal is not None else {})
+    if "accel" in needs:
+        plan_eff = plan if plan.wg is not None else plan.with_wg(cal.wg)
         acc = accelerated_sample(den, schedule, x0, ts, plan_eff, seed=seed)
         diffs = np.linalg.norm(full.states - acc.states, axis=1)
         norms = np.linalg.norm(full.states, axis=1)
@@ -325,18 +325,11 @@ def _seed_task(args):
                                    set(plan_eff.selected()), seed=seed)
             out["skip"] = (psnr(full.final, acc.final),
                            psnr(full.final, skip.final), acc.nfe, skip.nfe)
-        if bias_grid is not None:
-            vals = []
-            for b in bias_grid:
-                t = accelerated_sample(den, schedule, x0, ts,
-                                       replace(plan_eff, bias=float(b)))
-                vals.append(psnr(full.final, t.final))
-            out["bias_psnr"] = np.array(vals)
     return out
 
 
-def _fan_out(cfg, plan, needs, bias_grid=None):
-    tasks = [(cfg, plan, seed, needs, bias_grid) for seed in cfg.seeds]
+def _fan_out(cfg, schedule, ts, plan, needs):
+    tasks = [(cfg, schedule, ts, plan, seed, needs) for seed in cfg.seeds]
     workers = min(cfg.jobs, len(tasks), os.cpu_count() or 1)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -346,15 +339,29 @@ def _fan_out(cfg, plan, needs, bias_grid=None):
     return sorted(results, key=lambda r: r["seed"])
 
 
-def _calibrated_plan(cfg: ExperimentConfig, base: AccelerationPlan):
+def _bias_objectives(cfg: ExperimentConfig, schedule, ts,
+                     plan: AccelerationPlan) -> list:
+    """Per-seed bias -> PSNR objectives in seed order; one trace read."""
+    trace = read_trace(cfg.manifest)[1] if cfg.kind == "trace" else None
+    objectives = []
+    for seed in sorted(cfg.seeds):
+        den = (build_denoiser(cfg, schedule, seed) if trace is None
+               else RecordedTraceDenoiser(trace, seed))
+        x0 = initial_noise(den.dim, seed)
+        p = plan if plan.wg is not None else plan.with_wg(
+            calibrate_wg(den, schedule, x0, ts, plan, seed=seed).wg)
+        objectives.append(_bias_objective(den, schedule, x0, ts, p))
+    return objectives
+
+
+def _calibrated_plan(cfg: ExperimentConfig, schedule, ts,
+                     base: AccelerationPlan):
     """Calibrate wg once on the calibration seed unless per-seed is on."""
     if not base.selected():
         return base.with_wg({})
     if cfg.per_seed_wg:
-        return base  # workers calibrate their own
+        return base  # each seed calibrates its own
     seed = cfg.seeds[0] if cfg.calibration_seed == -1 else cfg.calibration_seed
-    schedule = build_linear_beta(cfg.t_train, cfg.beta_start, cfg.beta_end)
-    ts = make_timesteps(cfg.t_train, cfg.steps)
     den = build_denoiser(cfg, schedule, seed)
     cal = calibrate_wg(den, schedule, initial_noise(den.dim, seed), ts, base,
                        seed=seed)
@@ -402,7 +409,7 @@ def run(cfg: ExperimentConfig, mode: str) -> RunReport:
         "report": frozenset({"angles", "wg", "accel"}),
     }[mode]
 
-    plan = _calibrated_plan(cfg, base)
+    plan = _calibrated_plan(cfg, schedule, ts, base)
     report = RunReport(fingerprint=cfg.fingerprint(), mode=mode, seeds=cfg.seeds)
     files: dict = {}
     result_lines: dict = {}
@@ -418,13 +425,13 @@ def run(cfg: ExperimentConfig, mode: str) -> RunReport:
     # Resolve the bias first so every CSV below reflects the chosen value.
     if mode == "refine" or cfg.bias == "refine":
         grid = np.linspace(cfg.bias_lo, cfg.bias_hi, 11)
-        pre = _fan_out(cfg, plan, frozenset(), grid)
-        mean, lo, hi = aggregate([r["bias_psnr"] for r in pre])
+        objectives = _bias_objectives(cfg, schedule, ts, plan)
+        mean, lo, hi = aggregate([[f(float(b)) for b in grid]
+                                  for f in objectives])
         emit("psnr_summary.csv", "psnr_summary", list(zip(grid, mean, lo, hi)))
 
         def mean_psnr(b: float) -> float:
-            probe = _fan_out(cfg, plan, frozenset(), np.array([b]))
-            return float(np.mean([float(r["bias_psnr"][0]) for r in probe]))
+            return float(np.mean([f(b) for f in objectives]))
 
         bias_star = _search_bias(mean_psnr, cfg.bias_lo, cfg.bias_hi,
                                  mode=cfg.bias_search, tol=1e-5,
@@ -433,7 +440,7 @@ def run(cfg: ExperimentConfig, mode: str) -> RunReport:
         result_lines["bias"] = repr(bias_star)
         plan = replace(plan, bias=bias_star)
 
-    results = _fan_out(cfg, plan, needs)
+    results = _fan_out(cfg, schedule, ts, plan, needs)
 
     if "angles" in needs:
         iters = np.arange(2, n + 1)

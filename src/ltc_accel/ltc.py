@@ -265,12 +265,42 @@ def accelerated_sample(denoiser, schedule: NoiseSchedule, x_init, timesteps,
     """
     ts = check_timesteps(timesteps, schedule.t_train)
     selected = set(plan.validate(len(ts) - 1, require_wg=True))
+    return _chain(denoiser, schedule, x_init, ts, selected,
+                  _extrapolation(schedule, ts, plan), seed)
+
+
+def _extrapolation(schedule: NoiseSchedule, ts: np.ndarray,
+                   plan: AccelerationPlan):
+    """_chain's reuse hook for a plan: x + (wg[i] + bias) * gamma * d_prev."""
 
     def extrapolate(i, x, d_prev):
         g = _grid_gamma(schedule, ts, i, plan.phi_mode)
         return x + ((plan.wg[i] + plan.bias) * g) * d_prev
 
-    return _chain(denoiser, schedule, x_init, ts, selected, extrapolate, seed)
+    return extrapolate
+
+
+def _bias_objective(denoiser, schedule: NoiseSchedule, x_init, timesteps,
+                    plan: AccelerationPlan):
+    """bias -> PSNR of the accelerated end state against the full run.
+
+    The full run is computed once. Its states before the first selected
+    iteration are the accelerated run's at any bias, so calls resume there.
+    """
+    ts = check_timesteps(timesteps, schedule.t_train)
+    n = len(ts) - 1
+    selected = set(plan.validate(n, require_wg=True))
+    reference = sample_full(denoiser, schedule, x_init, ts)
+    prefix = reference.states[:min(selected, default=n + 1)]
+
+    def objective(bias: float) -> float:
+        biased = replace(plan, bias=bias)
+        biased.validate(n, require_wg=True)
+        traj = _chain(denoiser, schedule, x_init, ts, selected,
+                      _extrapolation(schedule, ts, biased), prefix=prefix)
+        return psnr(reference.final, traj.final)
+
+    return objective
 
 
 @dataclass
@@ -429,12 +459,6 @@ def refine_bias(denoiser, schedule: NoiseSchedule, x_init, timesteps,
     overrides the PSNR-vs-full objective (used for testing the search).
     """
     if evaluator is None:
-        reference = sample_full(denoiser, schedule, x_init, timesteps).final
-
-        def evaluator(b: float) -> float:
-            traj = accelerated_sample(denoiser, schedule, x_init, timesteps,
-                                      replace(plan, bias=b))
-            return psnr(reference, traj.final)
-
+        evaluator = _bias_objective(denoiser, schedule, x_init, timesteps, plan)
     return _search_bias(evaluator, interval[0], interval[1], mode=mode,
                         grid_points=grid_points, tol=tol)

@@ -94,7 +94,8 @@ def initial_noise(dim: int, seed: int) -> np.ndarray:
 
 
 def _chain(denoiser, schedule: NoiseSchedule, x_init, ts: np.ndarray,
-           selected=(), reuse=None, seed: int | None = None) -> Trajectory:
+           selected=(), reuse=None, seed: int | None = None,
+           prefix=()) -> Trajectory:
     """The one sampling loop behind full, accelerated and calibration runs.
 
     `ts` is an already checked grid. A selected iteration calls
@@ -102,15 +103,19 @@ def _chain(denoiser, schedule: NoiseSchedule, x_init, ts: np.ndarray,
     step, unless the previous displacement d_prev is exactly zero: then it
     falls back to a real step (logged, listed in `fallbacks`, counted in
     nfe). Real steps alone consume denoiser calls and fill `eps`.
+
+    `prefix` resumes a run: states 0..k-1 of a run from x_init that took
+    only real steps (no selected iteration below k). The loop starts at
+    iteration k; the prefix's steps count in nfe but not in `eps`.
     """
     x = np.asarray(x_init, dtype=np.float64)
     if x.ndim != 1 or not np.all(np.isfinite(x)):
         raise NumericError("x_init must be a finite vector")
-    states = [x]
+    states = list(prefix) or [x]
     eps_cache = {}
     approximated = []
     fallbacks = []
-    for i in range(1, len(ts)):
+    for i in range(len(states), len(ts)):
         if i in selected:
             d_prev = states[-1] - states[-2]
             if float(np.dot(d_prev, d_prev)) != 0.0:

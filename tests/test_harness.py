@@ -4,19 +4,28 @@ byte-level determinism, exit codes."""
 import configparser
 import hashlib
 import os
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from ltc_accel import (
+    AccelerationPlan,
     ConfigError,
+    DiagGmmDenoiser,
     ExperimentConfig,
+    accelerated_sample,
     benchmark_gmm,
     build_linear_beta,
+    calibrate_wg,
+    initial_noise,
+    make_timesteps,
     parse_config,
     preset,
+    psnr,
     run,
+    sample_full,
     write_trace,
 )
 from ltc_accel import harness
@@ -275,6 +284,46 @@ def test_refine_mode_bundle(tmp_path):
     assert f"result.bias={rep.bias!r}" in manifest_lines(str(tmp_path))
 
 
+def test_refine_call_count_and_grid_psnr(tmp_path, monkeypatch):
+    calls = []
+    epsilon_hat = DiagGmmDenoiser.epsilon_hat
+
+    def counting(self, x, t):
+        calls.append(t)
+        return epsilon_hat(self, x, t)
+
+    monkeypatch.setattr(DiagGmmDenoiser, "epsilon_hat", counting)
+    cfg = replace(preset("fig4-bias"), seeds=(0, 1), out=str(tmp_path))
+    run(cfg, "refine")
+    # 2 reference runs (80) + calibration (40) + 31 bias probes per seed
+    # (11 grid, zero, 19 golden), each resuming after the 12 shared real
+    # steps (2 * 31 * 15) + the final fan-out's full and accelerated runs
+    # (2 * (40 + 27))
+    assert len(calls) == 80 + 40 + 930 + 134
+    monkeypatch.undo()
+
+    # From scratch: every grid bias re-runs both chains on every seed.
+    sched = build_linear_beta(cfg.t_train, cfg.beta_start, cfg.beta_end)
+    ts = make_timesteps(cfg.t_train, cfg.steps)
+    den = benchmark_gmm(sched, cfg.dim)
+    plan = AccelerationPlan(interval=cfg.interval)
+    plan = plan.with_wg(calibrate_wg(den, sched, initial_noise(den.dim, 0),
+                                     ts, plan).wg)
+    _, rows = read_csv(tmp_path / "psnr_summary.csv", "psnr_summary")
+    grid = np.linspace(cfg.bias_lo, cfg.bias_hi, 11)
+    assert [r[0] for r in rows] == list(grid)
+    for b, (_, mean, lo, hi) in zip(grid, rows):
+        vals = []
+        for seed in cfg.seeds:
+            x0 = initial_noise(den.dim, seed)
+            full = sample_full(den, sched, x0, ts)
+            acc = accelerated_sample(den, sched, x0, ts,
+                                     replace(plan, bias=float(b)))
+            vals.append(psnr(full.final, acc.final))
+        assert (lo, hi) == (min(vals), max(vals))
+        assert mean == np.mean(sorted(vals))
+
+
 def test_report_mode_bundle(tmp_path):
     rep = run(replace(SMALL, out=str(tmp_path)), "report")
     assert {"angle_mean.csv", "latent_wg_summary.csv", "error_summary.csv",
@@ -338,10 +387,25 @@ def test_rerun_is_byte_identical(tmp_path):
     assert dir_digests(str(a)) == dir_digests(str(b))
 
 
-def test_jobs_do_not_change_output(tmp_path):
+def _small_trace_config(tmp_path):
+    rng = np.random.default_rng(7)
+    man = tmp_path / "eps.trace"
+    write_trace(str(man), rng.standard_normal((3, 24, 4)).astype("<f4"))
+    return ExperimentConfig(t_train=24, steps=6, kind="trace",
+                            manifest=str(man), interval=(3, 5),
+                            seeds=(2, 0, 1))
+
+
+@pytest.mark.parametrize("mode,make_cfg", [
+    ("report", lambda tmp_path: SMALL),
+    ("refine", lambda tmp_path: replace(preset("fig4-bias"), seeds=(0, 1, 2))),
+    ("refine", _small_trace_config),
+], ids=["report-sd2-ddim-40", "refine-fig4-bias", "refine-trace"])
+def test_jobs_do_not_change_output(tmp_path, mode, make_cfg):
+    cfg = make_cfg(tmp_path)
     a, b = tmp_path / "a", tmp_path / "b"
-    run(replace(SMALL, out=str(a), jobs=1), "report")
-    run(replace(SMALL, out=str(b), jobs=2), "report")
+    run(replace(cfg, out=str(a), jobs=1), mode)
+    run(replace(cfg, out=str(b), jobs=2), mode)
     da, db = dir_digests(str(a)), dir_digests(str(b))
     da.pop("manifest.txt"), db.pop("manifest.txt")  # jobs is execution-only
     assert da == db
@@ -463,6 +527,30 @@ def test_cli_io_error_exit(tmp_path, capsys):
                "--out", str(blocker / "nested")])
     assert rc == 4
     assert "i/o error" in capsys.readouterr().err
+
+
+def test_cli_worker_failure_exit(tmp_path, monkeypatch, capsys):
+    class CrashingPool:
+        """ProcessPoolExecutor stand-in whose workers all die; forks nothing."""
+
+        def __init__(self, max_workers):
+            pass
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            raise BrokenProcessPool("a worker terminated abruptly")
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", CrashingPool)
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
+    rc = main(["sample", "--preset", "sd2-ddim-40", "--seed-set", "0", "1",
+               "--jobs", "2", "--out", str(tmp_path / "o")])
+    assert rc == 5
+    assert "worker failure" in capsys.readouterr().err
 
 
 def test_cli_plan_error_exit(tmp_path, capsys):

@@ -1,5 +1,7 @@
 """Transition reuse: operators, angles, interval detection, calibration."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -31,9 +33,10 @@ from ltc_accel import (
     wg_closed_form,
     write_trace,
 )
-from ltc_accel.ltc import _search_bias
+from ltc_accel.ltc import _bias_objective, _extrapolation, _search_bias
+from ltc_accel.metrics import psnr
 from ltc_accel.model import RecordedTraceDenoiser
-from ltc_accel.sampler import ddim_step
+from ltc_accel.sampler import _chain, ddim_step
 
 
 @pytest.fixture(scope="module")
@@ -62,6 +65,14 @@ def recorded(tmp_path_factory, sched, gmm):
     path = str(tmp_path_factory.mktemp("trace") / "eps.trace")
     write_trace(path, data)
     return lambda seed: RecordedTraceDenoiser.from_manifest(path, seed)
+
+
+@pytest.fixture(scope="module")
+def zero_trace(tmp_path_factory):
+    """All-zero trace: from x_init = 0 every displacement is exactly 0."""
+    path = str(tmp_path_factory.mktemp("zero") / "z.trace")
+    write_trace(path, np.zeros((1, 8, 2), dtype=np.float32))
+    return RecordedTraceDenoiser.from_manifest(path, seed=0)
 
 
 def _vec(*xs):
@@ -403,6 +414,43 @@ class TestCalibrateAndApply:
         cal = calibrate_wg(den, flat, np.zeros(2), ts, plan)
         assert cal.fallbacks == (3, 5, 7)
         assert all(cal.wg[i] == 1.0 for i in (3, 5, 7))
+
+    @settings(max_examples=40, deadline=None)
+    @given(kind=st.sampled_from(["gmm", "trace", "zero"]),
+           seed=st.integers(0, 11), bias=st.floats(-0.05, 0.10),
+           interval=st.sampled_from(INTERVALS_100),
+           phi_mode=st.sampled_from(list(PhiMode)))
+    def test_resuming_from_full_prefix_is_bit_exact(
+            self, sched, gmm, recorded, zero_trace, kind, seed, bias,
+            interval, phi_mode):
+        # no iteration before the first selected one is approximated, so a
+        # full run's states up to there are the accelerated run's too
+        if kind == "zero":  # every selected iteration falls back
+            den, s, ts, x0 = (zero_trace, build_linear_beta(8, 0.01, 0.05),
+                              np.arange(8, -1, -1), np.zeros(2))
+            plan = AccelerationPlan(interval=(3, 7), phi_mode=phi_mode,
+                                    wg={3: 1.0, 5: 1.0, 7: 1.0})
+        else:
+            den = gmm if kind == "gmm" else recorded(seed)
+            s, ts, x0 = sched, make_timesteps(1000, 100), initial_noise(8, seed)
+            plan = AccelerationPlan(interval=interval, phi_mode=phi_mode)
+            plan = plan.with_wg(calibrate_wg(den, s, x0, ts, plan).wg)
+        plan = dataclasses.replace(plan, bias=bias)
+        sel = plan.selected()
+        full = sample_full(den, s, x0, ts)
+        acc = accelerated_sample(den, s, x0, ts, plan)
+        resumed = _chain(den, s, x0, ts, set(sel), _extrapolation(s, ts, plan),
+                         prefix=full.states[:sel[0]])
+        assert np.array_equal(resumed.states, acc.states)
+        assert resumed.approximated == acc.approximated
+        assert resumed.fallbacks == acc.fallbacks
+        assert resumed.nfe == acc.nfe
+        if kind == "zero":
+            assert acc.fallbacks == sel  # psnr is undefined on a 0 reference
+        else:
+            objective = _bias_objective(den, s, x0, ts,
+                                        dataclasses.replace(plan, bias=0.0))
+            assert objective(bias) == psnr(full.final, acc.final)
 
     def test_missing_wg_rejected_at_apply(self, sched, gmm):
         ts = make_timesteps(1000, 40)
