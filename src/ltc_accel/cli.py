@@ -2,8 +2,7 @@
 
 One subcommand per harness mode. Settings layer as preset < config file
 < command line flags. Exit codes: 0 success, 2 configuration problems,
-3 numeric failures, 4 I/O failures, 5 worker failure (a process of the
-seed fan-out died).
+3 numeric failures, 4 I/O failures.
 """
 
 from __future__ import annotations
@@ -11,7 +10,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import replace
 
 from .errors import (
@@ -58,7 +56,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", metavar="DIR",
                        help="output directory (falls back to $LTC_OUT)")
         p.add_argument("--jobs", type=int, metavar="N",
-                       help="worker processes for the seed fan-out")
+                       help="no effect; every seed runs in-process")
         p.add_argument("--seed-set", type=int, nargs="+", metavar="SEED",
                        help="explicit seeds, overriding preset and config")
     return parser
@@ -95,9 +93,6 @@ def main(argv=None) -> int:
     except _IO_ERRORS as e:
         print(f"ltc: i/o error: {e}", file=sys.stderr)
         return 4
-    except BrokenProcessPool as e:
-        print(f"ltc: worker failure: {e}", file=sys.stderr)
-        return 5
     print(f"mode={report.mode} seeds={len(report.seeds)} "
           f"fingerprint={report.fingerprint[:12]}")
     if report.bias is not None:

@@ -2,9 +2,9 @@
 
 Configs are INI files parsed strictly: unknown sections or keys are
 rejected, seeds are always explicit, and reruns of the same config write
-byte-identical files. `--jobs` only changes how the final per-seed runs
-are distributed over processes (the bias search always runs in-process),
-never the output, so it stays out of the manifest.
+byte-identical files. A run is one in-process pass that reads a trace
+once and makes each seed's full run and calibration once. `--jobs` is
+accepted but has no effect, so it stays out of the manifest.
 
 Modes
 -----
@@ -22,7 +22,6 @@ from __future__ import annotations
 import configparser
 import hashlib
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -262,7 +261,8 @@ def benchmark_gmm(schedule, dim: int = 16) -> DiagGmmDenoiser:
     return DiagGmmDenoiser([0.5, 0.3, 0.2], means, variances, schedule)
 
 
-def build_denoiser(cfg: ExperimentConfig, schedule, seed: int):
+def build_denoiser(cfg: ExperimentConfig, schedule, seed: int, trace):
+    """The seed's denoiser; `trace` is the read payload for kind "trace"."""
     if cfg.kind == "point":
         return PointMassDenoiser(np.asarray(cfg.mu), schedule)
     if cfg.kind == "gmm":
@@ -270,7 +270,7 @@ def build_denoiser(cfg: ExperimentConfig, schedule, seed: int):
                                np.asarray(cfg.variances), schedule)
     if cfg.kind == "gmm-bench":
         return benchmark_gmm(schedule, cfg.dim)
-    return RecordedTraceDenoiser.from_manifest(cfg.manifest, seed)
+    return RecordedTraceDenoiser(trace, seed)
 
 
 def _base_plan(cfg: ExperimentConfig, interval) -> AccelerationPlan:
@@ -279,33 +279,61 @@ def _base_plan(cfg: ExperimentConfig, interval) -> AccelerationPlan:
                             bias=b, phi_mode=PhiMode(cfg.phi_mode))
 
 
-def _resolve_interval(cfg: ExperimentConfig, schedule, ts) -> object:
-    if cfg.interval != "auto":
-        return cfg.interval
-    seed = cfg.seeds[0] if cfg.calibration_seed == -1 else cfg.calibration_seed
-    den = build_denoiser(cfg, schedule, seed)
-    full = sample_full(den, schedule, initial_noise(den.dim, seed), ts, seed=seed)
+def _auto_interval(full, tau: float) -> object:
     trace = angle_trace(full)
-    pos = detect_interval(trace, cfg.tau)
+    pos = detect_interval(trace, tau)
     if pos is None:
         return None
     a, b = trace.iteration_interval(pos)
-    return a, min(b, len(ts) - 2)  # final iteration is always real
+    return a, min(b, full.iterations - 1)  # final iteration is always real
 
 
-def _seed_task(args):
-    """Per-seed work unit; top-level so process pools can pickle it."""
-    cfg, schedule, ts, plan, seed, needs = args
-    den = build_denoiser(cfg, schedule, seed)
-    x0 = initial_noise(den.dim, seed)
+class _SeedMemo:
+    """One run's memo: the trace, read once, and per seed the denoiser, full
+    run and calibration (on the base plan, whose wg and bias calibrate_wg
+    ignores), each made by the first phase that needs it."""
+
+    def __init__(self, cfg: ExperimentConfig, schedule, ts):
+        self.cfg, self.schedule, self.ts = cfg, schedule, ts
+        self.trace, self.dens, self.fulls, self.cals = None, {}, {}, {}
+
+    def denoiser(self, seed: int):
+        if seed not in self.dens:
+            if self.cfg.kind == "trace" and self.trace is None:
+                self.trace = read_trace(self.cfg.manifest)[1]
+            self.dens[seed] = build_denoiser(self.cfg, self.schedule, seed,
+                                             self.trace)
+        return self.dens[seed]
+
+    def x0(self, seed: int) -> np.ndarray:
+        return initial_noise(self.denoiser(seed).dim, seed)
+
+    def full(self, seed: int):
+        if seed not in self.fulls:
+            self.fulls[seed] = sample_full(self.denoiser(seed), self.schedule,
+                                           self.x0(seed), self.ts, seed=seed)
+        return self.fulls[seed]
+
+    def calibration(self, seed: int, base: AccelerationPlan):
+        if seed not in self.cals:
+            self.cals[seed] = calibrate_wg(self.denoiser(seed), self.schedule,
+                                           self.x0(seed), self.ts, base,
+                                           seed=seed)
+        return self.cals[seed]
+
+
+def _seed_outputs(memo: _SeedMemo, seed: int, base: AccelerationPlan,
+                  plan: AccelerationPlan, needs) -> dict:
+    """One seed's traces and rows; its memo entries are dropped after."""
+    den, x0, full = memo.denoiser(seed), memo.x0(seed), memo.full(seed)
+    schedule, ts = memo.schedule, memo.ts
     out = {"seed": seed}
-    full = sample_full(den, schedule, x0, ts, seed=seed)
     n = full.iterations
     if "angles" in needs:
         out["angles"] = angle_trace(full).angles
     cal = None
     if "wg" in needs or plan.wg is None:  # None: per-seed calibration
-        cal = calibrate_wg(den, schedule, x0, ts, plan, seed=seed)
+        cal = memo.calibration(seed, base)
         out["wg"] = np.array([cal.wg[i] for i in plan.selected()])
         err, rel = end_error(full.final, cal.trajectory.final)
         out["cal_row"] = (seed, cal.trajectory.nfe, n, 1.0,
@@ -325,47 +353,9 @@ def _seed_task(args):
                                    set(plan_eff.selected()), seed=seed)
             out["skip"] = (psnr(full.final, acc.final),
                            psnr(full.final, skip.final), acc.nfe, skip.nfe)
+    for entries in (memo.dens, memo.fulls, memo.cals):
+        entries.pop(seed, None)
     return out
-
-
-def _fan_out(cfg, schedule, ts, plan, needs):
-    tasks = [(cfg, schedule, ts, plan, seed, needs) for seed in cfg.seeds]
-    workers = min(cfg.jobs, len(tasks), os.cpu_count() or 1)
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_seed_task, tasks))
-    else:
-        results = [_seed_task(t) for t in tasks]
-    return sorted(results, key=lambda r: r["seed"])
-
-
-def _bias_objectives(cfg: ExperimentConfig, schedule, ts,
-                     plan: AccelerationPlan) -> list:
-    """Per-seed bias -> PSNR objectives in seed order; one trace read."""
-    trace = read_trace(cfg.manifest)[1] if cfg.kind == "trace" else None
-    objectives = []
-    for seed in sorted(cfg.seeds):
-        den = (build_denoiser(cfg, schedule, seed) if trace is None
-               else RecordedTraceDenoiser(trace, seed))
-        x0 = initial_noise(den.dim, seed)
-        p = plan if plan.wg is not None else plan.with_wg(
-            calibrate_wg(den, schedule, x0, ts, plan, seed=seed).wg)
-        objectives.append(_bias_objective(den, schedule, x0, ts, p))
-    return objectives
-
-
-def _calibrated_plan(cfg: ExperimentConfig, schedule, ts,
-                     base: AccelerationPlan):
-    """Calibrate wg once on the calibration seed unless per-seed is on."""
-    if not base.selected():
-        return base.with_wg({})
-    if cfg.per_seed_wg:
-        return base  # each seed calibrates its own
-    seed = cfg.seeds[0] if cfg.calibration_seed == -1 else cfg.calibration_seed
-    den = build_denoiser(cfg, schedule, seed)
-    cal = calibrate_wg(den, schedule, initial_noise(den.dim, seed), ts, base,
-                       seed=seed)
-    return base.with_wg(cal.wg)
 
 
 def _write_manifest(out_dir: str, mode: str, cfg: ExperimentConfig,
@@ -396,7 +386,10 @@ def run(cfg: ExperimentConfig, mode: str) -> RunReport:
     schedule = build_linear_beta(cfg.t_train, cfg.beta_start, cfg.beta_end)
     ts = make_timesteps(cfg.t_train, cfg.steps)
     n = len(ts) - 1
-    interval = _resolve_interval(cfg, schedule, ts)
+    memo = _SeedMemo(cfg, schedule, ts)
+    cal_seed = cfg.seeds[0] if cfg.calibration_seed == -1 else cfg.calibration_seed
+    interval = (cfg.interval if cfg.interval != "auto"
+                else _auto_interval(memo.full(cal_seed), cfg.tau))
     base = _base_plan(cfg, interval)
     base.validate(n, require_wg=False)
 
@@ -409,7 +402,12 @@ def run(cfg: ExperimentConfig, mode: str) -> RunReport:
         "report": frozenset({"angles", "wg", "accel"}),
     }[mode]
 
-    plan = _calibrated_plan(cfg, schedule, ts, base)
+    if not base.selected():
+        plan = base.with_wg({})
+    elif cfg.per_seed_wg:
+        plan = base  # each seed calibrates its own
+    else:
+        plan = base.with_wg(memo.calibration(cal_seed, base).wg)
     report = RunReport(fingerprint=cfg.fingerprint(), mode=mode, seeds=cfg.seeds)
     files: dict = {}
     result_lines: dict = {}
@@ -425,7 +423,11 @@ def run(cfg: ExperimentConfig, mode: str) -> RunReport:
     # Resolve the bias first so every CSV below reflects the chosen value.
     if mode == "refine" or cfg.bias == "refine":
         grid = np.linspace(cfg.bias_lo, cfg.bias_hi, 11)
-        objectives = _bias_objectives(cfg, schedule, ts, plan)
+        objectives = [_bias_objective(
+            memo.denoiser(seed), schedule, memo.full(seed),
+            plan if plan.wg is not None
+            else plan.with_wg(memo.calibration(seed, base).wg))
+            for seed in sorted(cfg.seeds)]
         mean, lo, hi = aggregate([[f(float(b)) for b in grid]
                                   for f in objectives])
         emit("psnr_summary.csv", "psnr_summary", list(zip(grid, mean, lo, hi)))
@@ -439,8 +441,10 @@ def run(cfg: ExperimentConfig, mode: str) -> RunReport:
         report.bias = bias_star
         result_lines["bias"] = repr(bias_star)
         plan = replace(plan, bias=bias_star)
+        del objectives  # they hold every seed's full run
 
-    results = _fan_out(cfg, schedule, ts, plan, needs)
+    results = [_seed_outputs(memo, seed, base, plan, needs)
+               for seed in sorted(cfg.seeds)]
 
     if "angles" in needs:
         iters = np.arange(2, n + 1)

@@ -280,17 +280,16 @@ def _extrapolation(schedule: NoiseSchedule, ts: np.ndarray,
     return extrapolate
 
 
-def _bias_objective(denoiser, schedule: NoiseSchedule, x_init, timesteps,
+def _bias_objective(denoiser, schedule: NoiseSchedule, reference: Trajectory,
                     plan: AccelerationPlan):
     """bias -> PSNR of the accelerated end state against the full run.
 
-    The full run is computed once. Its states before the first selected
+    `reference` is the full run. Its states before the first selected
     iteration are the accelerated run's at any bias, so calls resume there.
     """
-    ts = check_timesteps(timesteps, schedule.t_train)
+    ts, x_init = reference.timesteps, reference.states[0]
     n = len(ts) - 1
     selected = set(plan.validate(n, require_wg=True))
-    reference = sample_full(denoiser, schedule, x_init, ts)
     prefix = reference.states[:min(selected, default=n + 1)]
 
     def objective(bias: float) -> float:
@@ -459,6 +458,7 @@ def refine_bias(denoiser, schedule: NoiseSchedule, x_init, timesteps,
     overrides the PSNR-vs-full objective (used for testing the search).
     """
     if evaluator is None:
-        evaluator = _bias_objective(denoiser, schedule, x_init, timesteps, plan)
+        reference = sample_full(denoiser, schedule, x_init, timesteps)
+        evaluator = _bias_objective(denoiser, schedule, reference, plan)
     return _search_bias(evaluator, interval[0], interval[1], mode=mode,
                         grid_points=grid_points, tol=tol)

@@ -3,8 +3,9 @@ byte-level determinism, exit codes."""
 
 import configparser
 import hashlib
+import multiprocessing.process
 import os
-from concurrent.futures.process import BrokenProcessPool
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -297,9 +298,9 @@ def test_refine_call_count_and_grid_psnr(tmp_path, monkeypatch):
     run(cfg, "refine")
     # 2 reference runs (80) + calibration (40) + 31 bias probes per seed
     # (11 grid, zero, 19 golden), each resuming after the 12 shared real
-    # steps (2 * 31 * 15) + the final fan-out's full and accelerated runs
-    # (2 * (40 + 27))
-    assert len(calls) == 80 + 40 + 930 + 134
+    # steps (2 * 31 * 15) + the final accelerated runs (2 * 27); the final
+    # rows reuse the search's two reference runs
+    assert len(calls) == 80 + 40 + 930 + 54
     monkeypatch.undo()
 
     # From scratch: every grid bias re-runs both chains on every seed.
@@ -401,7 +402,14 @@ def _small_trace_config(tmp_path):
     ("refine", lambda tmp_path: replace(preset("fig4-bias"), seeds=(0, 1, 2))),
     ("refine", _small_trace_config),
 ], ids=["report-sd2-ddim-40", "refine-fig4-bias", "refine-trace"])
-def test_jobs_do_not_change_output(tmp_path, mode, make_cfg):
+def test_jobs_do_not_change_output(tmp_path, monkeypatch, mode, make_cfg):
+    def no_process(*args, **kwargs):
+        raise AssertionError("a run started a process")
+
+    # jobs has no effect: every seed runs in this process
+    monkeypatch.setattr(os, "fork", no_process)
+    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start",
+                        no_process)
     cfg = make_cfg(tmp_path)
     a, b = tmp_path / "a", tmp_path / "b"
     run(replace(cfg, out=str(a), jobs=1), mode)
@@ -413,38 +421,39 @@ def test_jobs_do_not_change_output(tmp_path, mode, make_cfg):
     assert dir_digests(str(a)) == dir_digests(str(b))
 
 
-@pytest.mark.parametrize("jobs,n_seeds,cpus,want", [
-    (8, 3, 4, 3),       # never more workers than seeds
-    (8, 10, 4, 4),      # nor more than cores
-    (2, 5, 4, 2),
-    (2, 5, None, None),  # unknown core count: one worker, no pool
-    (4, 1, 4, None),     # one seed runs in-process
-    (1, 5, 4, None),
-])
-def test_pool_size_is_bounded(tmp_path, monkeypatch, jobs, n_seeds, cpus, want):
-    made = []
+def _auto_refine_trace_config(tmp_path):
+    # nearly constant predictions: the auto interval is not empty (2, 5)
+    rng = np.random.default_rng(7)
+    man = tmp_path / "smooth.trace"
+    write_trace(str(man),
+                (1.0 + 0.01 * rng.standard_normal((3, 24, 4))).astype("<f4"))
+    return ExperimentConfig(t_train=24, steps=6, kind="trace",
+                            manifest=str(man), interval="auto", bias="refine",
+                            seeds=(2, 0, 1))
 
-    class InProcessPool:
-        """ProcessPoolExecutor stand-in: records max_workers, forks nothing."""
 
-        def __init__(self, max_workers):
-            made.append(max_workers)
+@pytest.mark.parametrize("name,mode,make_cfg,want", [
+    ("read_trace", "report", _auto_refine_trace_config, 1),
+    ("calibrate_wg", "refine",
+     lambda tmp_path: replace(preset("fig4-bias"), per_seed_wg=True,
+                              seeds=(0, 1, 2)), 3),
+    ("calibrate_wg", "report",
+     lambda tmp_path: replace(preset("sd2-ddim-40"), seeds=(0, 1)), 2),
+], ids=["read-trace-auto-refine", "calibrate-per-seed-refine",
+        "calibrate-shared-report"])
+def test_each_trace_read_and_calibration_happens_once(
+        tmp_path, monkeypatch, name, mode, make_cfg, want):
+    calls = []
+    fn = getattr(harness, name)
 
-        def __enter__(self):
-            return self
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
 
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items):
-            return map(fn, items)
-
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", InProcessPool)
-    monkeypatch.setattr(harness.os, "cpu_count", lambda: cpus)
-    cfg = replace(SMALL, steps=10, interval=None, seeds=tuple(range(n_seeds)),
-                  jobs=jobs, out=str(tmp_path))
-    run(cfg, "angles")
-    assert made == ([] if want is None else [want])
+    for module in {harness, sys.modules[fn.__module__]}:
+        monkeypatch.setattr(module, name, counting)
+    run(replace(make_cfg(tmp_path), out=str(tmp_path / "o")), mode)
+    assert len(calls) == want
 
 
 def test_manifest_digests_match_files(tmp_path):
@@ -529,34 +538,56 @@ def test_cli_io_error_exit(tmp_path, capsys):
     assert "i/o error" in capsys.readouterr().err
 
 
-def test_cli_worker_failure_exit(tmp_path, monkeypatch, capsys):
-    class CrashingPool:
-        """ProcessPoolExecutor stand-in whose workers all die; forks nothing."""
-
-        def __init__(self, max_workers):
-            pass
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items):
-            raise BrokenProcessPool("a worker terminated abruptly")
-
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", CrashingPool)
-    monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
-    rc = main(["sample", "--preset", "sd2-ddim-40", "--seed-set", "0", "1",
-               "--jobs", "2", "--out", str(tmp_path / "o")])
-    assert rc == 5
-    assert "worker failure" in capsys.readouterr().err
-
-
 def test_cli_plan_error_exit(tmp_path, capsys):
     # interval extends past the final iteration of a 20-step grid
     ini = write_ini(tmp_path / "e.ini", "[sampling]\nsteps = 20\n")
     rc = main(["sample", "--preset", "sd2-ddim-40", "--config", ini,
                "--seed-set", "0", "--out", str(tmp_path / "o")])
     assert rc == 2
+    assert "configuration error" in capsys.readouterr().err
+
+
+def _trace_cli_args(tmp_path, interval="3,5", seeds="0,1,2"):
+    manifest = _small_trace_config(tmp_path).manifest  # 3 seeds, t_train 24
+    ini = write_ini(tmp_path / "t.ini", f"""
+[schedule]
+t_train = 24
+
+[sampling]
+steps = 6
+
+[denoiser]
+kind = trace
+manifest = {manifest}
+
+[plan]
+interval = {interval}
+
+[run]
+seeds = {seeds}
+""")
+    return ["report", "--config", ini, "--out", str(tmp_path / "o")]
+
+
+def test_cli_corrupt_trace_exit(tmp_path, capsys):
+    args = _trace_cli_args(tmp_path)
+    payload = tmp_path / "eps.f32"
+    raw = bytearray(payload.read_bytes())
+    raw[5] ^= 0xFF
+    payload.write_bytes(bytes(raw))
+    assert main(args) == 4
+    assert "checksum" in capsys.readouterr().err
+    assert not (tmp_path / "o" / "report.csv").exists()
+
+
+def test_cli_trace_with_too_few_seeds_exit(tmp_path, capsys):
+    assert main(_trace_cli_args(tmp_path, seeds="0,1,2,3")) == 4
+    assert "i/o error" in capsys.readouterr().err
+
+
+def test_cli_bad_interval_is_reported_before_trace_read(tmp_path, capsys):
+    # a 6-step grid has no iteration 9; the trace is never opened
+    args = _trace_cli_args(tmp_path, interval="5,9")
+    os.remove(tmp_path / "eps.trace")
+    assert main(args) == 2
     assert "configuration error" in capsys.readouterr().err

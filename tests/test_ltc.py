@@ -448,7 +448,7 @@ class TestCalibrateAndApply:
         if kind == "zero":
             assert acc.fallbacks == sel  # psnr is undefined on a 0 reference
         else:
-            objective = _bias_objective(den, s, x0, ts,
+            objective = _bias_objective(den, s, full,
                                         dataclasses.replace(plan, bias=0.0))
             assert objective(bias) == psnr(full.final, acc.final)
 
