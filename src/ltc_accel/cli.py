@@ -2,7 +2,7 @@
 
 One subcommand per harness mode. Settings layer as preset < config file
 < command line flags. Exit codes: 0 success, 2 configuration problems,
-3 numeric failures, 4 I/O failures.
+3 numeric failures, 4 I/O failures, 130 interrupted (Ctrl-C).
 """
 
 from __future__ import annotations
@@ -93,6 +93,9 @@ def main(argv=None) -> int:
     except _IO_ERRORS as e:
         print(f"ltc: i/o error: {e}", file=sys.stderr)
         return 4
+    except KeyboardInterrupt:
+        print("ltc: interrupted", file=sys.stderr)
+        return 130
     print(f"mode={report.mode} seeds={len(report.seeds)} "
           f"fingerprint={report.fingerprint[:12]}")
     if report.bias is not None:

@@ -2,9 +2,11 @@
 
 Configs are INI files parsed strictly: unknown sections or keys are
 rejected, seeds are always explicit, and reruns of the same config write
-byte-identical files. A run is one in-process pass that reads a trace
-once and makes each seed's full run and calibration once. `--jobs` is
-accepted but has no effect, so it stays out of the manifest.
+byte-identical files. A run is one in-process pass over one (S, d) batch
+whose rows are the seeds in sorted order: it reads a trace once and makes
+one batched call each for the full runs, the calibration and the
+accelerated runs. `--jobs` is accepted but has no effect, so it stays out
+of the manifest.
 
 Modes
 -----
@@ -261,8 +263,9 @@ def benchmark_gmm(schedule, dim: int = 16) -> DiagGmmDenoiser:
     return DiagGmmDenoiser([0.5, 0.3, 0.2], means, variances, schedule)
 
 
-def build_denoiser(cfg: ExperimentConfig, schedule, seed: int, trace):
-    """The seed's denoiser; `trace` is the read payload for kind "trace"."""
+def build_denoiser(cfg: ExperimentConfig, schedule, seeds, trace):
+    """The denoiser of a batch whose rows are `seeds`; `trace` is the read
+    payload for kind "trace"."""
     if cfg.kind == "point":
         return PointMassDenoiser(np.asarray(cfg.mu), schedule)
     if cfg.kind == "gmm":
@@ -270,13 +273,15 @@ def build_denoiser(cfg: ExperimentConfig, schedule, seed: int, trace):
                                np.asarray(cfg.variances), schedule)
     if cfg.kind == "gmm-bench":
         return benchmark_gmm(schedule, cfg.dim)
-    return RecordedTraceDenoiser(trace, seed)
+    return RecordedTraceDenoiser(trace, seeds)
 
 
-def _base_plan(cfg: ExperimentConfig, interval) -> AccelerationPlan:
+def _base_plan(cfg: ExperimentConfig, interval, n: int) -> AccelerationPlan:
     b = cfg.bias if isinstance(cfg.bias, float) else 0.0
-    return AccelerationPlan(interval=interval, r=cfg.r, tau=cfg.tau,
+    plan = AccelerationPlan(interval=interval, r=cfg.r, tau=cfg.tau,
                             bias=b, phi_mode=PhiMode(cfg.phi_mode))
+    plan.validate(n, require_wg=False)
+    return plan
 
 
 def _auto_interval(full, tau: float) -> object:
@@ -288,74 +293,11 @@ def _auto_interval(full, tau: float) -> object:
     return a, min(b, full.iterations - 1)  # final iteration is always real
 
 
-class _SeedMemo:
-    """One run's memo: the trace, read once, and per seed the denoiser, full
-    run and calibration (on the base plan, whose wg and bias calibrate_wg
-    ignores), each made by the first phase that needs it."""
-
-    def __init__(self, cfg: ExperimentConfig, schedule, ts):
-        self.cfg, self.schedule, self.ts = cfg, schedule, ts
-        self.trace, self.dens, self.fulls, self.cals = None, {}, {}, {}
-
-    def denoiser(self, seed: int):
-        if seed not in self.dens:
-            if self.cfg.kind == "trace" and self.trace is None:
-                self.trace = read_trace(self.cfg.manifest)[1]
-            self.dens[seed] = build_denoiser(self.cfg, self.schedule, seed,
-                                             self.trace)
-        return self.dens[seed]
-
-    def x0(self, seed: int) -> np.ndarray:
-        return initial_noise(self.denoiser(seed).dim, seed)
-
-    def full(self, seed: int):
-        if seed not in self.fulls:
-            self.fulls[seed] = sample_full(self.denoiser(seed), self.schedule,
-                                           self.x0(seed), self.ts, seed=seed)
-        return self.fulls[seed]
-
-    def calibration(self, seed: int, base: AccelerationPlan):
-        if seed not in self.cals:
-            self.cals[seed] = calibrate_wg(self.denoiser(seed), self.schedule,
-                                           self.x0(seed), self.ts, base,
-                                           seed=seed)
-        return self.cals[seed]
-
-
-def _seed_outputs(memo: _SeedMemo, seed: int, base: AccelerationPlan,
-                  plan: AccelerationPlan, needs) -> dict:
-    """One seed's traces and rows; its memo entries are dropped after."""
-    den, x0, full = memo.denoiser(seed), memo.x0(seed), memo.full(seed)
-    schedule, ts = memo.schedule, memo.ts
-    out = {"seed": seed}
-    n = full.iterations
-    if "angles" in needs:
-        out["angles"] = angle_trace(full).angles
-    cal = None
-    if "wg" in needs or plan.wg is None:  # None: per-seed calibration
-        cal = memo.calibration(seed, base)
-        out["wg"] = np.array([cal.wg[i] for i in plan.selected()])
-        err, rel = end_error(full.final, cal.trajectory.final)
-        out["cal_row"] = (seed, cal.trajectory.nfe, n, 1.0,
-                          psnr(full.final, cal.trajectory.final), err, rel)
-    if "accel" in needs:
-        plan_eff = plan if plan.wg is not None else plan.with_wg(cal.wg)
-        acc = accelerated_sample(den, schedule, x0, ts, plan_eff, seed=seed)
-        diffs = np.linalg.norm(full.states - acc.states, axis=1)
-        norms = np.linalg.norm(full.states, axis=1)
-        out["err_abs"] = diffs
-        out["err_rel"] = 100.0 * diffs / np.where(norms == 0.0, np.inf, norms)
-        err, rel = end_error(full.final, acc.final)
-        out["row"] = (seed, acc.nfe, n, nfe_speedup(n, acc.nfe),
-                      psnr(full.final, acc.final), err, rel)
-        if "skip" in needs:
-            skip = sample_skipping(den, schedule, x0, ts,
-                                   set(plan_eff.selected()), seed=seed)
-            out["skip"] = (psnr(full.final, acc.final),
-                           psnr(full.final, skip.final), acc.nfe, skip.nfe)
-    for entries in (memo.dens, memo.fulls, memo.cals):
-        entries.pop(seed, None)
-    return out
+def _row(seed: int, full, run) -> tuple:
+    """One report row: `run` against the full run of the same seed."""
+    err, rel = end_error(full.final, run.final)
+    return (seed, run.nfe, full.iterations, nfe_speedup(full.iterations, run.nfe),
+            psnr(full.final, run.final), err, rel)
 
 
 def _write_manifest(out_dir: str, mode: str, cfg: ExperimentConfig,
@@ -386,12 +328,17 @@ def run(cfg: ExperimentConfig, mode: str) -> RunReport:
     schedule = build_linear_beta(cfg.t_train, cfg.beta_start, cfg.beta_end)
     ts = make_timesteps(cfg.t_train, cfg.steps)
     n = len(ts) - 1
-    memo = _SeedMemo(cfg, schedule, ts)
-    cal_seed = cfg.seeds[0] if cfg.calibration_seed == -1 else cfg.calibration_seed
-    interval = (cfg.interval if cfg.interval != "auto"
-                else _auto_interval(memo.full(cal_seed), cfg.tau))
-    base = _base_plan(cfg, interval)
-    base.validate(n, require_wg=False)
+    # an explicit interval is checked before any trace read
+    base = None if cfg.interval == "auto" else _base_plan(cfg, cfg.interval, n)
+    seeds = tuple(sorted(cfg.seeds))
+    trace = read_trace(cfg.manifest)[1] if cfg.kind == "trace" else None
+    den = build_denoiser(cfg, schedule, seeds, trace)
+    x0 = np.stack([initial_noise(den.dim, seed) for seed in seeds])
+    full = sample_full(den, schedule, x0, ts)
+    cal_row = seeds.index(cfg.seeds[0] if cfg.calibration_seed == -1
+                          else cfg.calibration_seed)
+    if base is None:
+        base = _base_plan(cfg, _auto_interval(full.row(cal_row), cfg.tau), n)
 
     needs = {
         "angles": frozenset({"angles"}),
@@ -402,18 +349,25 @@ def run(cfg: ExperimentConfig, mode: str) -> RunReport:
         "report": frozenset({"angles", "wg", "accel"}),
     }[mode]
 
+    # Calibrate every row when each needs its own wg, else the calibration
+    # seed's alone; calibrate_wg ignores the base plan's wg and bias.
+    cal_rows = (list(range(len(seeds))) if "wg" in needs or cfg.per_seed_wg
+                else [cal_row])
+    if base.selected() or "wg" in needs:
+        cal = calibrate_wg(den.take(cal_rows), schedule, x0[cal_rows], ts, base)
     if not base.selected():
         plan = base.with_wg({})
     elif cfg.per_seed_wg:
-        plan = base  # each seed calibrates its own
+        plan = base.with_wg(cal.wg)
     else:
-        plan = base.with_wg(memo.calibration(cal_seed, base).wg)
+        k = cal_rows.index(cal_row)
+        plan = base.with_wg({i: float(w[k]) for i, w in cal.wg.items()})
     report = RunReport(fingerprint=cfg.fingerprint(), mode=mode, seeds=cfg.seeds)
     files: dict = {}
     result_lines: dict = {}
     if cfg.interval == "auto":
-        result_lines["interval"] = (
-            "none" if interval is None else f"{interval[0]},{interval[1]}")
+        result_lines["interval"] = ("none" if base.interval is None else
+                                    "{},{}".format(*base.interval))
 
     def emit(name: str, schema: str, rows) -> None:
         path = os.path.join(out_dir, name)
@@ -423,63 +377,64 @@ def run(cfg: ExperimentConfig, mode: str) -> RunReport:
     # Resolve the bias first so every CSV below reflects the chosen value.
     if mode == "refine" or cfg.bias == "refine":
         grid = np.linspace(cfg.bias_lo, cfg.bias_hi, 11)
-        objectives = [_bias_objective(
-            memo.denoiser(seed), schedule, memo.full(seed),
-            plan if plan.wg is not None
-            else plan.with_wg(memo.calibration(seed, base).wg))
-            for seed in sorted(cfg.seeds)]
-        mean, lo, hi = aggregate([[f(float(b)) for b in grid]
-                                  for f in objectives])
+        objective = _bias_objective(den, schedule, full, plan)
+        mean, lo, hi = aggregate(
+            np.array([objective(float(b)) for b in grid]).T)
         emit("psnr_summary.csv", "psnr_summary", list(zip(grid, mean, lo, hi)))
-
-        def mean_psnr(b: float) -> float:
-            return float(np.mean([f(b) for f in objectives]))
-
-        bias_star = _search_bias(mean_psnr, cfg.bias_lo, cfg.bias_hi,
+        bias_star = _search_bias(lambda b: float(np.mean(objective(b))),
+                                 cfg.bias_lo, cfg.bias_hi,
                                  mode=cfg.bias_search, tol=1e-5,
                                  known=zip(grid, mean)).bias
         report.bias = bias_star
         result_lines["bias"] = repr(bias_star)
         plan = replace(plan, bias=bias_star)
-        del objectives  # they hold every seed's full run
-
-    results = [_seed_outputs(memo, seed, base, plan, needs)
-               for seed in sorted(cfg.seeds)]
 
     if "angles" in needs:
         iters = np.arange(2, n + 1)
-        for r in results:
-            emit(f"angle_seed{r['seed']}.csv", "angle",
-                 list(zip(iters, r["angles"])))
-        mean, lo, hi = aggregate([r["angles"] for r in results])
+        angles = [angle_trace(full.row(j)).angles for j in range(len(seeds))]
+        for seed, a in zip(seeds, angles):
+            emit(f"angle_seed{seed}.csv", "angle", list(zip(iters, a)))
+        mean, lo, hi = aggregate(angles)
         emit("angle_mean.csv", "angle", list(zip(iters, mean)))
         emit("angle_min.csv", "angle", list(zip(iters, lo)))
         emit("angle_max.csv", "angle", list(zip(iters, hi)))
 
     if "wg" in needs:
-        sel = np.asarray(base.selected(), dtype=np.int64)
-        mean, lo, hi = aggregate([r["wg"] for r in results])
+        sel = base.selected()
+        mean, lo, hi = aggregate([[cal.wg[i][j] for i in sel]
+                                  for j in range(len(seeds))])
         emit("latent_wg_summary.csv", "latent_wg_summary",
              list(zip(sel, mean, lo, hi)))
-        report.rows = [r["cal_row"] for r in results]
+        report.rows = [_row(seed, full.row(j), cal.trajectory.row(j))
+                       for j, seed in enumerate(seeds)]
 
     if "accel" in needs:
+        acc = accelerated_sample(den, schedule, x0, ts, plan)
+        err_abs = [np.linalg.norm(f - a, axis=1)
+                   for f, a in zip(full.states, acc.states)]
+        norms = [np.linalg.norm(f, axis=1) for f in full.states]
+        err_rel = [100.0 * d / np.where(m == 0.0, np.inf, m)
+                   for d, m in zip(err_abs, norms)]
         positions = np.arange(n + 1)
-        mean, lo, hi = aggregate([r["err_rel"] for r in results])
+        mean, lo, hi = aggregate(err_rel)
         emit("error_summary.csv", "error_summary",
              list(zip(positions, mean, lo, hi)))
-        mean_a, lo_a, hi_a = aggregate([r["err_abs"] for r in results])
+        mean_a, lo_a, hi_a = aggregate(err_abs)
         emit("error_abs_summary.csv", "error_summary",
              list(zip(positions, mean_a, lo_a, hi_a)))
-        report.rows = [r["row"] for r in results]
+        report.rows = [_row(seed, full.row(j), acc.row(j))
+                       for j, seed in enumerate(seeds)]
 
     if "skip" in needs:
+        skip = sample_skipping(den, schedule, x0, ts, set(plan.selected()))
         emit("ablation.csv", "ablation",
-             [(r["seed"],) + r["skip"] for r in results])
+             [(seed, psnr(full.final[j], acc.final[j]),
+               psnr(full.final[j], skip.final[j]), acc.nfe[j], skip.nfe[j])
+              for j, seed in enumerate(seeds)])
 
     if mode == "angles":
         # A full run compared to itself: unit speedup, zero end error.
-        report.rows = [(r["seed"], n, n, 1.0, 99.0, 0.0, 0.0) for r in results]
+        report.rows = [(seed, n, n, 1.0, 99.0, 0.0, 0.0) for seed in seeds]
     emit("report.csv", "report", report.rows)
 
     _write_manifest(out_dir, mode, cfg, result_lines, files)

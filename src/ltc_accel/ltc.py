@@ -182,7 +182,8 @@ class AccelerationPlan:
 
     interval are 1-based iteration bounds [a, b] inclusive; None disables
     acceleration entirely. Iteration i is selected when a <= i <= b and
-    i mod r = r - 1. wg maps selected iterations to calibrated scales;
+    i mod r = r - 1. wg maps selected iterations to calibrated scales, one
+    per iteration or, for a batched run, an (S,) array of per-row scales;
     bias is added to every wg at apply time.
     """
 
@@ -203,7 +204,9 @@ class AccelerationPlan:
         a, b = self.interval
         return tuple(i for i in range(a, b + 1) if i % self.r == self.r - 1)
 
-    def validate(self, n_iterations: int, require_wg: bool) -> tuple[int, ...]:
+    def validate(self, n_iterations: int, require_wg: bool,
+                 rows: tuple | None = None) -> tuple[int, ...]:
+        """Selected iterations; per-row wg arrays must have shape `rows`."""
         if self.r < 2:
             raise PlanError(f"r must be at least 2, got {self.r}")
         if self.r > 2:
@@ -218,9 +221,12 @@ class AccelerationPlan:
                 stacklevel=2)
         if not np.isfinite(self.bias):
             raise PlanError(f"bias must be finite, got {self.bias}")
-        bad = sorted(i for i, w in (self.wg or {}).items() if not np.isfinite(w))
+        bad = sorted(i for i, w in (self.wg or {}).items()
+                     if not np.all(np.isfinite(w)) or rows is not None
+                     and np.ndim(w) and np.shape(w) != rows)
         if bad:
-            raise PlanError(f"wg must be finite; non-finite at iterations {bad}")
+            raise PlanError("wg must be finite, and a per-row wg must have one "
+                            f"scale per state row; bad at iterations {bad}")
         if self.interval is None:
             return ()
         a, b = self.interval
@@ -264,7 +270,8 @@ def accelerated_sample(denoiser, schedule: NoiseSchedule, x_init, timesteps,
     Trajectory.fallbacks) instead of failing mid-run.
     """
     ts = check_timesteps(timesteps, schedule.t_train)
-    selected = set(plan.validate(len(ts) - 1, require_wg=True))
+    selected = set(plan.validate(len(ts) - 1, require_wg=True,
+                                 rows=np.shape(x_init)[:-1]))
     return _chain(denoiser, schedule, x_init, ts, selected,
                   _extrapolation(schedule, ts, plan), seed)
 
@@ -273,9 +280,10 @@ def _extrapolation(schedule: NoiseSchedule, ts: np.ndarray,
                    plan: AccelerationPlan):
     """_chain's reuse hook for a plan: x + (wg[i] + bias) * gamma * d_prev."""
 
-    def extrapolate(i, x, d_prev):
+    def extrapolate(i, x, d_prev, rows):
         g = _grid_gamma(schedule, ts, i, plan.phi_mode)
-        return x + ((plan.wg[i] + plan.bias) * g) * d_prev
+        w = plan.wg[i] if np.ndim(plan.wg[i]) == 0 else plan.wg[i][rows]
+        return x + np.reshape((w + plan.bias) * g, (-1, 1)) * d_prev
 
     return extrapolate
 
@@ -284,20 +292,23 @@ def _bias_objective(denoiser, schedule: NoiseSchedule, reference: Trajectory,
                     plan: AccelerationPlan):
     """bias -> PSNR of the accelerated end state against the full run.
 
-    `reference` is the full run. Its states before the first selected
+    `reference` is the full run, one state or a batch; for a batch a call
+    returns the per-row PSNRs. Its states before the first selected
     iteration are the accelerated run's at any bias, so calls resume there.
     """
-    ts, x_init = reference.timesteps, reference.states[0]
+    ts, x_init = reference.timesteps, reference.states[..., 0, :]
     n = len(ts) - 1
-    selected = set(plan.validate(n, require_wg=True))
-    prefix = reference.states[:min(selected, default=n + 1)]
+    selected = set(plan.validate(n, require_wg=True, rows=x_init.shape[:-1]))
+    prefix = reference.states[..., :min(selected, default=n + 1), :]
 
-    def objective(bias: float) -> float:
+    def objective(bias: float):
         biased = replace(plan, bias=bias)
         biased.validate(n, require_wg=True)
         traj = _chain(denoiser, schedule, x_init, ts, selected,
                       _extrapolation(schedule, ts, biased), prefix=prefix)
-        return psnr(reference.final, traj.final)
+        if x_init.ndim == 1:
+            return psnr(reference.final, traj.final)
+        return np.array([psnr(a, b) for a, b in zip(reference.final, traj.final)])
 
     return objective
 
@@ -312,8 +323,8 @@ class CalibrationResult:
     both measured against the shadow real step. The chain continues from
     the approximated state, so later measurements see accumulated drift,
     matching deployment. nfe covers every iteration: calibration pays the
-    full run it measures, though `eps` keeps only the real-step
-    predictions.
+    full run it measures. For a batch each value is an (S,) array over the
+    rows, and theta and eps_r are NaN on a row that fell back.
     """
 
     wg: dict
@@ -338,31 +349,37 @@ def calibrate_wg(denoiser, schedule: NoiseSchedule, x_init, timesteps,
     ts = check_timesteps(timesteps, schedule.t_train)
     n = len(ts) - 1
     selected = set(plan.validate(n, require_wg=False))
-    wg: dict = {}
-    theta: dict = {}
-    eps_r: dict = {}
+    n_rows = len(np.atleast_2d(x_init))
+    wg = {i: np.ones(n_rows) for i in sorted(selected)}  # fallbacks: neutral 1.0
+    theta = {i: np.full(n_rows, np.nan) for i in sorted(selected)}
+    eps_r = {i: np.full(n_rows, np.nan) for i in sorted(selected)}
 
-    def shadow(i, x, d_prev):
+    def shadow(i, x, d_prev, rows):
         t, t_prev = int(ts[i - 1]), int(ts[i])
-        x_real = ddim_step(x, denoiser.epsilon_hat(x, t), schedule, t, t_prev)
-        d_true = x_real - x
+        x_real = ddim_step(x, denoiser.take(rows).epsilon_hat(x, t),
+                           schedule, t, t_prev)
         g = _grid_gamma(schedule, ts, i, plan.phi_mode)
-        w = float(np.dot(d_true, d_prev)) / (g * float(np.dot(d_prev, d_prev)))
-        wg[i] = w
-        x_star = x + (w * g) * d_prev
-        tn = float(np.dot(d_true, d_true))
-        if tn == 0.0:
-            theta[i] = np.pi
-            eps_r[i] = 0.0
-        else:
-            theta[i] = _angle_vec(d_true, d_prev)
-            diff = x_real - x_star
-            eps_r[i] = float(np.dot(diff, diff)) / tn
+        x_star = np.empty_like(x)
+        for k, r in enumerate(rows):
+            d_true, d = x_real[k] - x[k], d_prev[k]
+            w = float(np.dot(d_true, d)) / (g * float(np.dot(d, d)))
+            wg[i][r] = w
+            x_star[k] = x[k] + (w * g) * d
+            tn = float(np.dot(d_true, d_true))
+            if tn == 0.0:
+                theta[i][r], eps_r[i][r] = np.pi, 0.0
+            else:
+                theta[i][r] = _angle_vec(d_true, d)
+                diff = x_real[k] - x_star[k]
+                eps_r[i][r] = float(np.dot(diff, diff)) / tn
         return x_star
 
     traj = _chain(denoiser, schedule, x_init, ts, selected, shadow, seed)
-    traj.nfe = n
-    wg = {i: wg.get(i, 1.0) for i in sorted(selected)}  # fallbacks: neutral 1.0
+    traj.nfe = np.full(n_rows, n) if np.ndim(x_init) == 2 else n
+    if np.ndim(x_init) == 1:
+        moved = [i for i in theta if not np.isnan(theta[i][0])]
+        wg = {i: float(w[0]) for i, w in wg.items()}
+        theta, eps_r = ({i: float(d[i][0]) for i in moved} for d in (theta, eps_r))
     return CalibrationResult(wg=wg, theta=theta, eps_r=eps_r,
                              fallbacks=traj.fallbacks, trajectory=traj)
 

@@ -1,7 +1,10 @@
 """Denoisers with closed-form noise predictions, plus recorded traces.
 
 Every denoiser exposes epsilon_hat(x, t): the predicted noise for state x
-at timestep t under a shared noise schedule. Three families:
+at timestep t under a shared noise schedule. x is one (d,) state or an
+(S, d) batch of rows; the result has the same shape, and each row equals
+the (d,) call on that row bit for bit. take(rows) gives the denoiser for a
+subset of a batch's rows. Three families:
 
 * PointMassDenoiser: the data distribution is a single point mu, so the
   posterior mean is mu at every (x, t) and epsilon_hat inverts the
@@ -33,8 +36,8 @@ _MANIFEST_KEYS = ("dim", "steps", "seeds", "data", "endian", "crc32")
 
 def _check_state(x, dim: int) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1 or x.shape[0] != dim:
-        raise ValueError(f"state must be a vector of dim {dim}, got shape {x.shape}")
+    if x.ndim not in (1, 2) or x.shape[-1] != dim:
+        raise ValueError(f"state must be (d,) or (S, d) with d = {dim}, got {x.shape}")
     if not np.all(np.isfinite(x)):
         raise NumericError("state contains non-finite entries")
     return x
@@ -61,12 +64,15 @@ class PointMassDenoiser:
         s = self.schedule
         return (x - s.sqrt_alpha_bar[t] * self.mu) / s.sqrt_one_minus_alpha_bar[t]
 
+    def take(self, rows) -> "PointMassDenoiser":
+        return self
 
-def _logsumexp(a: np.ndarray) -> float:
-    m = np.max(a)
-    if not np.isfinite(m):
-        return float(m)
-    return float(m + np.log(np.sum(np.exp(a - m))))
+
+def _logsumexp(a: np.ndarray) -> np.ndarray:
+    """log(sum(exp(a))) over the last axis; a -inf row stays -inf."""
+    m = np.max(a, axis=-1, keepdims=True)
+    s = m + np.log(np.sum(np.exp(a - m), axis=-1, keepdims=True))
+    return np.where(np.isfinite(m), s, m)[..., 0]
 
 
 class DiagGmmDenoiser:
@@ -106,29 +112,33 @@ class DiagGmmDenoiser:
 
     def _log_terms(self, x: np.ndarray, t: int) -> np.ndarray:
         m, v = self._marginal(t)
-        q = (x - m) ** 2 / v
-        return self._log_w - 0.5 * np.sum(np.log(2.0 * np.pi * v) + q, axis=1)
+        q = (x[..., None, :] - m) ** 2 / v
+        return self._log_w - 0.5 * np.sum(np.log(2.0 * np.pi * v) + q, axis=-1)
 
-    def log_density(self, x, t: int) -> float:
-        """log p_t(x) of the corrupted marginal."""
+    def log_density(self, x, t: int):
+        """log p_t(x) of the corrupted marginal, one value per row."""
         x = _check_state(x, self.dim)
         _check_t(t, self.schedule.t_train)
-        return _logsumexp(self._log_terms(x, t))
+        out = _logsumexp(self._log_terms(x, t))
+        return float(out) if x.ndim == 1 else out
 
     def score(self, x, t: int) -> np.ndarray:
         """grad_x log p_t(x), responsibilities via log-sum-exp."""
         x = _check_state(x, self.dim)
         _check_t(t, self.schedule.t_train)
         logt = self._log_terms(x, t)
-        r = np.exp(logt - _logsumexp(logt))
+        r = np.exp(logt - _logsumexp(logt)[..., None])
         m, v = self._marginal(t)
-        return np.sum(r[:, None] * (m - x) / v, axis=0)
+        return np.sum(r[..., None] * (m - x[..., None, :]) / v, axis=-2)
 
     def epsilon_hat(self, x, t: int) -> np.ndarray:
         out = -self.schedule.sqrt_one_minus_alpha_bar[t] * self.score(x, t)
         if not np.all(np.isfinite(out)):
             raise NumericError("epsilon_hat produced non-finite values")
         return out
+
+    def take(self, rows) -> "DiagGmmDenoiser":
+        return self
 
 
 @dataclass(frozen=True)
@@ -222,29 +232,39 @@ def read_trace(manifest_path: str) -> tuple[TraceManifest, np.ndarray]:
 
 
 class RecordedTraceDenoiser:
-    """Replays stored epsilon_hat vectors; the state is ignored beyond checks."""
+    """Replays stored epsilon_hat vectors of one trace seed, or of a sequence
+    of seeds (one per batch row); the state is ignored beyond checks."""
 
-    def __init__(self, data: np.ndarray, seed: int):
+    def __init__(self, data: np.ndarray, seed):
         arr = np.asarray(data)
         if arr.ndim != 3:
             raise TraceError(f"trace data must have shape (seeds, steps, dim), got {arr.shape}")
-        if not 0 <= seed < arr.shape[0]:
+        rows = np.atleast_1d(np.asarray(seed, dtype=np.int64))
+        if np.any((rows < 0) | (rows >= arr.shape[0])):
             raise TraceExhaustedError(f"trace holds seeds 0..{arr.shape[0] - 1}, got {seed}")
         self._data = arr
+        self._rows = rows
         self.seed = seed
         self.t_train = arr.shape[1]
         self.dim = arr.shape[2]
 
     @classmethod
-    def from_manifest(cls, manifest_path: str, seed: int) -> "RecordedTraceDenoiser":
+    def from_manifest(cls, manifest_path: str, seed) -> "RecordedTraceDenoiser":
         _, arr = read_trace(manifest_path)
         return cls(arr, seed)
 
+    def take(self, rows) -> "RecordedTraceDenoiser":
+        """The denoiser for the batch rows `rows` of this one."""
+        return RecordedTraceDenoiser(self._data, self._rows[rows])
+
     def epsilon_hat(self, x, t: int) -> np.ndarray:
-        _check_state(x, self.dim)
+        x = _check_state(x, self.dim)
+        if x.shape[:-1] != self._rows.shape and not (x.ndim == 1 and len(self._rows) == 1):
+            raise ValueError(
+                f"{len(self._rows)} seed rows cannot serve a state of shape {x.shape}")
         if not 1 <= t <= self.t_train:
             raise TraceExhaustedError(
                 f"trace covers 1 <= t <= {self.t_train}, got t={t}"
             )
         # steps axis is ordered t = t_train down to 1
-        return self._data[self.seed, self.t_train - t].astype(np.float64)
+        return self._data[self._rows, self.t_train - t].astype(np.float64).reshape(x.shape)

@@ -5,12 +5,16 @@ n + 1 timesteps running from high noise (t = T) down to t = 0. Iteration
 i (1-based, counted from the noisy end) consumes the state at
 timesteps[i-1] and produces the state at timesteps[i]. One denoiser
 evaluation per real iteration; nfe counts exactly those.
+
+A run of S seeds at once is one (S, d) batch: every entry point takes an
+(S, d) x_init as well as a (d,) one, and each row of a batched run equals
+the (d,) run from that row bit for bit.
 """
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,11 +26,11 @@ log = logging.getLogger(__name__)
 
 @dataclass
 class Trajectory:
-    """States for one run, ordered from t = T down to t = 0."""
+    """States for one run, ordered from t = T down to t = 0. A batched run
+    holds (S, n + 1, d) states, (S,) nfe and (row, iteration) pairs."""
 
     timesteps: np.ndarray                    # (n + 1,) descending ints
-    states: np.ndarray                       # (n + 1, d)
-    eps: dict = field(repr=False, default_factory=dict)   # keyed by eval timestep
+    states: np.ndarray                       # (n + 1, d), or (S, n + 1, d)
     nfe: int = 0
     approximated: tuple = ()                 # iteration indices replaced by approximations
     fallbacks: tuple = ()                    # approximation attempts that fell back to real steps
@@ -38,7 +42,13 @@ class Trajectory:
 
     @property
     def final(self) -> np.ndarray:
-        return self.states[-1]
+        return self.states[..., -1, :]
+
+    def row(self, j: int) -> "Trajectory":
+        """Row j of a batched run as a run of its own."""
+        return Trajectory(self.timesteps, self.states[j], int(self.nfe[j]),
+                          tuple(i for r, i in self.approximated if r == j),
+                          tuple(i for r, i in self.fallbacks if r == j), self.seed)
 
 
 def make_timesteps(t_train: int, n_steps: int) -> np.ndarray:
@@ -78,7 +88,7 @@ def ddim_step(x, eps, schedule: NoiseSchedule, t: int, t_prev: int) -> np.ndarra
         raise IndexError(f"step {t} -> {t_prev} outside schedule 0..{schedule.t_train}")
     x = np.asarray(x, dtype=np.float64)
     eps = np.asarray(eps, dtype=np.float64)
-    if x.shape != eps.shape or x.ndim != 1:
+    if x.shape != eps.shape or x.ndim not in (1, 2):
         raise ValueError(f"state/noise shape mismatch: {x.shape} vs {eps.shape}")
     s = schedule
     x0 = (x - s.sqrt_one_minus_alpha_bar[t] * eps) / s.sqrt_alpha_bar[t]
@@ -95,43 +105,58 @@ def initial_noise(dim: int, seed: int) -> np.ndarray:
 
 def _chain(denoiser, schedule: NoiseSchedule, x_init, ts: np.ndarray,
            selected=(), reuse=None, seed: int | None = None,
-           prefix=()) -> Trajectory:
+           prefix=None) -> Trajectory:
     """The one sampling loop behind full, accelerated and calibration runs.
 
-    `ts` is an already checked grid. A selected iteration calls
-    `reuse(i, x, d_prev)` for the next state instead of taking a real
-    step, unless the previous displacement d_prev is exactly zero: then it
-    falls back to a real step (logged, listed in `fallbacks`, counted in
-    nfe). Real steps alone consume denoiser calls and fill `eps`.
+    `ts` is an already checked grid; x_init is a (d,) state or an (S, d)
+    batch, carried as (S, d) into one (S, n + 1, d) buffer. At a selected
+    iteration, each row calls `reuse(i, x, d_prev, rows)` (for its states,
+    previous displacements and row indices) for the next state instead of
+    taking a real step, unless its previous displacement d_prev is exactly
+    zero: then that row falls back to a real step (logged, listed in
+    `fallbacks`, counted in nfe). Only rows taking a real step reach the
+    denoiser.
 
     `prefix` resumes a run: states 0..k-1 of a run from x_init that took
     only real steps (no selected iteration below k). The loop starts at
-    iteration k; the prefix's steps count in nfe but not in `eps`.
+    iteration k; the prefix's steps count in nfe.
     """
-    x = np.asarray(x_init, dtype=np.float64)
-    if x.ndim != 1 or not np.all(np.isfinite(x)):
-        raise NumericError("x_init must be a finite vector")
-    states = list(prefix) or [x]
-    eps_cache = {}
+    x0 = np.asarray(x_init, dtype=np.float64)
+    if x0.ndim not in (1, 2) or not np.all(np.isfinite(x0)):
+        raise NumericError("x_init must be a finite vector or (S, d) batch")
+    S, n = len(np.atleast_2d(x0)), len(ts) - 1
+    prefix = x0[..., None, :] if prefix is None else prefix
+    k = prefix.shape[-2]
+    states = np.empty((S, n + 1, x0.shape[-1]))
+    states[:, :k] = prefix.reshape(S, k, -1)
+    nfe = np.full(S, n)
     approximated = []
     fallbacks = []
-    for i in range(len(states), len(ts)):
+    for i in range(k, n + 1):
+        x = states[:, i - 1]
+        real = slice(None)
         if i in selected:
-            d_prev = states[-1] - states[-2]
-            if float(np.dot(d_prev, d_prev)) != 0.0:
-                states.append(reuse(i, states[-1], d_prev))
-                approximated.append(i)
+            d_prev = x - states[:, i - 2]
+            moving = np.sum(d_prev * d_prev, axis=1) != 0.0  # exact: terms >= 0
+            rows = np.flatnonzero(moving)
+            if len(rows):
+                states[rows, i] = reuse(i, x[rows], d_prev[rows], rows)
+                nfe[rows] -= 1
+                approximated += [(int(r), i) for r in rows]
+            if len(rows) == S:
                 continue
-            log.warning("iteration %d: zero previous displacement, real step taken", i)
-            fallbacks.append(i)
+            real = np.flatnonzero(~moving)
+            log.warning("iteration %d: zero previous displacement, real step "
+                        "taken (rows %s)", i, real.tolist())
+            fallbacks += [(int(r), i) for r in real]
         t, t_prev = int(ts[i - 1]), int(ts[i])
-        eps = denoiser.epsilon_hat(states[-1], t)
-        eps_cache[t] = eps
-        states.append(ddim_step(states[-1], eps, schedule, t, t_prev))
-    return Trajectory(timesteps=ts, states=np.asarray(states), eps=eps_cache,
-                      nfe=len(ts) - 1 - len(approximated),
+        den = denoiser if isinstance(real, slice) else denoiser.take(real)
+        states[real, i] = ddim_step(x[real], den.epsilon_hat(x[real], t),
+                                    schedule, t, t_prev)
+    traj = Trajectory(timesteps=ts, states=states, nfe=nfe,
                       approximated=tuple(approximated),
                       fallbacks=tuple(fallbacks), seed=seed)
+    return traj if x0.ndim == 2 else traj.row(0)
 
 
 def sample_full(denoiser, schedule: NoiseSchedule, x_init, timesteps,

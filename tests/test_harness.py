@@ -290,17 +290,19 @@ def test_refine_call_count_and_grid_psnr(tmp_path, monkeypatch):
     epsilon_hat = DiagGmmDenoiser.epsilon_hat
 
     def counting(self, x, t):
-        calls.append(t)
+        calls.append(len(np.atleast_2d(x)))
         return epsilon_hat(self, x, t)
 
     monkeypatch.setattr(DiagGmmDenoiser, "epsilon_hat", counting)
     cfg = replace(preset("fig4-bias"), seeds=(0, 1), out=str(tmp_path))
     run(cfg, "refine")
-    # 2 reference runs (80) + calibration (40) + 31 bias probes per seed
-    # (11 grid, zero, 19 golden), each resuming after the 12 shared real
-    # steps (2 * 31 * 15) + the final accelerated runs (2 * 27); the final
-    # rows reuse the search's two reference runs
-    assert len(calls) == 80 + 40 + 930 + 54
+    # Rows evaluated: 2 reference runs (80) + calibration (40) + 31 bias
+    # probes per seed (11 grid, zero, 19 golden), each resuming after the 12
+    # shared real steps (2 * 31 * 15) + the final accelerated runs (2 * 27);
+    # the final rows reuse the search's two reference runs
+    assert sum(calls) == 80 + 40 + 930 + 54
+    # Calls: both seeds are one batch, so each step above is one call
+    assert len(calls) == 40 + 40 + 31 * 15 + 27
     monkeypatch.undo()
 
     # From scratch: every grid bias re-runs both chains on every seed.
@@ -447,13 +449,14 @@ def test_each_trace_read_and_calibration_happens_once(
     fn = getattr(harness, name)
 
     def counting(*args, **kwargs):
-        calls.append(args)
+        # calibrate_wg counts calibrated rows: args[2] is x_init
+        calls.append(len(np.atleast_2d(args[2])) if name == "calibrate_wg" else 1)
         return fn(*args, **kwargs)
 
     for module in {harness, sys.modules[fn.__module__]}:
         monkeypatch.setattr(module, name, counting)
     run(replace(make_cfg(tmp_path), out=str(tmp_path / "o")), mode)
-    assert len(calls) == want
+    assert sum(calls) == want
 
 
 def test_manifest_digests_match_files(tmp_path):
@@ -527,6 +530,16 @@ def test_cli_numeric_error_exit(tmp_path, capsys):
                "--out", str(tmp_path / "o")])
     assert rc == 3
     assert "numeric error" in capsys.readouterr().err
+
+
+def test_cli_interrupt_exit(tmp_path, monkeypatch, capsys):
+    def interrupted(cfg, mode):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(sys.modules["ltc_accel.cli"], "run", interrupted)
+    rc = main(["sample", "--seed-set", "0", "--out", str(tmp_path / "o")])
+    assert rc == 130
+    assert capsys.readouterr().err == "ltc: interrupted\n"
 
 
 def test_cli_io_error_exit(tmp_path, capsys):

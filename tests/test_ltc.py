@@ -35,7 +35,7 @@ from ltc_accel import (
 )
 from ltc_accel.ltc import _bias_objective, _extrapolation, _search_bias
 from ltc_accel.metrics import psnr
-from ltc_accel.model import RecordedTraceDenoiser
+from ltc_accel.model import PointMassDenoiser, RecordedTraceDenoiser
 from ltc_accel.sampler import _chain, ddim_step
 
 
@@ -52,8 +52,8 @@ def gmm(sched):
 
 
 @pytest.fixture(scope="module")
-def recorded(tmp_path_factory, sched, gmm):
-    """Trace denoisers replaying the GMM along full-resolution runs."""
+def recorded_data(sched, gmm):
+    """The GMM's predictions along full-resolution runs from seeds 0..11."""
     ts = make_timesteps(1000, 1000)
     data = np.empty((12, 1000, 8), dtype=np.float32)
     for k in range(12):
@@ -62,8 +62,14 @@ def recorded(tmp_path_factory, sched, gmm):
             data[k, j] = gmm.epsilon_hat(x, int(ts[j]))
             x = ddim_step(x, data[k, j].astype(np.float64), sched,
                           int(ts[j]), int(ts[j + 1]))
+    return data
+
+
+@pytest.fixture(scope="module")
+def recorded(tmp_path_factory, recorded_data):
+    """Trace denoisers replaying the GMM along full-resolution runs."""
     path = str(tmp_path_factory.mktemp("trace") / "eps.trace")
-    write_trace(path, data)
+    write_trace(path, recorded_data)
     return lambda seed: RecordedTraceDenoiser.from_manifest(path, seed)
 
 
@@ -356,21 +362,21 @@ class TestCalibrateAndApply:
     @pytest.mark.parametrize("seed", [2, 9])
     @pytest.mark.parametrize("kind", ["gmm", "trace"])
     def test_nfe_accounting(self, sched, gmm, recorded, interval, phi_mode,
-                            seed, kind):
+                            seed, kind, counting):
         den = gmm if kind == "gmm" else recorded(seed)
         ts = make_timesteps(1000, 100)
         x0 = initial_noise(8, seed)
         plan = AccelerationPlan(interval=interval, phi_mode=phi_mode)
         cal = calibrate_wg(den, sched, x0, ts, plan)
-        acc = accelerated_sample(den, sched, x0, ts, plan.with_wg(cal.wg))
+        counted = counting(den)
+        acc = accelerated_sample(counted, sched, x0, ts, plan.with_wg(cal.wg))
         assert cal.trajectory.nfe == 100
         assert acc.nfe + len(acc.approximated) == 100
         assert acc.nfe == 100 - len(plan.selected())
         assert acc.approximated == plan.selected()
-        # approximated iterations consumed no denoiser call
-        approx_ts = {int(ts[i - 1]) for i in acc.approximated}
-        assert not approx_ts & set(acc.eps)
-        assert np.array_equal(sorted(acc.eps), sorted(cal.trajectory.eps))
+        # only the non-selected iterations reach the denoiser, once each
+        assert counted.calls == [(int(ts[i - 1]), 1) for i in range(1, 101)
+                                 if i not in plan.selected()]
 
     @pytest.mark.parametrize("steps", [20, 100])
     @pytest.mark.parametrize("seed", [0, 11])
@@ -451,6 +457,76 @@ class TestCalibrateAndApply:
             objective = _bias_objective(den, s, full,
                                         dataclasses.replace(plan, bias=0.0))
             assert objective(bias) == psnr(full.final, acc.final)
+
+    @settings(max_examples=30, deadline=None)
+    @given(kind=st.sampled_from(["gmm", "point", "trace", "mixed"]),
+           seeds=st.lists(st.integers(0, 11), min_size=1, max_size=5,
+                          unique=True),
+           interval=st.sampled_from(INTERVALS_100),
+           phi_mode=st.sampled_from(list(PhiMode)),
+           bias=st.floats(-0.05, 0.10), per_row=st.booleans())
+    def test_batched_runs_equal_solo_runs(self, sched, gmm, recorded_data,
+                                          counting, kind, seeds, interval,
+                                          phi_mode, bias, per_row):
+        # "mixed": row 0 replays a trace of zeros from x_init = 0, so its
+        # selected iterations fall back while the other rows extrapolate
+        data = recorded_data
+        x0 = np.stack([initial_noise(8, k) for k in seeds])
+        if kind == "mixed":
+            data = np.concatenate([data, np.zeros((1, 1000, 8), np.float32)])
+            seeds = [12] + seeds
+            x0 = np.vstack([np.zeros(8), x0])
+        point = PointMassDenoiser(np.linspace(-1.0, 1.0, 8), sched)
+        solo = {"gmm": lambda k: gmm, "point": lambda k: point}.get(
+            kind, lambda k: RecordedTraceDenoiser(data, k))
+        den = solo(seeds)
+        ts = make_timesteps(1000, 100)
+        plan = AccelerationPlan(interval=interval, phi_mode=phi_mode)
+        full = sample_full(den, sched, x0, ts)
+        cal = calibrate_wg(den, sched, x0, ts, plan)
+        shared = calibrate_wg(solo(seeds[-1]), sched, x0[-1], ts, plan).wg
+        applied = dataclasses.replace(
+            plan.with_wg(cal.wg if per_row else shared), bias=bias)
+        counted = counting(den)
+        acc = accelerated_sample(counted, sched, x0, ts, applied)
+        # only rows taking a real step reach the denoiser
+        assert sum(rows for _, rows in counted.calls) == sum(acc.nfe)
+        if kind != "mixed":  # psnr is undefined on the zero row
+            probe = _bias_objective(den, sched, full, applied)(bias)
+        for j, k in enumerate(seeds):
+            s_full = sample_full(solo(k), sched, x0[j], ts)
+            s_cal = calibrate_wg(solo(k), sched, x0[j], ts, plan)
+            wg = ({i: w[j] for i, w in cal.wg.items()} if per_row else shared)
+            s_acc = accelerated_sample(solo(k), sched, x0[j], ts,
+                                       dataclasses.replace(applied, wg=wg))
+            for batched, one in ((full.row(j), s_full),
+                                 (cal.trajectory.row(j), s_cal.trajectory),
+                                 (acc.row(j), s_acc)):
+                assert np.array_equal(batched.states, one.states)
+                assert batched.nfe == one.nfe
+                assert batched.approximated == one.approximated
+                assert batched.fallbacks == one.fallbacks
+            assert {i: w[j] for i, w in cal.wg.items()} == s_cal.wg
+            for got, want in ((cal.theta, s_cal.theta), (cal.eps_r, s_cal.eps_r)):
+                assert {i: v[j] for i, v in got.items()
+                        if not np.isnan(v[j])} == want
+            if kind != "mixed":
+                assert probe[j] == psnr(s_full.final, s_acc.final)
+        if kind == "mixed":  # both kinds of row were in one batch
+            assert acc.row(0).fallbacks == plan.selected()
+            assert acc.row(1).approximated == plan.selected()
+
+    def test_per_row_wg_must_match_rows(self, sched, gmm):
+        ts = make_timesteps(1000, 40)
+        plan = AccelerationPlan(interval=(13, 39))
+        x0 = np.stack([initial_noise(8, k) for k in range(3)])
+        wg = calibrate_wg(gmm, sched, x0, ts, plan).wg
+        accelerated_sample(gmm, sched, x0, ts, plan.with_wg(wg))
+        with pytest.raises(PlanError, match="per-row wg"):
+            accelerated_sample(gmm, sched, x0, ts,
+                               plan.with_wg({i: w[:2] for i, w in wg.items()}))
+        with pytest.raises(PlanError, match="per-row wg"):
+            accelerated_sample(gmm, sched, x0[0], ts, plan.with_wg(wg))
 
     def test_missing_wg_rejected_at_apply(self, sched, gmm):
         ts = make_timesteps(1000, 40)

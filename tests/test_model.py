@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ltc_accel import NumericError, TraceError, TraceExhaustedError, build_linear_beta
 from ltc_accel.model import (
@@ -47,6 +49,10 @@ class TestPointMass:
             den.epsilon_hat([1.0, 2.0], 0)
         with pytest.raises(IndexError):
             den.epsilon_hat([1.0, 2.0], 1001)
+        with pytest.raises(NumericError):  # checked per row
+            den.epsilon_hat([[1.0, 2.0], [np.inf, 0.0]], 10)
+        with pytest.raises(ValueError):
+            den.epsilon_hat(np.zeros((2, 2, 2)), 10)
 
 
 class TestDiagGmm:
@@ -204,3 +210,56 @@ class TestRecordedTraceDenoiser:
             den.epsilon_hat(np.zeros(2), 4)
         with pytest.raises(TraceExhaustedError):
             RecordedTraceDenoiser(data, seed=1)
+
+
+    def test_seed_rows(self):
+        data = np.arange(3 * 4 * 2, dtype=np.float32).reshape(3, 4, 2)
+        den = RecordedTraceDenoiser(data, [2, 0, 2])
+        out = den.epsilon_hat(np.zeros((3, 2)), 4)
+        assert np.array_equal(out, data[[2, 0, 2], 0].astype(np.float64))
+        sub = den.take([1])
+        assert np.array_equal(sub.epsilon_hat(np.zeros(2), 4), data[0, 0])
+        assert np.array_equal(sub.epsilon_hat(np.zeros((1, 2)), 4), data[None, 0, 0])
+        with pytest.raises(ValueError):  # one row per seed
+            den.epsilon_hat(np.zeros((2, 2)), 4)
+        with pytest.raises(ValueError):
+            den.epsilon_hat(np.zeros(2), 4)
+        with pytest.raises(TraceExhaustedError):
+            RecordedTraceDenoiser(data, [0, 3])
+
+
+_BATCH_DIM = 6
+
+
+@pytest.fixture(scope="module")
+def batch_denoisers(sched):
+    """(kind -> (denoiser of a batch's seeds, denoiser of one seed))."""
+    rng = np.random.default_rng(5)
+    mu = rng.normal(size=(3, _BATCH_DIM))
+    gmm = DiagGmmDenoiser([0.5, 0.3, 0.2], mu,
+                          rng.uniform(0.05, 1.5, size=(3, _BATCH_DIM)), sched)
+    point = PointMassDenoiser(mu[0], sched)
+    data = rng.standard_normal((30, 1000, _BATCH_DIM)).astype(np.float32)
+    return {
+        "point": (lambda seeds: point, lambda seed: point),
+        "gmm": (lambda seeds: gmm, lambda seed: gmm),
+        "trace": (lambda seeds: RecordedTraceDenoiser(data, seeds),
+                  lambda seed: RecordedTraceDenoiser(data, seed)),
+    }
+
+
+@settings(max_examples=80, deadline=None)
+@given(kind=st.sampled_from(["point", "gmm", "trace"]),
+       seeds=st.lists(st.integers(0, 29), min_size=1, max_size=24),
+       t=st.integers(1, 1000), gen=st.integers(0, 2**32 - 1))
+def test_batched_epsilon_hat_rows_equal_single_calls(batch_denoisers, kind,
+                                                     seeds, t, gen):
+    rng = np.random.default_rng(gen)
+    # row scales from near the origin to the far field, mixed in one batch
+    scale = rng.choice([0.01, 1.0, 20.0, 1e8], size=(len(seeds), 1))
+    x = rng.standard_normal((len(seeds), _BATCH_DIM)) * scale
+    batched, single = batch_denoisers[kind]
+    out = batched(seeds).epsilon_hat(x, t)
+    assert out.shape == x.shape
+    for j, seed in enumerate(seeds):
+        assert np.array_equal(out[j], single(seed).epsilon_hat(x[j], t))

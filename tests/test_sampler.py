@@ -86,12 +86,12 @@ def test_point_mass_states_are_grid_independent(sched):
     assert np.allclose(xf, xc, rtol=1e-12, atol=1e-12)
 
 
-def test_sample_full_bookkeeping(sched):
-    den = PointMassDenoiser(np.zeros(2), sched)
+def test_sample_full_bookkeeping(sched, counting):
+    den = counting(PointMassDenoiser(np.zeros(2), sched))
     ts = make_timesteps(1000, 10)
     traj = sample_full(den, sched, initial_noise(2, 0), ts, seed=0)
     assert traj.nfe == 10 == traj.iterations
-    assert sorted(traj.eps) == sorted(int(t) for t in ts[:-1])
+    assert den.calls == [(int(t), 1) for t in ts[:-1]]
     assert traj.states.shape == (11, 2)
     assert np.all(np.isfinite(traj.states))
     assert traj.seed == 0
