@@ -1,4 +1,4 @@
-"""Write a fixed matrix of 57 run bundles and print one digest per bundle.
+"""Write a fixed matrix of 57 run bundles and print the digest of every file.
 
 Usage: python scripts/bundle_matrix.py OUT_DIR
 
@@ -17,10 +17,10 @@ Runs ``ltc_accel.harness.run`` from this checkout's ``src/`` on:
 * a non-default ``calibration_seed`` on ``report``, ``refine`` and an
   ``auto`` ``sample``.
 
-Each bundle lands in OUT_DIR/<name>/, and one line ``<name> <sha256 of
-manifest.txt>`` is printed per bundle. The manifest holds the config and
-the sha256 of every other file of the bundle, so two checkouts wrote
-byte-identical bundles exactly when their printed lines are equal:
+Each bundle lands in OUT_DIR/<name>/, and one line ``<name>/<file>
+<sha256>`` is printed per file of each bundle, ``manifest.txt`` included,
+in sorted order. So two checkouts wrote byte-identical bundles exactly
+when their printed lines are equal, and a difference names the file:
 
     python scripts/bundle_matrix.py /tmp/a > a.txt   # in one checkout
     python scripts/bundle_matrix.py /tmp/b > b.txt   # in the other
@@ -121,8 +121,10 @@ def main(argv) -> int:
     record_trace(TRACE)
     for name, cfg, mode in matrix():
         run(replace(cfg, out=name), mode)
-        with open(os.path.join(name, "manifest.txt"), "rb") as f:
-            print(name, hashlib.sha256(f.read()).hexdigest(), flush=True)
+        for file in sorted(os.listdir(name)):
+            with open(os.path.join(name, file), "rb") as f:
+                print(f"{name}/{file}", hashlib.sha256(f.read()).hexdigest(),
+                      flush=True)
     return 0
 
 

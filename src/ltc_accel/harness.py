@@ -293,11 +293,12 @@ def _auto_interval(full, tau: float) -> object:
     return a, min(b, full.iterations - 1)  # final iteration is always real
 
 
-def _row(seed: int, full, run) -> tuple:
-    """One report row: `run` against the full run of the same seed."""
+def _rows(seeds, full, run) -> list:
+    """Report rows: each row of batch `run` against that row of `full`."""
+    n = full.iterations
     err, rel = end_error(full.final, run.final)
-    return (seed, run.nfe, full.iterations, nfe_speedup(full.iterations, run.nfe),
-            psnr(full.final, run.final), err, rel)
+    return list(zip(seeds, run.nfe, [n] * len(seeds), nfe_speedup(n, run.nfe),
+                    psnr(full.final, run.final), err, rel))
 
 
 def _write_manifest(out_dir: str, mode: str, cfg: ExperimentConfig,
@@ -349,19 +350,19 @@ def run(cfg: ExperimentConfig, mode: str) -> RunReport:
         "report": frozenset({"angles", "wg", "accel"}),
     }[mode]
 
-    # Calibrate every row when each needs its own wg, else the calibration
+    # Calibrate for the wg table, or for a plan that a run or the bias search
+    # applies: every row when each needs its own wg, else the calibration
     # seed's alone; calibrate_wg ignores the base plan's wg and bias.
+    refine = mode == "refine" or cfg.bias == "refine"
+    applied = "accel" in needs or refine
     cal_rows = (list(range(len(seeds))) if "wg" in needs or cfg.per_seed_wg
                 else [cal_row])
-    if base.selected() or "wg" in needs:
+    if "wg" in needs or applied and base.selected():
         cal = calibrate_wg(den.take(cal_rows), schedule, x0[cal_rows], ts, base)
-    if not base.selected():
-        plan = base.with_wg({})
-    elif cfg.per_seed_wg:
-        plan = base.with_wg(cal.wg)
-    else:
-        k = cal_rows.index(cal_row)
-        plan = base.with_wg({i: float(w[k]) for i, w in cal.wg.items()})
+    if applied:
+        wg, k = cal.wg if base.selected() else {}, cal_rows.index(cal_row)
+        plan = base.with_wg(wg if cfg.per_seed_wg else
+                            {i: float(w[k]) for i, w in wg.items()})
     report = RunReport(fingerprint=cfg.fingerprint(), mode=mode, seeds=cfg.seeds)
     files: dict = {}
     result_lines: dict = {}
@@ -375,7 +376,7 @@ def run(cfg: ExperimentConfig, mode: str) -> RunReport:
         files[name] = _digest(path)
 
     # Resolve the bias first so every CSV below reflects the chosen value.
-    if mode == "refine" or cfg.bias == "refine":
+    if refine:
         grid = np.linspace(cfg.bias_lo, cfg.bias_hi, 11)
         objective = _bias_objective(den, schedule, full, plan)
         mean, lo, hi = aggregate(
@@ -391,7 +392,7 @@ def run(cfg: ExperimentConfig, mode: str) -> RunReport:
 
     if "angles" in needs:
         iters = np.arange(2, n + 1)
-        angles = [angle_trace(full.row(j)).angles for j in range(len(seeds))]
+        angles = angle_trace(full).angles
         for seed, a in zip(seeds, angles):
             emit(f"angle_seed{seed}.csv", "angle", list(zip(iters, a)))
         mean, lo, hi = aggregate(angles)
@@ -401,12 +402,12 @@ def run(cfg: ExperimentConfig, mode: str) -> RunReport:
 
     if "wg" in needs:
         sel = base.selected()
-        mean, lo, hi = aggregate([[cal.wg[i][j] for i in sel]
-                                  for j in range(len(seeds))])
+        # one series per seed; the reshape keeps them when sel is empty
+        mean, lo, hi = aggregate(
+            np.reshape([cal.wg[i] for i in sel], (len(sel), len(seeds))).T)
         emit("latent_wg_summary.csv", "latent_wg_summary",
              list(zip(sel, mean, lo, hi)))
-        report.rows = [_row(seed, full.row(j), cal.trajectory.row(j))
-                       for j, seed in enumerate(seeds)]
+        report.rows = _rows(seeds, full, cal.trajectory)
 
     if "accel" in needs:
         acc = accelerated_sample(den, schedule, x0, ts, plan)
@@ -422,15 +423,13 @@ def run(cfg: ExperimentConfig, mode: str) -> RunReport:
         mean_a, lo_a, hi_a = aggregate(err_abs)
         emit("error_abs_summary.csv", "error_summary",
              list(zip(positions, mean_a, lo_a, hi_a)))
-        report.rows = [_row(seed, full.row(j), acc.row(j))
-                       for j, seed in enumerate(seeds)]
+        report.rows = _rows(seeds, full, acc)
 
     if "skip" in needs:
-        skip = sample_skipping(den, schedule, x0, ts, set(plan.selected()))
+        skip = sample_skipping(den, schedule, x0, ts, set(base.selected()))
         emit("ablation.csv", "ablation",
-             [(seed, psnr(full.final[j], acc.final[j]),
-               psnr(full.final[j], skip.final[j]), acc.nfe[j], skip.nfe[j])
-              for j, seed in enumerate(seeds)])
+             list(zip(seeds, psnr(full.final, acc.final),
+                      psnr(full.final, skip.final), acc.nfe, skip.nfe)))
 
     if mode == "angles":
         # A full run compared to itself: unit speedup, zero end error.

@@ -73,30 +73,37 @@ def transition(x_lo, x_hi, hi: int, lo: int | None = None) -> TransitionOperator
                               delta=x_lo - x_hi)
 
 
-def _angle_vec(u: np.ndarray, v: np.ndarray) -> float:
-    nu = float(np.linalg.norm(u))
-    nv = float(np.linalg.norm(v))
-    if nu == 0.0 or nv == 0.0:
-        raise DegenerateTransitionError("angle undefined for zero displacement")
-    c = float(np.dot(u, v)) / (nu * nv)
-    return float(np.arccos(np.clip(c, -1.0, 1.0)))
-
-
 def angle(d1: TransitionOperator, d2: TransitionOperator) -> float:
     """Angle in [0, pi] between two transition displacements."""
     if d1.delta.shape != d2.delta.shape:
         raise ValueError("operators act on different dimensions")
-    return _angle_vec(d1.delta, d2.delta)
+    nu = float(np.linalg.norm(d1.delta))
+    nv = float(np.linalg.norm(d2.delta))
+    if nu == 0.0 or nv == 0.0:
+        raise DegenerateTransitionError("angle undefined for zero displacement")
+    c = float(np.dot(d1.delta, d2.delta)) / (nu * nv)
+    return float(np.arccos(np.clip(c, -1.0, 1.0)))
+
+
+def _angles(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Angles over the last axis, and the mask of zero norms, which get pi.
+    vecdot gives the bits of a per-row np.dot, and sqrt(vecdot(u, u)) those of
+    np.linalg.norm, so each entry equals `angle` on that row."""
+    nn = np.sqrt(np.vecdot(u, u)) * np.sqrt(np.vecdot(v, v))
+    zero = nn == 0.0
+    c = np.vecdot(u, v) / np.where(zero, 1.0, nn)
+    return np.where(zero, np.pi, np.arccos(np.clip(c, -1.0, 1.0))), zero
 
 
 @dataclass(frozen=True)
 class AngleTrace:
-    """Per-iteration angles; angles[p] belongs to iteration p + start.
+    """Per-iteration angles; angles[..., p] belongs to iteration p + start.
 
     The angle at iteration i compares that iteration's displacement with
     the preceding one, so a trace from a full run starts at iteration 2.
     Zero displacements get theta = pi (nothing coherent to reuse) and are
-    listed in `degenerate`.
+    listed in `degenerate`. A batched run gives (S, n - 1) angles and
+    (row, iteration) pairs in `degenerate`, ordered as a Trajectory's.
     """
 
     angles: np.ndarray
@@ -109,17 +116,14 @@ class AngleTrace:
 
 
 def angle_trace(traj: Trajectory) -> AngleTrace:
-    """Angles between consecutive displacements of a trajectory."""
-    deltas = np.diff(traj.states, axis=0)
-    out = np.empty(len(deltas) - 1)
-    degenerate = []
-    for p in range(1, len(deltas)):
-        try:
-            out[p - 1] = _angle_vec(deltas[p], deltas[p - 1])
-        except DegenerateTransitionError:
-            out[p - 1] = np.pi
-            degenerate.append(p + 1)
-    return AngleTrace(angles=out, start=2, degenerate=tuple(degenerate))
+    """Angles between consecutive displacements of a trajectory or a batch."""
+    deltas = np.diff(np.asarray(traj.states, dtype=np.float64), axis=-2)
+    out, zero = _angles(deltas[..., 1:, :], deltas[..., :-1, :])
+    if zero.ndim == 1:
+        degenerate = tuple(int(p) + 2 for p in np.flatnonzero(zero))
+    else:
+        degenerate = tuple((int(r), int(p) + 2) for p, r in np.argwhere(zero.T))
+    return AngleTrace(angles=out, start=2, degenerate=degenerate)
 
 
 def detect_interval(trace, tau: float) -> tuple[int, int] | None:
@@ -261,8 +265,7 @@ def _grid_gamma(schedule: NoiseSchedule, ts: np.ndarray, i: int,
 
 
 def accelerated_sample(denoiser, schedule: NoiseSchedule, x_init, timesteps,
-                       plan: AccelerationPlan,
-                       seed: int | None = None) -> Trajectory:
+                       plan: AccelerationPlan) -> Trajectory:
     """Sampling loop with selected iterations replaced by approximations.
 
     A selected iteration whose previous displacement is exactly zero falls
@@ -273,7 +276,7 @@ def accelerated_sample(denoiser, schedule: NoiseSchedule, x_init, timesteps,
     selected = set(plan.validate(len(ts) - 1, require_wg=True,
                                  rows=np.shape(x_init)[:-1]))
     return _chain(denoiser, schedule, x_init, ts, selected,
-                  _extrapolation(schedule, ts, plan), seed)
+                  _extrapolation(schedule, ts, plan))
 
 
 def _extrapolation(schedule: NoiseSchedule, ts: np.ndarray,
@@ -306,9 +309,7 @@ def _bias_objective(denoiser, schedule: NoiseSchedule, reference: Trajectory,
         biased.validate(n, require_wg=True)
         traj = _chain(denoiser, schedule, x_init, ts, selected,
                       _extrapolation(schedule, ts, biased), prefix=prefix)
-        if x_init.ndim == 1:
-            return psnr(reference.final, traj.final)
-        return np.array([psnr(a, b) for a, b in zip(reference.final, traj.final)])
+        return psnr(reference.final, traj.final)
 
     return objective
 
@@ -335,8 +336,7 @@ class CalibrationResult:
 
 
 def calibrate_wg(denoiser, schedule: NoiseSchedule, x_init, timesteps,
-                 plan: AccelerationPlan,
-                 seed: int | None = None) -> CalibrationResult:
+                 plan: AccelerationPlan) -> CalibrationResult:
     """Measure per-iteration scales with shadow real steps.
 
     At every selected iteration the real next state is computed, the
@@ -359,22 +359,17 @@ def calibrate_wg(denoiser, schedule: NoiseSchedule, x_init, timesteps,
         x_real = ddim_step(x, denoiser.take(rows).epsilon_hat(x, t),
                            schedule, t, t_prev)
         g = _grid_gamma(schedule, ts, i, plan.phi_mode)
-        x_star = np.empty_like(x)
-        for k, r in enumerate(rows):
-            d_true, d = x_real[k] - x[k], d_prev[k]
-            w = float(np.dot(d_true, d)) / (g * float(np.dot(d, d)))
-            wg[i][r] = w
-            x_star[k] = x[k] + (w * g) * d
-            tn = float(np.dot(d_true, d_true))
-            if tn == 0.0:
-                theta[i][r], eps_r[i][r] = np.pi, 0.0
-            else:
-                theta[i][r] = _angle_vec(d_true, d)
-                diff = x_real[k] - x_star[k]
-                eps_r[i][r] = float(np.dot(diff, diff)) / tn
+        d_true = x_real - x
+        w = np.vecdot(d_true, d_prev) / (g * np.vecdot(d_prev, d_prev))
+        x_star = x + (w * g)[:, None] * d_prev
+        # a zero true displacement has theta = pi (from _angles) and eps_r = 0
+        tn, miss = np.vecdot(d_true, d_true), x_real - x_star
+        wg[i][rows], theta[i][rows] = w, _angles(d_true, d_prev)[0]
+        eps_r[i][rows] = np.divide(np.vecdot(miss, miss), tn,
+                                   out=np.zeros_like(tn), where=tn != 0.0)
         return x_star
 
-    traj = _chain(denoiser, schedule, x_init, ts, selected, shadow, seed)
+    traj = _chain(denoiser, schedule, x_init, ts, selected, shadow)
     traj.nfe = np.full(n_rows, n) if np.ndim(x_init) == 2 else n
     if np.ndim(x_init) == 1:
         moved = [i for i in theta if not np.isnan(theta[i][0])]

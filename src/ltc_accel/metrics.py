@@ -28,43 +28,49 @@ SCHEMAS = {
 }
 
 
-def psnr(reference, test) -> float:
+def _pair(a, b) -> tuple[np.ndarray, np.ndarray]:
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    if a.shape != b.shape:
+        raise MetricError(f"shape mismatch: {a.shape} vs {b.shape}")
+    return a, b
+
+
+def psnr(reference, test):
     """Peak signal-to-noise ratio in dB, peak taken from the reference.
 
     Returns the cap for (near-)identical inputs; a constant reference has
-    no peak-to-peak range and is rejected.
+    no peak-to-peak range and is rejected. A (d,) input gives a float, an
+    (S, d) batch the (S,) per-row values.
     """
-    reference = np.asarray(reference, dtype=np.float64)
-    test = np.asarray(test, dtype=np.float64)
-    if reference.shape != test.shape:
-        raise MetricError(f"shape mismatch: {reference.shape} vs {test.shape}")
+    reference, test = _pair(reference, test)
     if not (np.all(np.isfinite(reference)) and np.all(np.isfinite(test))):
         raise MetricError("psnr inputs must be finite")
-    peak = float(np.ptp(reference))
-    if peak == 0.0:
+    peak = np.ptp(reference, axis=-1)
+    if np.any(peak == 0.0):
         raise MetricError("psnr undefined for a constant reference")
-    mse = float(np.mean((reference - test) ** 2))
-    if mse < _MSE_FLOOR_REL * peak * peak:
-        return PSNR_CAP
-    return min(10.0 * np.log10(peak * peak / mse), PSNR_CAP)
+    mse = np.mean((reference - test) ** 2, axis=-1)
+    near = mse <= _MSE_FLOOR_REL * peak * peak
+    ratio = np.divide(peak * peak, mse, out=np.full_like(mse, np.inf), where=~near)
+    return np.minimum(10.0 * np.log10(ratio), PSNR_CAP)
 
 
-def end_error(x_full, x_accel) -> tuple[float, float]:
-    """Final-state deviation: (L2 norm, percent of the reference norm)."""
-    x_full = np.asarray(x_full, dtype=np.float64)
-    x_accel = np.asarray(x_accel, dtype=np.float64)
-    if x_full.shape != x_accel.shape:
-        raise MetricError(f"shape mismatch: {x_full.shape} vs {x_accel.shape}")
-    ref = float(np.linalg.norm(x_full))
-    if ref == 0.0:
+def end_error(x_full, x_accel):
+    """Final-state deviation: (L2 norm, percent of the reference norm), per
+    row for an (S, d) batch."""
+    x_full, x_accel = _pair(x_full, x_accel)
+    ref = np.sqrt(np.vecdot(x_full, x_full))
+    if np.any(ref == 0.0):
         raise MetricError("relative end error undefined for a zero reference")
-    err = float(np.linalg.norm(x_full - x_accel))
+    diff = x_full - x_accel
+    err = np.sqrt(np.vecdot(diff, diff))
     return err, 100.0 * err / ref
 
 
-def nfe_speedup(total_iterations: int, nfe: int) -> float:
-    """Iterations per denoiser evaluation."""
-    if not 1 <= nfe <= total_iterations:
+def nfe_speedup(total_iterations: int, nfe):
+    """Iterations per denoiser evaluation, elementwise over an array of nfe."""
+    n = np.asarray(nfe)
+    if not (np.all(1 <= n) and np.all(n <= total_iterations)):
         raise MetricError(
             f"need 1 <= nfe <= iterations, got nfe={nfe}, iterations={total_iterations}"
         )

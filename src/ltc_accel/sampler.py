@@ -34,7 +34,6 @@ class Trajectory:
     nfe: int = 0
     approximated: tuple = ()                 # iteration indices replaced by approximations
     fallbacks: tuple = ()                    # approximation attempts that fell back to real steps
-    seed: int | None = None
 
     @property
     def iterations(self) -> int:
@@ -48,7 +47,7 @@ class Trajectory:
         """Row j of a batched run as a run of its own."""
         return Trajectory(self.timesteps, self.states[j], int(self.nfe[j]),
                           tuple(i for r, i in self.approximated if r == j),
-                          tuple(i for r, i in self.fallbacks if r == j), self.seed)
+                          tuple(i for r, i in self.fallbacks if r == j))
 
 
 def make_timesteps(t_train: int, n_steps: int) -> np.ndarray:
@@ -104,8 +103,7 @@ def initial_noise(dim: int, seed: int) -> np.ndarray:
 
 
 def _chain(denoiser, schedule: NoiseSchedule, x_init, ts: np.ndarray,
-           selected=(), reuse=None, seed: int | None = None,
-           prefix=None) -> Trajectory:
+           selected=(), reuse=None, prefix=None) -> Trajectory:
     """The one sampling loop behind full, accelerated and calibration runs.
 
     `ts` is an already checked grid; x_init is a (d,) state or an (S, d)
@@ -137,7 +135,7 @@ def _chain(denoiser, schedule: NoiseSchedule, x_init, ts: np.ndarray,
         real = slice(None)
         if i in selected:
             d_prev = x - states[:, i - 2]
-            moving = np.sum(d_prev * d_prev, axis=1) != 0.0  # exact: terms >= 0
+            moving = np.vecdot(d_prev, d_prev) != 0.0  # exact: terms >= 0
             rows = np.flatnonzero(moving)
             if len(rows):
                 states[rows, i] = reuse(i, x[rows], d_prev[rows], rows)
@@ -155,19 +153,18 @@ def _chain(denoiser, schedule: NoiseSchedule, x_init, ts: np.ndarray,
                                     schedule, t, t_prev)
     traj = Trajectory(timesteps=ts, states=states, nfe=nfe,
                       approximated=tuple(approximated),
-                      fallbacks=tuple(fallbacks), seed=seed)
+                      fallbacks=tuple(fallbacks))
     return traj if x0.ndim == 2 else traj.row(0)
 
 
-def sample_full(denoiser, schedule: NoiseSchedule, x_init, timesteps,
-                seed: int | None = None) -> Trajectory:
+def sample_full(denoiser, schedule: NoiseSchedule, x_init, timesteps) -> Trajectory:
     """Run every iteration through the denoiser."""
     ts = check_timesteps(timesteps, schedule.t_train)
-    return _chain(denoiser, schedule, x_init, ts, seed=seed)
+    return _chain(denoiser, schedule, x_init, ts)
 
 
 def sample_skipping(denoiser, schedule: NoiseSchedule, x_init, timesteps,
-                    skipped, seed: int | None = None) -> Trajectory:
+                    skipped) -> Trajectory:
     """Baseline that simply drops grid positions instead of approximating.
 
     `skipped` holds interior positions into `timesteps` (the endpoints at
@@ -183,4 +180,4 @@ def sample_skipping(denoiser, schedule: NoiseSchedule, x_init, timesteps,
                 f"only interior grid positions 1..{n - 1} can be skipped, got {p}"
             )
     keep = [j for j in range(n + 1) if j not in set(positions)]
-    return sample_full(denoiser, schedule, x_init, ts[keep], seed=seed)
+    return sample_full(denoiser, schedule, x_init, ts[keep])

@@ -441,8 +441,10 @@ def _auto_refine_trace_config(tmp_path):
                               seeds=(0, 1, 2)), 3),
     ("calibrate_wg", "report",
      lambda tmp_path: replace(preset("sd2-ddim-40"), seeds=(0, 1)), 2),
+    ("calibrate_wg", "angles",
+     lambda tmp_path: replace(preset("sd2-ddim-40"), seeds=(0, 1)), 0),
 ], ids=["read-trace-auto-refine", "calibrate-per-seed-refine",
-        "calibrate-shared-report"])
+        "calibrate-shared-report", "calibrate-none-angles"])
 def test_each_trace_read_and_calibration_happens_once(
         tmp_path, monkeypatch, name, mode, make_cfg, want):
     calls = []

@@ -4,7 +4,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -278,6 +278,49 @@ class TestAngleTrace:
         assert len(tr.angles) == 19
         assert tr.iteration_interval((0, 18)) == (2, 20)
 
+    @pytest.mark.filterwarnings("error")  # zero norms must not warn
+    def test_batch_rows_equal_single_runs_and_angle(self, sched, gmm):
+        ts = make_timesteps(1000, 20)
+        x0 = np.stack([initial_noise(8, k) for k in range(3)])
+        states = sample_full(gmm, sched, x0, ts).states.copy()
+        # zero displacements: row 1 at iteration 5, row 2 at iteration 3
+        states[1, 5], states[2, 3] = states[1, 4], states[2, 2]
+        batch = Trajectory(timesteps=ts, states=states, nfe=np.full(3, 20))
+        tr = angle_trace(batch)
+        assert tr.angles.shape == (3, 19)
+        assert tr.degenerate == ((2, 3), (2, 4), (1, 5), (1, 6))
+        for j in range(3):
+            one = angle_trace(batch.row(j))
+            assert np.array_equal(tr.angles[j], one.angles)
+            assert one.degenerate == tuple(i for r, i in tr.degenerate if r == j)
+            for i in range(2, 21):
+                d_i, d_prev = (transition(states[j, k], states[j, k - 1],
+                                          hi=int(ts[k - 1]), lo=int(ts[k]))
+                               for k in (i, i - 1))
+                try:
+                    want = angle(d_i, d_prev)
+                except DegenerateTransitionError:
+                    want = np.pi
+                    assert i in one.degenerate
+                assert tr.angles[j, i - 2] == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(rows=st.integers(1, 20), n=st.integers(1, 6), d=st.integers(1, 4097),
+       log_scale=st.floats(-3.0, 8.0), seed=st.integers(0, 2**32 - 1))
+def test_vecdot_matches_per_row_dot(rows, n, d, log_scale, seed):
+    # The batched angle, calibration and end-error reductions rely on
+    # np.vecdot giving the bits of a per-row np.dot, and sqrt(vecdot(u, u))
+    # those of np.linalg.norm. No numpy documentation promises either.
+    buf = 10.0 ** log_scale * np.random.default_rng(seed).standard_normal(
+        (rows, n + 1, d))
+    for u, v in ((buf[:, 1:], buf[:, :-1]),                # strided views
+                 (buf[:, 0].copy(), buf[:, -1].copy())):  # contiguous
+        dots, norms = np.vecdot(u, v), np.sqrt(np.vecdot(u, u))
+        for idx in np.ndindex(dots.shape):
+            assert dots[idx] == np.dot(u[idx], v[idx])
+            assert norms[idx] == np.linalg.norm(u[idx])
+
 
 class TestAccelerationPlan:
     def test_parity_selection(self):
@@ -459,7 +502,9 @@ class TestCalibrateAndApply:
             assert objective(bias) == psnr(full.final, acc.final)
 
     @settings(max_examples=30, deadline=None)
-    @given(kind=st.sampled_from(["gmm", "point", "trace", "mixed"]),
+    @example(kind="stall", seeds=[0], interval=(21, 99),
+             phi_mode=PhiMode.SQRT_SNR, bias=0.0, per_row=True)
+    @given(kind=st.sampled_from(["gmm", "point", "trace", "mixed", "stall"]),
            seeds=st.lists(st.integers(0, 11), min_size=1, max_size=5,
                           unique=True),
            interval=st.sampled_from(INTERVALS_100),
@@ -469,13 +514,17 @@ class TestCalibrateAndApply:
                                           counting, kind, seeds, interval,
                                           phi_mode, bias, per_row):
         # "mixed": row 0 replays a trace of zeros from x_init = 0, so its
-        # selected iterations fall back while the other rows extrapolate
+        # selected iterations fall back while the other rows extrapolate.
+        # "stall": row 0 replays it from a state so small that squared
+        # displacements underflow to 0 late in the run: on (21, 99) a shadow
+        # real step of zero length follows a moving one.
         data = recorded_data
         x0 = np.stack([initial_noise(8, k) for k in seeds])
-        if kind == "mixed":
+        if kind in ("mixed", "stall"):
             data = np.concatenate([data, np.zeros((1, 1000, 8), np.float32)])
             seeds = [12] + seeds
-            x0 = np.vstack([np.zeros(8), x0])
+            x0 = np.vstack([np.zeros(8) if kind == "mixed"
+                            else 5.5e-163 * initial_noise(8, 0), x0])
         point = PointMassDenoiser(np.linspace(-1.0, 1.0, 8), sched)
         solo = {"gmm": lambda k: gmm, "point": lambda k: point}.get(
             kind, lambda k: RecordedTraceDenoiser(data, k))
@@ -515,6 +564,9 @@ class TestCalibrateAndApply:
         if kind == "mixed":  # both kinds of row were in one batch
             assert acc.row(0).fallbacks == plan.selected()
             assert acc.row(1).approximated == plan.selected()
+        if kind == "stall" and interval == (21, 99):  # zero true step: (pi, 0)
+            assert any(cal.theta[i][0] == np.pi and cal.eps_r[i][0] == 0.0
+                       for i in plan.selected())
 
     def test_per_row_wg_must_match_rows(self, sched, gmm):
         ts = make_timesteps(1000, 40)

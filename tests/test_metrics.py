@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ltc_accel import MetricError, aggregate, end_error, nfe_speedup, psnr
@@ -57,6 +57,43 @@ def test_end_error_hand_value():
 def test_end_error_rejects_zero_reference():
     with pytest.raises(MetricError):
         end_error(np.zeros(3), np.ones(3))
+
+
+@settings(max_examples=50, deadline=None)
+@given(rows=st.integers(1, 12), d=st.integers(2, 64),
+       log_scale=st.floats(-3.0, 8.0), seed=st.integers(0, 2**32 - 1))
+def test_batched_metrics_equal_row_calls(rows, d, log_scale, seed):
+    rng = np.random.default_rng(seed)
+    ref = 10.0 ** log_scale * rng.standard_normal((rows, d))
+    # relative noise from 1e-14 (capped PSNR) to 1; row 0 is exact
+    noise = 10.0 ** rng.uniform(-14.0, 0.0, size=(rows, 1))
+    test = ref * (1.0 + noise * rng.standard_normal((rows, d)))
+    test[0] = ref[0]
+    p, (err, rel) = psnr(ref, test), end_error(ref, test)
+    assert p.shape == err.shape == rel.shape == (rows,)
+    for k in range(rows):
+        one = psnr(ref[k], test[k])
+        assert isinstance(one, float) and p[k] == one
+        assert (err[k], rel[k]) == end_error(ref[k], test[k])
+
+
+def test_batched_metrics_check_every_row():
+    ref = np.array([[0.0, 1.0], [2.0, 3.0]])
+    bad = {"constant": np.array([[0.0, 1.0], [2.0, 2.0]]),
+           "zero": np.array([[0.0, 1.0], [0.0, 0.0]]),
+           "nan": np.array([[0.0, 1.0], [np.nan, 3.0]])}
+    with pytest.raises(MetricError, match="constant"):
+        psnr(bad["constant"], ref)
+    with pytest.raises(MetricError, match="zero reference"):
+        end_error(bad["zero"], ref)
+    with pytest.raises(MetricError, match="finite"):
+        psnr(ref, bad["nan"])
+    for f in (psnr, end_error):
+        with pytest.raises(MetricError, match="shape"):
+            f(ref, ref[:1])
+    with pytest.raises(MetricError):
+        nfe_speedup(40, np.array([26, 0]))
+    assert np.array_equal(nfe_speedup(40, np.array([26, 40])), [40 / 26, 1.0])
 
 
 def test_nfe_speedup_golden_and_errors():

@@ -68,7 +68,7 @@ def test_point_mass_run_ends_exactly_at_mu(sched):
     mu = np.array([0.4, -0.9, 2.2])
     den = PointMassDenoiser(mu, sched)
     x0 = initial_noise(3, seed=5)
-    traj = sample_full(den, sched, x0, make_timesteps(1000, 40), seed=5)
+    traj = sample_full(den, sched, x0, make_timesteps(1000, 40))
     assert np.allclose(traj.final, mu, rtol=0, atol=1e-9)
 
 
@@ -89,12 +89,11 @@ def test_point_mass_states_are_grid_independent(sched):
 def test_sample_full_bookkeeping(sched, counting):
     den = counting(PointMassDenoiser(np.zeros(2), sched))
     ts = make_timesteps(1000, 10)
-    traj = sample_full(den, sched, initial_noise(2, 0), ts, seed=0)
+    traj = sample_full(den, sched, initial_noise(2, 0), ts)
     assert traj.nfe == 10 == traj.iterations
     assert den.calls == [(int(t), 1) for t in ts[:-1]]
     assert traj.states.shape == (11, 2)
     assert np.all(np.isfinite(traj.states))
-    assert traj.seed == 0
 
 
 def test_sample_full_rejects_bad_inputs(sched):
