@@ -45,6 +45,7 @@ from .metrics import (
     nfe_speedup,
     psnr,
     write_csv,
+    _write_verified,
 )
 from .model import (DiagGmmDenoiser, PointMassDenoiser, RecordedTraceDenoiser,
                     read_trace)
@@ -307,13 +308,8 @@ def _write_manifest(out_dir: str, mode: str, cfg: ExperimentConfig,
     lines += cfg.canonical_lines()
     lines += [f"result.{k}={v}" for k, v in sorted(results.items())]
     lines += [f"file.{name}={digest}" for name, digest in sorted(files.items())]
-    with open(os.path.join(out_dir, "manifest.txt"), "w", encoding="ascii") as f:
-        f.write("\n".join(lines) + "\n")
-
-
-def _digest(path: str) -> str:
-    with open(path, "rb") as f:
-        return hashlib.sha256(f.read()).hexdigest()
+    _write_verified(os.path.join(out_dir, "manifest.txt"),
+                    ("\n".join(lines) + "\n").encode("ascii"))
 
 
 def run(cfg: ExperimentConfig, mode: str) -> RunReport:
@@ -323,14 +319,15 @@ def run(cfg: ExperimentConfig, mode: str) -> RunReport:
     if not cfg.out:
         raise ConfigError("no output directory configured")
     validate_config(cfg)
-    out_dir = cfg.out
-    os.makedirs(out_dir, exist_ok=True)
-
     schedule = build_linear_beta(cfg.t_train, cfg.beta_start, cfg.beta_end)
     ts = make_timesteps(cfg.t_train, cfg.steps)
     n = len(ts) - 1
-    # an explicit interval is checked before any trace read
-    base = None if cfg.interval == "auto" else _base_plan(cfg, cfg.interval, n)
+    # The plan is checked before any file is touched, so a configuration
+    # error wins over an I/O one; under interval = auto all of it but the
+    # interval, which the full runs decide.
+    base = _base_plan(cfg, None if cfg.interval == "auto" else cfg.interval, n)
+    out_dir = cfg.out
+    os.makedirs(out_dir, exist_ok=True)
     seeds = tuple(sorted(cfg.seeds))
     trace = read_trace(cfg.manifest)[1] if cfg.kind == "trace" else None
     den = build_denoiser(cfg, schedule, seeds, trace)
@@ -338,7 +335,7 @@ def run(cfg: ExperimentConfig, mode: str) -> RunReport:
     full = sample_full(den, schedule, x0, ts)
     cal_row = seeds.index(cfg.seeds[0] if cfg.calibration_seed == -1
                           else cfg.calibration_seed)
-    if base is None:
+    if cfg.interval == "auto":
         base = _base_plan(cfg, _auto_interval(full.row(cal_row), cfg.tau), n)
 
     needs = {
@@ -371,9 +368,7 @@ def run(cfg: ExperimentConfig, mode: str) -> RunReport:
                                     "{},{}".format(*base.interval))
 
     def emit(name: str, schema: str, rows) -> None:
-        path = os.path.join(out_dir, name)
-        write_csv(path, schema, rows)
-        files[name] = _digest(path)
+        files[name] = write_csv(os.path.join(out_dir, name), schema, rows)
 
     # Resolve the bias first so every CSV below reflects the chosen value.
     if refine:

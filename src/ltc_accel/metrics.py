@@ -1,13 +1,18 @@
 """Run metrics, seedwise aggregation, and the CSV output contract.
 
 Every emitted CSV has a registered schema (exact header). Writers format
-floats with repr so files are deterministic and round-trip exactly, and
-each write is verified by parsing the file straight back.
+floats with repr so files are deterministic and round-trip exactly. Each
+file is written in one pass over any older file of the same name, read
+back once, compared byte for byte with what was written and parsed again;
+its sha256 is taken from those verified bytes.
 """
 
 from __future__ import annotations
 
 import csv
+import hashlib
+import io
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -99,8 +104,31 @@ def _format_cell(v) -> str:
     return repr(float(v))
 
 
-def write_csv(path: str, schema: str, rows) -> None:
-    """Write rows under a registered schema, then verify by re-reading."""
+def _write_verified(path: str, data: bytes) -> bytes:
+    """Write data over path in place and return the bytes read back.
+
+    The file is opened without truncation, written, then cut at the end of
+    the data: truncating an existing file to zero first makes some file
+    systems flush it on close. The read-back must equal data.
+    """
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    try:
+        view = memoryview(data)
+        while view:
+            view = view[os.write(fd, view):]
+        os.ftruncate(fd, len(data))
+    finally:
+        os.close(fd)
+    with open(path, "rb") as f:
+        back = f.read()
+    if back != data:
+        raise MetricError(f"verification re-read of {path} differs from the write")
+    return back
+
+
+def write_csv(path: str, schema: str, rows) -> str:
+    """Write rows under a registered schema, verify the re-read file and
+    return the sha256 of its bytes."""
     header = SCHEMAS[schema]
     rows = [tuple(row) for row in rows]
     for row in rows:
@@ -108,33 +136,39 @@ def write_csv(path: str, schema: str, rows) -> None:
             raise MetricError(
                 f"{schema} rows need {len(header)} cells, got {len(row)}"
             )
-    with open(path, "w", encoding="ascii", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(header)
-        for row in rows:
-            w.writerow([_format_cell(v) for v in row])
-    back_header, back = read_csv(path, schema)
-    if back_header != tuple(header) or len(back) != len(rows):
+    buf = io.StringIO(newline="")
+    w = csv.writer(buf)
+    w.writerow(header)
+    for row in rows:
+        w.writerow([_format_cell(v) for v in row])
+    back = _write_verified(path, buf.getvalue().encode("ascii"))
+    back_header, back_rows = _parse_csv(back.decode("ascii"), path, schema)
+    if back_header != tuple(header) or len(back_rows) != len(rows):
         raise MetricError(f"verification re-read failed for {path}")
+    return hashlib.sha256(back).hexdigest()
 
 
 def read_csv(path: str, schema: str | None = None):
     """Parse a CSV back; header must match its schema, cells must be numeric."""
     with open(path, "r", encoding="ascii", newline="") as f:
-        reader = csv.reader(f)
-        try:
-            header = tuple(next(reader))
-        except StopIteration:
-            raise MetricError(f"{path} is empty") from None
-        if schema is not None and header != SCHEMAS[schema]:
-            raise MetricError(
-                f"{path} header {header} does not match schema {SCHEMAS[schema]}"
-            )
-        rows = []
-        for row in reader:
-            if len(row) != len(header):
-                raise MetricError(f"{path} row width {len(row)} != {len(header)}")
-            rows.append(tuple(float(c) for c in row))
+        return _parse_csv(f.read(), path, schema)
+
+
+def _parse_csv(text: str, path: str, schema: str | None):
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        header = tuple(next(reader))
+    except StopIteration:
+        raise MetricError(f"{path} is empty") from None
+    if schema is not None and header != SCHEMAS[schema]:
+        raise MetricError(
+            f"{path} header {header} does not match schema {SCHEMAS[schema]}"
+        )
+    rows = []
+    for row in reader:
+        if len(row) != len(header):
+            raise MetricError(f"{path} row width {len(row)} != {len(header)}")
+        rows.append(tuple(float(c) for c in row))
     return header, rows
 
 

@@ -15,7 +15,9 @@ subset of a batch's rows. Three families:
   alpha_bar_t * sigma_k^2 + (1 - alpha_bar_t), and
   epsilon_hat = -sqrt(1 - alpha_bar_t) * grad log p_t(x). Component
   responsibilities go through log-sum-exp so far-field states cannot
-  overflow.
+  overflow. In epsilon_hat, a state so far out that every log term
+  underflows to -inf (|x| near 1e160) gives all responsibility to its
+  nearest component; numpy warns about the overflow on the way.
 * RecordedTraceDenoiser: replays externally dumped epsilon_hat vectors
   keyed by (seed, t), read from a checksummed manifest + raw float32 file.
 """
@@ -134,7 +136,22 @@ class DiagGmmDenoiser:
     def epsilon_hat(self, x, t: int) -> np.ndarray:
         out = -self.schedule.sqrt_one_minus_alpha_bar[t] * self.score(x, t)
         if not np.all(np.isfinite(out)):
-            raise NumericError("epsilon_hat produced non-finite values")
+            out = self._far_field(np.asarray(x, dtype=np.float64), t, out)
+            if not np.all(np.isfinite(out)):
+                raise NumericError("epsilon_hat produced non-finite values")
+        return out
+
+    def _far_field(self, x: np.ndarray, t: int, out: np.ndarray) -> np.ndarray:
+        """out with the rows whose log terms are all -inf recomputed from the
+        nearest component, chosen by a residual scaled to stay finite."""
+        far = np.all(np.atleast_2d(self._log_terms(x, t)) == -np.inf, axis=-1)
+        m, v = self._marginal(t)
+        res = np.atleast_2d(x)[far][:, None, :] - m
+        scaled = res / np.max(np.abs(res), axis=(1, 2), keepdims=True)
+        k = np.argmin(np.sum(scaled ** 2 / v, axis=-1), axis=-1)
+        # the score's own arithmetic with one-hot responsibilities
+        np.atleast_2d(out)[far] = (self.schedule.sqrt_one_minus_alpha_bar[t]
+                                   * (res[np.arange(len(k)), k] / v[k]))
         return out
 
     def take(self, rows) -> "DiagGmmDenoiser":

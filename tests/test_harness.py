@@ -10,6 +10,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ltc_accel import (
     AccelerationPlan,
@@ -185,6 +187,70 @@ def test_fingerprint_ignores_out_and_jobs():
     b = replace(a, out="/elsewhere", jobs=8)
     assert a.fingerprint() == b.fingerprint()
     assert a.fingerprint() != replace(a, steps=50).fingerprint()
+
+
+def _ini_value(name, canonical):
+    # matrices echo as Python tuples, "(1.0, 2.0),(3.0,)"; the INI splits rows by ";"
+    if name in ("means", "variances"):
+        return canonical.replace("),(", ";").strip("()")
+    return canonical
+
+
+_floats = st.floats(width=64)
+_row = st.lists(_floats, min_size=1, max_size=3).map(tuple)
+
+
+@st.composite
+def _configs(draw):
+    seeds = tuple(draw(st.lists(st.integers(0, 2**32 - 1), min_size=1,
+                                max_size=5, unique=True)))
+    lo, hi = sorted(draw(st.lists(st.floats(-1e3, 1e3), min_size=2,
+                                  max_size=2)))
+    return ExperimentConfig(
+        t_train=draw(st.integers(-10**9, 10**9)),
+        beta_start=draw(_floats), beta_end=draw(_floats),
+        steps=draw(st.integers(-10**9, 10**9)),
+        kind=draw(st.sampled_from(harness._KINDS)),
+        dim=draw(st.integers(-10**9, 10**9)),
+        mu=tuple(draw(st.lists(_floats, min_size=1, max_size=3))),
+        weights=tuple(draw(st.lists(_floats, min_size=1, max_size=3))),
+        means=tuple(draw(st.lists(_row, min_size=1, max_size=3))),
+        variances=tuple(draw(st.lists(_row, min_size=1, max_size=3))),
+        manifest=draw(st.text(st.characters(min_codepoint=33, max_codepoint=126),
+                              min_size=1, max_size=12)),
+        interval=draw(st.one_of(
+            st.none(), st.just("auto"),
+            st.tuples(st.integers(-10**6, 10**6), st.integers(-10**6, 10**6)))),
+        r=draw(st.integers(-10**9, 10**9)),
+        tau=draw(_floats),
+        bias=draw(st.one_of(st.just("refine"), _floats)),
+        phi_mode=draw(st.sampled_from([m.value for m in harness.PhiMode])),
+        per_seed_wg=draw(st.booleans()),
+        calibration_seed=draw(st.sampled_from((-1,) + seeds)),
+        bias_lo=lo, bias_hi=hi,
+        bias_search=draw(st.sampled_from(["grid", "binary"])),
+        seeds=seeds,
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(cfg=_configs())
+def test_canonical_lines_round_trip_through_ini(tmp_path_factory, cfg):
+    key_of = {name: key for key, (name, _) in harness._KEYS.items()}
+    values = dict(line[len("config."):].split("=", 1)
+                  for line in cfg.canonical_lines())
+    assert set(values) == set(key_of) - {"out", "jobs"}
+    sections: dict = {}
+    for name, value in values.items():
+        section, key = key_of[name]
+        sections.setdefault(section, []).append(
+            f"{key} = {_ini_value(name, value)}")
+    text = "".join(f"[{sec}]\n" + "\n".join(lines) + "\n\n"
+                   for sec, lines in sections.items())
+    ini = write_ini(tmp_path_factory.mktemp("ini") / "c.ini", text)
+    back = parse_config(ini)
+    assert back.canonical_lines() == cfg.canonical_lines()
+    assert back.fingerprint() == cfg.fingerprint()
 
 
 def test_presets():
@@ -390,6 +456,20 @@ def test_rerun_is_byte_identical(tmp_path):
     assert dir_digests(str(a)) == dir_digests(str(b))
 
 
+def test_report_over_a_larger_bundle_equals_a_fresh_run(tmp_path):
+    # files are rewritten in place: report.csv shrinks from 6 rows to 3, and
+    # the extra seeds' angle files stay behind untouched
+    old, fresh = tmp_path / "old", tmp_path / "fresh"
+    run(replace(SMALL, seeds=tuple(range(6)), out=str(old)), "report")
+    size = os.path.getsize(old / "report.csv")
+    rep = run(replace(SMALL, out=str(old)), "report")
+    assert rep.files == run(replace(SMALL, out=str(fresh)), "report").files
+    assert os.path.getsize(old / "report.csv") < size
+    got, want = dir_digests(str(old)), dir_digests(str(fresh))
+    assert {name: got[name] for name in want} == want
+    assert set(got) - set(want) == {f"angle_seed{k}.csv" for k in (3, 4, 5)}
+
+
 def _small_trace_config(tmp_path):
     rng = np.random.default_rng(7)
     man = tmp_path / "eps.trace"
@@ -562,7 +642,7 @@ def test_cli_plan_error_exit(tmp_path, capsys):
     assert "configuration error" in capsys.readouterr().err
 
 
-def _trace_cli_args(tmp_path, interval="3,5", seeds="0,1,2"):
+def _trace_cli_args(tmp_path, interval="3,5", seeds="0,1,2", r=2):
     manifest = _small_trace_config(tmp_path).manifest  # 3 seeds, t_train 24
     ini = write_ini(tmp_path / "t.ini", f"""
 [schedule]
@@ -577,6 +657,7 @@ manifest = {manifest}
 
 [plan]
 interval = {interval}
+r = {r}
 
 [run]
 seeds = {seeds}
@@ -606,3 +687,13 @@ def test_cli_bad_interval_is_reported_before_trace_read(tmp_path, capsys):
     os.remove(tmp_path / "eps.trace")
     assert main(args) == 2
     assert "configuration error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("interval", ["auto", "3,5"])
+def test_cli_plan_error_wins_over_trace_error(tmp_path, capsys, interval):
+    # the trace lacks seed 3 (exit 4); with r = 1 the plan is bad too, and
+    # the plan is checked before the trace is read, under auto as well
+    assert main(_trace_cli_args(tmp_path, interval, "0,1,2,3")) == 4
+    assert "i/o error" in capsys.readouterr().err
+    assert main(_trace_cli_args(tmp_path, interval, "0,1,2,3", r=1)) == 2
+    assert "r must be at least 2" in capsys.readouterr().err

@@ -1,5 +1,8 @@
 """PSNR, end errors, speedup accounting, aggregation, CSV contract."""
 
+import hashlib
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -160,3 +163,25 @@ def test_csv_schema_enforcement(tmp_path):
     (tmp_path / "x.csv").write_text("Timestep,Angle\n1,abc\n")
     with pytest.raises(ValueError):
         read_csv(path, "angle")
+
+
+def test_csv_write_over_a_longer_file_leaves_only_the_new_bytes(tmp_path):
+    path = tmp_path / "angle.csv"
+    path.write_bytes(b"9,9.0\r\n" * 500)
+    digest = write_csv(str(path), "angle", [(2, 0.5), (3, 1 / 7)])
+    want = f"Timestep,Angle\r\n2,0.5\r\n3,{1 / 7!r}\r\n".encode("ascii")
+    assert path.read_bytes() == want
+    assert digest == hashlib.sha256(want).hexdigest()
+
+
+def test_csv_write_that_stores_other_bytes_is_rejected(tmp_path, monkeypatch):
+    write = os.write
+
+    def corrupting(fd, data):
+        return write(fd, bytes(data).replace(b"0.5", b"0.6"))
+
+    path = str(tmp_path / "angle.csv")
+    with monkeypatch.context() as m:
+        m.setattr(os, "write", corrupting)
+        with pytest.raises(MetricError, match="differs"):
+            write_csv(path, "angle", [(2, 0.5)])

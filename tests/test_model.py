@@ -118,6 +118,24 @@ class TestDiagGmm:
             out = den.epsilon_hat(x, 500)
             assert np.all(np.isfinite(out))
 
+    def test_underflowed_log_terms_go_to_the_nearest_component(self, sched):
+        # past |x| ~ 1e155 every log term is -inf; the broader component has
+        # the smaller scaled residual and takes all responsibility
+        den = DiagGmmDenoiser(
+            [0.5, 0.5], [[-1.0], [1.0]], [[0.01], [0.04]], sched)
+        m, v = den._marginal(500)
+        c = sched.sqrt_one_minus_alpha_bar[500]
+        with np.errstate(over="ignore", invalid="ignore"):
+            for x in (1e160, -1e160, 1e300, -1e300):
+                assert np.array_equal(den.epsilon_hat([x], 500),
+                                      c * ((x - m[1]) / v[1]))
+            out = den.epsilon_hat([[1e160], [0.3], [-1e300]], 500)
+            with pytest.raises(NumericError):  # the nearest score overflows
+                den.epsilon_hat([-1.7e308], 500)
+        assert np.array_equal(out[1], den.epsilon_hat([0.3], 500))
+        assert np.array_equal(out[[0, 2], 0], c * ((np.array([1e160, -1e300])
+                                                    - m[1, 0]) / v[1, 0]))
+
     @pytest.mark.parametrize(
         "w,means,var",
         [
@@ -255,11 +273,14 @@ def batch_denoisers(sched):
 def test_batched_epsilon_hat_rows_equal_single_calls(batch_denoisers, kind,
                                                      seeds, t, gen):
     rng = np.random.default_rng(gen)
-    # row scales from near the origin to the far field, mixed in one batch
-    scale = rng.choice([0.01, 1.0, 20.0, 1e8], size=(len(seeds), 1))
+    # row scales from near the origin to the far field, where every GMM log
+    # term underflows (overflow warnings are expected there), in one batch
+    scale = rng.choice([0.01, 1.0, 20.0, 1e8, 1e160, 1e300],
+                       size=(len(seeds), 1))
     x = rng.standard_normal((len(seeds), _BATCH_DIM)) * scale
     batched, single = batch_denoisers[kind]
-    out = batched(seeds).epsilon_hat(x, t)
-    assert out.shape == x.shape
-    for j, seed in enumerate(seeds):
-        assert np.array_equal(out[j], single(seed).epsilon_hat(x[j], t))
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = batched(seeds).epsilon_hat(x, t)
+        assert out.shape == x.shape
+        for j, seed in enumerate(seeds):
+            assert np.array_equal(out[j], single(seed).epsilon_hat(x[j], t))
