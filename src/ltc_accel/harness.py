@@ -185,7 +185,7 @@ _KEYS = {
     ("bias", "lo"): ("bias_lo", float),
     ("bias", "hi"): ("bias_hi", float),
     ("bias", "search"): ("bias_search", str.strip),
-    ("run", "seeds"): ("seeds", lambda v: tuple(int(x) for x in _parse_floats(v))),
+    ("run", "seeds"): ("seeds", lambda v: tuple(int(x) for x in v.split(",") if x.strip())),
     ("run", "out"): ("out", str.strip),
     ("run", "jobs"): ("jobs", int),
 }
@@ -197,7 +197,7 @@ def parse_config(path: str, base: ExperimentConfig | None = None) -> ExperimentC
     try:
         with open(path, "r", encoding="utf-8") as f:
             cp.read_file(f)
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         raise ConfigError(f"cannot read config: {e}") from None
     except configparser.Error as e:
         raise ConfigError(f"malformed config: {e}") from None
@@ -234,6 +234,8 @@ def validate_config(cfg: ExperimentConfig) -> ExperimentConfig:
         raise ConfigError("at least one seed is required")
     if len(set(cfg.seeds)) != len(cfg.seeds):
         raise ConfigError("seeds must be distinct")
+    if min(cfg.seeds) < 0:
+        raise ConfigError(f"seeds must be non-negative, got {min(cfg.seeds)}")
     if cfg.phi_mode not in tuple(m.value for m in PhiMode):
         raise ConfigError(f"unknown phi_mode {cfg.phi_mode!r}")
     if cfg.bias_search not in ("grid", "binary"):

@@ -46,53 +46,17 @@ BIAS_INTERVAL_DEFAULT = (-0.05, 0.10)
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-@dataclass(frozen=True)
-class TransitionOperator:
-    """Displacement across one grid step; hi is the noisier endpoint."""
-
-    hi: int
-    lo: int
-    delta: np.ndarray
-
-    def __post_init__(self):
-        if self.lo >= self.hi:
-            raise ValueError(f"need lo < hi, got lo={self.lo}, hi={self.hi}")
-        d = np.asarray(self.delta, dtype=np.float64)
-        if d.ndim != 1:
-            raise ValueError("delta must be a vector")
-        object.__setattr__(self, "delta", d)
-
-
-def transition(x_lo, x_hi, hi: int, lo: int | None = None) -> TransitionOperator:
-    """Operator for the step that moved x_hi (at timestep hi) to x_lo."""
-    x_lo = np.asarray(x_lo, dtype=np.float64)
-    x_hi = np.asarray(x_hi, dtype=np.float64)
-    if x_lo.shape != x_hi.shape:
-        raise ValueError(f"shape mismatch: {x_lo.shape} vs {x_hi.shape}")
-    return TransitionOperator(hi=hi, lo=hi - 1 if lo is None else lo,
-                              delta=x_lo - x_hi)
-
-
-def angle(d1: TransitionOperator, d2: TransitionOperator) -> float:
-    """Angle in [0, pi] between two transition displacements."""
-    if d1.delta.shape != d2.delta.shape:
-        raise ValueError("operators act on different dimensions")
-    nu = float(np.linalg.norm(d1.delta))
-    nv = float(np.linalg.norm(d2.delta))
-    if nu == 0.0 or nv == 0.0:
-        raise DegenerateTransitionError("angle undefined for zero displacement")
-    c = float(np.dot(d1.delta, d2.delta)) / (nu * nv)
-    return float(np.arccos(np.clip(c, -1.0, 1.0)))
-
-
-def _angles(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Angles over the last axis, and the mask of zero norms, which get pi.
-    vecdot gives the bits of a per-row np.dot, and sqrt(vecdot(u, u)) those of
-    np.linalg.norm, so each entry equals `angle` on that row."""
+def angle(u, v):
+    """Angle in [0, pi] between displacements over the last axis: a float for
+    a (d,) pair, one per row for (S, d). A zero displacement has no direction
+    and gets pi. vecdot gives the bits of a per-row np.dot, and
+    sqrt(vecdot(u, u)) those of np.linalg.norm."""
+    if np.shape(u) != np.shape(v):
+        raise ValueError(f"shape mismatch: {np.shape(u)} vs {np.shape(v)}")
     nn = np.sqrt(np.vecdot(u, u)) * np.sqrt(np.vecdot(v, v))
     zero = nn == 0.0
     c = np.vecdot(u, v) / np.where(zero, 1.0, nn)
-    return np.where(zero, np.pi, np.arccos(np.clip(c, -1.0, 1.0))), zero
+    return np.where(zero, np.pi, np.arccos(np.clip(c, -1.0, 1.0)))[()]
 
 
 @dataclass(frozen=True)
@@ -118,12 +82,14 @@ class AngleTrace:
 def angle_trace(traj: Trajectory) -> AngleTrace:
     """Angles between consecutive displacements of a trajectory or a batch."""
     deltas = np.diff(np.asarray(traj.states, dtype=np.float64), axis=-2)
-    out, zero = _angles(deltas[..., 1:, :], deltas[..., :-1, :])
+    norms = np.sqrt(np.vecdot(deltas, deltas))
+    zero = norms[..., 1:] * norms[..., :-1] == 0.0  # where `angle` gives pi
     if zero.ndim == 1:
         degenerate = tuple(int(p) + 2 for p in np.flatnonzero(zero))
     else:
         degenerate = tuple((int(r), int(p) + 2) for p, r in np.argwhere(zero.T))
-    return AngleTrace(angles=out, start=2, degenerate=degenerate)
+    return AngleTrace(angles=angle(deltas[..., 1:, :], deltas[..., :-1, :]),
+                      start=2, degenerate=degenerate)
 
 
 def detect_interval(trace, tau: float) -> tuple[int, int] | None:
@@ -150,34 +116,32 @@ def detect_interval(trace, tau: float) -> tuple[int, int] | None:
     return best
 
 
-def wg_closed_form(d_prev: TransitionOperator, d_prev2: TransitionOperator,
-                   g: float) -> float:
-    """Least-squares scale minimizing ||d_prev.delta - w * g * d_prev2.delta||."""
-    if g <= 0.0 or not np.isfinite(g):
+def wg_closed_form(d_true, d_prev, g: float):
+    """Least-squares scale minimizing ||d_true - w * g * d_prev||, over the
+    last axis: one float for (d,) displacements, one per row for (S, d)."""
+    if not 0.0 < g < math.inf:
         raise ValueError(f"gamma must be positive and finite, got {g}")
-    den = float(np.dot(d_prev2.delta, d_prev2.delta))
-    if den == 0.0:
+    den = np.vecdot(d_prev, d_prev)
+    if not den.all():
         raise DegenerateTransitionError("previous displacement is zero")
-    return float(np.dot(d_prev.delta, d_prev2.delta)) / (g * den)
+    return np.vecdot(d_true, d_prev) / (g * den)
 
 
-def approx_step(x_hi, d_prev2: TransitionOperator, wg: float, g: float) -> np.ndarray:
-    """Approximated next state: x_hi + wg * g * d_prev2.delta."""
-    x_hi = np.asarray(x_hi, dtype=np.float64)
-    if x_hi.shape != d_prev2.delta.shape:
-        raise ValueError(f"shape mismatch: {x_hi.shape} vs {d_prev2.delta.shape}")
-    return x_hi + (wg * g) * d_prev2.delta
+def approx_step(x, d_prev, wg, g: float) -> np.ndarray:
+    """Approximated next state x + wg * g * d_prev; wg is a scalar or, for
+    (S, d) states, one scale per row."""
+    if np.shape(x) != np.shape(d_prev):
+        raise ValueError(f"shape mismatch: {np.shape(x)} vs {np.shape(d_prev)}")
+    return x + np.asarray(wg * g)[..., None] * d_prev
 
 
-def relative_error(x_true, x_approx, d_true: TransitionOperator) -> float:
-    """||x_true - x_approx||^2 / ||d_true.delta||^2."""
-    x_true = np.asarray(x_true, dtype=np.float64)
-    x_approx = np.asarray(x_approx, dtype=np.float64)
-    den = float(np.dot(d_true.delta, d_true.delta))
-    if den == 0.0:
-        raise DegenerateTransitionError("true displacement is zero")
-    diff = x_true - x_approx
-    return float(np.dot(diff, diff)) / den
+def relative_error(x_true, x_approx, d_true):
+    """||x_true - x_approx||^2 / ||d_true||^2 over the last axis; 0.0 where
+    d_true is zero (nothing to approximate)."""
+    miss = np.subtract(x_true, x_approx)
+    den = np.vecdot(d_true, d_true)
+    return np.divide(np.vecdot(miss, miss), den, out=np.zeros(np.shape(den)),
+                     where=den != 0.0)[()]
 
 
 @dataclass(frozen=True)
@@ -286,7 +250,7 @@ def _extrapolation(schedule: NoiseSchedule, ts: np.ndarray,
     def extrapolate(i, x, d_prev, rows):
         g = _grid_gamma(schedule, ts, i, plan.phi_mode)
         w = plan.wg[i] if np.ndim(plan.wg[i]) == 0 else plan.wg[i][rows]
-        return x + np.reshape((w + plan.bias) * g, (-1, 1)) * d_prev
+        return approx_step(x, d_prev, w + plan.bias, g)
 
     return extrapolate
 
@@ -360,13 +324,11 @@ def calibrate_wg(denoiser, schedule: NoiseSchedule, x_init, timesteps,
                            schedule, t, t_prev)
         g = _grid_gamma(schedule, ts, i, plan.phi_mode)
         d_true = x_real - x
-        w = np.vecdot(d_true, d_prev) / (g * np.vecdot(d_prev, d_prev))
-        x_star = x + (w * g)[:, None] * d_prev
-        # a zero true displacement has theta = pi (from _angles) and eps_r = 0
-        tn, miss = np.vecdot(d_true, d_true), x_real - x_star
-        wg[i][rows], theta[i][rows] = w, _angles(d_true, d_prev)[0]
-        eps_r[i][rows] = np.divide(np.vecdot(miss, miss), tn,
-                                   out=np.zeros_like(tn), where=tn != 0.0)
+        w = wg_closed_form(d_true, d_prev, g)
+        x_star = approx_step(x, d_prev, w, g)
+        # a zero true displacement has theta = pi and eps_r = 0
+        wg[i][rows], theta[i][rows] = w, angle(d_true, d_prev)
+        eps_r[i][rows] = relative_error(x_real, x_star, d_true)
         return x_star
 
     traj = _chain(denoiser, schedule, x_init, ts, selected, shadow)
@@ -459,18 +421,16 @@ def _search_bias(objective, lo: float, hi: float, mode: str = "grid",
 def refine_bias(denoiser, schedule: NoiseSchedule, x_init, timesteps,
                 plan: AccelerationPlan,
                 interval: tuple[float, float] = BIAS_INTERVAL_DEFAULT,
-                mode: str = "grid", grid_points: int = 11, tol: float = 1e-6,
-                evaluator=None) -> BiasSearchResult:
+                mode: str = "grid", grid_points: int = 11,
+                tol: float = 1e-6) -> BiasSearchResult:
     """Pick the wg bias maximizing PSNR against the full run.
 
     mode "grid" scans a uniform grid then refines around the best point by
     golden section; "binary" runs golden section on the whole interval.
     Zero is always a candidate when the interval contains it, so the
-    refined bias can never score below the unbiased plan. `evaluator`
-    overrides the PSNR-vs-full objective (used for testing the search).
+    refined bias can never score below the unbiased plan.
     """
-    if evaluator is None:
-        reference = sample_full(denoiser, schedule, x_init, timesteps)
-        evaluator = _bias_objective(denoiser, schedule, reference, plan)
-    return _search_bias(evaluator, interval[0], interval[1], mode=mode,
+    reference = sample_full(denoiser, schedule, x_init, timesteps)
+    return _search_bias(_bias_objective(denoiser, schedule, reference, plan),
+                        interval[0], interval[1], mode=mode,
                         grid_points=grid_points, tol=tol)

@@ -202,19 +202,23 @@ def write_trace(manifest_path: str, data: np.ndarray) -> TraceManifest:
 def read_trace(manifest_path: str) -> tuple[TraceManifest, np.ndarray]:
     """Load a trace; length and crc32 must match the manifest exactly."""
     fields = {}
-    with open(manifest_path, "r", encoding="ascii") as f:
-        for raw in f:
-            line = raw.strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise TraceError(f"malformed manifest line: {line!r}")
-            key, _, value = line.partition("=")
-            if key not in _MANIFEST_KEYS:
-                raise TraceError(f"unknown manifest field: {key!r}")
-            if key in fields:
-                raise TraceError(f"duplicate manifest field: {key!r}")
-            fields[key] = value
+    try:
+        with open(manifest_path, "r", encoding="ascii") as f:
+            lines = list(f)
+    except UnicodeDecodeError as e:
+        raise TraceError(f"manifest is not ASCII: {e}") from None
+    for line in lines:
+        line = line.strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise TraceError(f"malformed manifest line: {line!r}")
+        key, _, value = line.partition("=")
+        if key not in _MANIFEST_KEYS:
+            raise TraceError(f"unknown manifest field: {key!r}")
+        if key in fields:
+            raise TraceError(f"duplicate manifest field: {key!r}")
+        fields[key] = value
     missing = [k for k in _MANIFEST_KEYS if k not in fields]
     if missing:
         raise TraceError(f"manifest missing fields: {missing}")
@@ -232,7 +236,7 @@ def read_trace(manifest_path: str) -> tuple[TraceManifest, np.ndarray]:
     try:
         with open(data_path, "rb") as f:
             payload = f.read()
-    except OSError as e:
+    except (OSError, ValueError) as e:  # ValueError: a NUL byte in the name
         raise TraceError(f"cannot read trace payload: {e}") from None
     expected = seeds * steps * dim * 4
     if len(payload) != expected:
@@ -256,12 +260,11 @@ class RecordedTraceDenoiser:
         arr = np.asarray(data)
         if arr.ndim != 3:
             raise TraceError(f"trace data must have shape (seeds, steps, dim), got {arr.shape}")
-        rows = np.atleast_1d(np.asarray(seed, dtype=np.int64))
+        rows = np.atleast_1d(np.asarray(seed))  # any int size; cast once in range
         if np.any((rows < 0) | (rows >= arr.shape[0])):
             raise TraceExhaustedError(f"trace holds seeds 0..{arr.shape[0] - 1}, got {seed}")
         self._data = arr
-        self._rows = rows
-        self.seed = seed
+        self._rows = rows.astype(np.int64)
         self.t_train = arr.shape[1]
         self.dim = arr.shape[2]
 

@@ -18,7 +18,6 @@ from ltc_accel import (
     NoiseSchedule,
     PointMassDenoiser,
     RecordedTraceDenoiser,
-    TransitionOperator,
     accelerated_sample,
     angle_trace,
     benchmark_gmm,
@@ -39,6 +38,7 @@ from ltc_accel import (
     wg_closed_form,
     write_trace,
 )
+from ltc_accel.ltc import _search_bias
 from ltc_accel.metrics import read_csv
 
 VERDICTS = {}
@@ -64,17 +64,17 @@ def test_criterion_1_wg_optimality_oracle():
     rng = np.random.default_rng(11)
     worst = 0.0
     for _ in range(1000):
-        d_true = TransitionOperator(2, 1, rng.standard_normal(8))
-        d_prev2 = TransitionOperator(3, 2, rng.standard_normal(8))
+        d_true = rng.standard_normal(8)
+        d_prev2 = rng.standard_normal(8)
         g = float(rng.uniform(0.5, 2.0))
         closed = wg_closed_form(d_true, d_prev2, g)
 
         def objective(w):
-            r = d_true.delta - (w * g) * d_prev2.delta
+            r = d_true - (w * g) * d_prev2
             return -float(r @ r)
 
-        reach = float(np.linalg.norm(d_true.delta)
-                      / (g * np.linalg.norm(d_prev2.delta))) + 1.0
+        reach = float(np.linalg.norm(d_true)
+                      / (g * np.linalg.norm(d_prev2))) + 1.0
         gold, _ = golden_section_max(objective, -reach, reach, tol=1e-8)
         worst = max(worst, abs(closed - gold))
     dt = time.perf_counter() - t0
@@ -179,9 +179,8 @@ def test_criterion_6_bias_refinement(tmp_path):
     stub_ok = True
     stub_err = 0.0
     for mode in ("grid", "binary"):
-        res = refine_bias(None, None, None, None, None,
-                          interval=(-0.05, 0.10), mode=mode,
-                          evaluator=lambda b: 40.0 - 100.0 * (b - 0.02) ** 2)
+        res = _search_bias(lambda b: 40.0 - 100.0 * (b - 0.02) ** 2,
+                           -0.05, 0.10, mode=mode)
         stub_err = max(stub_err, abs(res.bias - 0.02))
         stub_ok = stub_ok and abs(res.bias - 0.02) <= 1e-4
 

@@ -2,7 +2,9 @@
 byte-level determinism, exit codes."""
 
 import configparser
+import contextlib
 import hashlib
+import io
 import multiprocessing.process
 import os
 import sys
@@ -10,7 +12,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ltc_accel import (
@@ -159,6 +161,9 @@ def test_parse_overlays_base_preserving_unset_keys(tmp_path):
     ("[denoiser]\nkind = vae\n", "unknown denoiser kind"),
     ("[run]\nseeds = 1,1\n", "distinct"),
     ("[run]\nseeds =\n", "at least one seed"),
+    ("[run]\nseeds = 0,1.5\n", "bad value for run.seeds"),
+    ("[run]\nseeds = 1e3\n", "bad value for run.seeds"),
+    ("[run]\nseeds = 3,-1\n", "non-negative"),
     ("[run]\njobs = 0\n", "jobs"),
     ("[plan]\nphi_mode = log_snr\n", "phi_mode"),
     ("[bias]\nsearch = random\n", "search"),
@@ -180,6 +185,12 @@ def test_interval_spellings(tmp_path):
 def test_missing_config_file_is_config_error(tmp_path):
     with pytest.raises(ConfigError, match="cannot read config"):
         parse_config(str(tmp_path / "absent.ini"))
+
+
+def test_seeds_parse_as_exact_integers(tmp_path):
+    # through a float, 2**53 + 1 would come back as 2**53
+    ini = write_ini(tmp_path / "s.ini", "[run]\nseeds = 9007199254740993, 7\n")
+    assert parse_config(ini).seeds == (2**53 + 1, 7)
 
 
 def test_fingerprint_ignores_out_and_jobs():
@@ -598,6 +609,23 @@ def test_cli_config_error_exit(tmp_path, capsys):
     assert "configuration error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("seeds,flags", [
+    ("0", ["--seed-set", "0", "-3"]), ("0,-3", []), ("0,1.5", []),
+], ids=["flag", "ini", "float"])
+def test_cli_bad_seed_exit(tmp_path, capsys, seeds, flags):
+    ini = write_ini(tmp_path / "s.ini", f"[run]\nseeds = {seeds}\n")
+    assert main(["sample", "--config", ini, "--out", str(tmp_path / "o"), *flags]) == 2
+    assert capsys.readouterr().err.startswith("ltc: configuration error")
+    assert not (tmp_path / "o").exists()
+
+
+def test_cli_config_that_is_not_utf8_exit(tmp_path, capsys):
+    ini = tmp_path / "l1.ini"
+    ini.write_bytes("[run]\n# caf\xe9\nseeds = 0\n".encode("latin-1"))
+    assert main(["sample", "--config", str(ini), "--out", str(tmp_path / "o")]) == 2
+    assert "cannot read config" in capsys.readouterr().err
+
+
 def test_cli_missing_out_exit(monkeypatch, capsys):
     monkeypatch.delenv("LTC_OUT", raising=False)
     assert main(["sample", "--seed-set", "0"]) == 2
@@ -697,3 +725,80 @@ def test_cli_plan_error_wins_over_trace_error(tmp_path, capsys, interval):
     assert "i/o error" in capsys.readouterr().err
     assert main(_trace_cli_args(tmp_path, interval, "0,1,2,3", r=1)) == 2
     assert "r must be at least 2" in capsys.readouterr().err
+
+
+def _not_an_int(text):
+    try:
+        int(text)
+    except ValueError:
+        return True
+    return False
+
+
+_line_chars = st.characters(max_codepoint=127, blacklist_characters="\n\r")
+
+
+@st.composite
+def _manifest_faults(draw):
+    """(kind, detail) of one fault in the 3-seed trace of _trace_cli_args."""
+    kind = draw(st.sampled_from(["missing", "duplicate", "integer", "crc",
+                                 "truncated", "non-ascii", "data", "endian",
+                                 "seed"]))
+    keys = ["dim", "steps", "seeds", "data", "endian", "crc32"]
+    detail = {
+        "missing": st.sampled_from(keys),
+        "duplicate": st.tuples(st.sampled_from(keys), st.booleans()),
+        "integer": st.tuples(st.sampled_from(["dim", "steps", "seeds"]), st.one_of(
+            st.integers(max_value=-1).map(str),
+            st.text(_line_chars, max_size=8).filter(_not_an_int))),
+        "crc": st.tuples(st.just("crc32"), st.text(_line_chars, max_size=10)),
+        "truncated": st.integers(0, 3 * 24 * 4 * 4 - 1),
+        "non-ascii": st.tuples(st.integers(0, 10**6), st.integers(0x80, 0xFF)),
+        "data": st.tuples(st.just("data"), st.text(_line_chars, max_size=12).filter(
+            lambda v: os.path.basename(v.strip()) != "eps.f32")),
+        "endian": st.tuples(st.just("endian"), st.text(_line_chars, max_size=8).filter(
+            lambda v: v.strip() != "little")),
+        "seed": st.integers(3, 2**70),
+    }[kind]
+    return kind, draw(detail)
+
+
+@settings(max_examples=150, deadline=None)
+@example(fault=("non-ascii", (0, 0xE9)))
+@example(fault=("data", ("data", "eps\x00.f32")))
+@example(fault=("seed", 2**64))
+@given(fault=_manifest_faults())
+def test_cli_faulty_trace_manifest_exits_4(tmp_path_factory, fault):
+    # every fault in a trace or in the seeds it is asked for is an i/o error
+    # (exit 4) with a message, never a traceback
+    kind, detail = fault
+    tmp_path = tmp_path_factory.mktemp("fuzz")
+    seeds = f"0,{detail}" if kind == "seed" else "0,1,2"
+    args = _trace_cli_args(tmp_path, seeds=seeds)
+    manifest, payload = tmp_path / "eps.trace", tmp_path / "eps.f32"
+    lines = manifest.read_text(encoding="ascii").splitlines()
+    fields = dict(line.split("=", 1) for line in lines)
+    if kind == "missing":
+        lines = [ln for ln in lines if not ln.startswith(detail + "=")]
+    elif kind == "duplicate":
+        key, same = detail
+        lines.append(f"{key}={fields[key] if same else fields[key] + '0'}")
+    elif kind in ("integer", "crc", "data", "endian"):
+        key, value = detail
+        if kind == "crc" and value.strip() == fields["crc32"]:
+            return  # the right checksum after all
+        lines = [f"{key}={value}" if ln.startswith(key + "=") else ln
+                 for ln in lines]
+    elif kind == "truncated":
+        payload.write_bytes(payload.read_bytes()[:detail])
+    raw = ("\n".join(lines) + "\n").encode("ascii")
+    if kind == "non-ascii":
+        at, byte = detail
+        at %= len(raw) + 1
+        raw = raw[:at] + bytes([byte]) + raw[at:]
+    manifest.write_bytes(raw)
+    with contextlib.redirect_stderr(io.StringIO()) as err:
+        assert main(args) == 4
+    err = err.getvalue()
+    assert err.startswith("ltc: i/o error: ") and "Traceback" not in err
+    assert not (tmp_path / "o" / "report.csv").exists()

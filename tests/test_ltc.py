@@ -1,4 +1,4 @@
-"""Transition reuse: operators, angles, interval detection, calibration."""
+"""Transition reuse: formulas, angles, interval detection, calibration."""
 
 import dataclasses
 
@@ -15,7 +15,6 @@ from ltc_accel import (
     PhiMode,
     PlanError,
     Trajectory,
-    TransitionOperator,
     accelerated_sample,
     angle,
     angle_trace,
@@ -29,11 +28,15 @@ from ltc_accel import (
     refine_bias,
     relative_error,
     sample_full,
-    transition,
     wg_closed_form,
     write_trace,
 )
-from ltc_accel.ltc import _bias_objective, _extrapolation, _search_bias
+from ltc_accel.ltc import (
+    BIAS_INTERVAL_DEFAULT,
+    _bias_objective,
+    _extrapolation,
+    _search_bias,
+)
 from ltc_accel.metrics import psnr
 from ltc_accel.model import PointMassDenoiser, RecordedTraceDenoiser
 from ltc_accel.sampler import _chain, ddim_step
@@ -85,43 +88,24 @@ def _vec(*xs):
     return np.asarray(xs, dtype=np.float64)
 
 
-class TestTransition:
-    def test_delta_orientation(self):
-        op = transition(_vec(1.0, 2.0), _vec(0.5, 3.0), hi=7)
-        assert np.array_equal(op.delta, [0.5, -1.0])
-        assert op.hi == 7 and op.lo == 6
-
-    def test_explicit_lo_for_coarse_grids(self):
-        op = transition(_vec(1.0), _vec(0.0), hi=550, lo=525)
-        assert op.lo == 525
-
-    def test_rejects_inverted_endpoints_and_mismatch(self):
-        with pytest.raises(ValueError):
-            TransitionOperator(hi=5, lo=5, delta=_vec(1.0))
-        with pytest.raises(ValueError):
-            transition(_vec(1.0), _vec(1.0, 2.0), hi=3)
-
-
 class TestAngle:
     def test_cardinal_angles(self):
-        d = lambda v: TransitionOperator(hi=2, lo=1, delta=v)
-        assert angle(d(_vec(1, 0)), d(_vec(0, 1))) == pytest.approx(np.pi / 2)
-        assert angle(d(_vec(1, 0)), d(_vec(3, 0))) == pytest.approx(0.0)
-        assert angle(d(_vec(1, 0)), d(_vec(-2, 0))) == pytest.approx(np.pi)
+        assert angle(_vec(1, 0), _vec(0, 1)) == pytest.approx(np.pi / 2)
+        assert angle(_vec(1, 0), _vec(3, 0)) == pytest.approx(0.0)
+        assert angle(_vec(1, 0), _vec(-2, 0)) == pytest.approx(np.pi)
 
     def test_cosine_is_clipped_against_rounding(self):
         # nearly parallel vectors can push the raw cosine above 1
         u = _vec(1.0, 1e-8)
-        d = lambda v: TransitionOperator(hi=2, lo=1, delta=v)
-        out = angle(d(u), d(u * (1 + 1e-12)))
+        out = angle(u, u * (1 + 1e-12))
         assert np.isfinite(out) and 0.0 <= out < 1e-6
 
     def test_zero_displacement_rejected(self):
-        d = lambda v: TransitionOperator(hi=2, lo=1, delta=v)
-        with pytest.raises(DegenerateTransitionError):
-            angle(d(_vec(0, 0)), d(_vec(1, 0)))
+        # a zero displacement has no direction: pi, nothing coherent to reuse
+        assert angle(_vec(0, 0), _vec(1, 0)) == np.pi
+        assert angle(_vec(1, 0), _vec(0, 0)) == np.pi
         with pytest.raises(ValueError):
-            angle(d(_vec(1, 0)), d(_vec(1, 0, 0)))
+            angle(_vec(1, 0), _vec(1, 0, 0))
 
     @given(
         u=arrays(np.float64, 3, elements=st.floats(-10, 10)),
@@ -132,10 +116,9 @@ class TestAngle:
     def test_range_and_scale_invariance(self, u, v, a, b):
         if np.linalg.norm(u) < 1e-6 or np.linalg.norm(v) < 1e-6:
             return
-        d = lambda w: TransitionOperator(hi=2, lo=1, delta=w)
-        th = angle(d(u), d(v))
+        th = angle(u, v)
         assert 0.0 <= th <= np.pi
-        assert angle(d(a * u), d(b * v)) == pytest.approx(th, abs=1e-6)
+        assert angle(a * u, b * v) == pytest.approx(th, abs=1e-6)
 
 
 class TestDetectInterval:
@@ -183,14 +166,12 @@ class TestDetectInterval:
 
 class TestWgClosedForm:
     def test_hand_value(self):
-        d1 = TransitionOperator(hi=2, lo=1, delta=_vec(1, 0))
-        d2 = TransitionOperator(hi=3, lo=2, delta=_vec(1, 1))
+        d1, d2 = _vec(1, 0), _vec(1, 1)
         # dot = 1, ||d2||^2 = 2, gamma = 2 -> wg = 1 / 4
         assert wg_closed_form(d1, d2, 2.0) == pytest.approx(0.25, rel=1e-15)
 
     def test_rejects_degenerate_inputs(self):
-        d1 = TransitionOperator(hi=2, lo=1, delta=_vec(1, 0))
-        z = TransitionOperator(hi=3, lo=2, delta=_vec(0, 0))
+        d1, z = _vec(1, 0), _vec(0, 0)
         with pytest.raises(DegenerateTransitionError):
             wg_closed_form(d1, z, 1.0)
         with pytest.raises(ValueError):
@@ -206,9 +187,7 @@ class TestWgClosedForm:
     def test_residual_is_orthogonal_to_previous_delta(self, d1, d2, g):
         if np.linalg.norm(d2) < 1e-6:
             return
-        o1 = TransitionOperator(hi=2, lo=1, delta=d1)
-        o2 = TransitionOperator(hi=3, lo=2, delta=d2)
-        w = wg_closed_form(o1, o2, g)
+        w = wg_closed_form(d1, d2, g)
         resid = d1 - w * g * d2
         scale = max(float(np.linalg.norm(d1)) * float(np.linalg.norm(d2)), 1e-9)
         assert abs(float(resid @ d2)) <= 1e-9 * scale
@@ -219,9 +198,7 @@ class TestWgClosedForm:
             d1 = rng.normal(size=6)
             d2 = rng.normal(size=6)
             g = rng.uniform(0.5, 2.0)
-            o1 = TransitionOperator(hi=2, lo=1, delta=d1)
-            o2 = TransitionOperator(hi=3, lo=2, delta=d2)
-            w = wg_closed_form(o1, o2, g)
+            w = wg_closed_form(d1, d2, g)
             span = abs(w) + 1.0
             w_search, _ = golden_section_max(
                 lambda u: -float(np.sum((d1 - u * g * d2) ** 2)),
@@ -231,35 +208,31 @@ class TestWgClosedForm:
 
 class TestApproxStepAndError:
     def test_approx_step_arithmetic(self):
-        d2 = TransitionOperator(hi=3, lo=2, delta=_vec(1.0, -2.0))
+        d2 = _vec(1.0, -2.0)
         out = approx_step(_vec(10.0, 10.0), d2, wg=0.5, g=2.0)
         assert np.array_equal(out, [11.0, 8.0])
         with pytest.raises(ValueError):
             approx_step(_vec(1.0), d2, 1.0, 1.0)
 
     def test_relative_error_zero_for_exact_hit(self):
-        d = TransitionOperator(hi=2, lo=1, delta=_vec(1.0, 1.0))
-        assert relative_error(_vec(2, 2), _vec(2, 2), d) == 0.0
+        assert relative_error(_vec(2, 2), _vec(2, 2), _vec(1.0, 1.0)) == 0.0
 
     def test_relative_error_is_sin_squared_at_optimum(self):
         # true delta at 45 degrees to the reused one, optimal wg
         d_true = _vec(1.0, 1.0)
         d_prev = _vec(1.0, 0.0)
-        o_true = TransitionOperator(hi=2, lo=1, delta=d_true)
-        o_prev = TransitionOperator(hi=3, lo=2, delta=d_prev)
         g = 1.3
-        w = wg_closed_form(o_true, o_prev, g)
+        w = wg_closed_form(d_true, d_prev, g)
         x_hi = _vec(5.0, 5.0)
         x_true = x_hi + d_true
-        x_star = approx_step(x_hi, o_prev, w, g)
-        got = relative_error(x_true, x_star, o_true)
-        th = angle(o_true, o_prev)
+        x_star = approx_step(x_hi, d_prev, w, g)
+        got = relative_error(x_true, x_star, d_true)
+        th = angle(d_true, d_prev)
         assert got == pytest.approx(np.sin(th) ** 2, rel=1e-12)
 
     def test_relative_error_rejects_zero_reference_delta(self):
-        z = TransitionOperator(hi=2, lo=1, delta=_vec(0.0))
-        with pytest.raises(DegenerateTransitionError):
-            relative_error(_vec(1.0), _vec(2.0), z)
+        # a zero true displacement leaves nothing to approximate: 0.0
+        assert relative_error(_vec(1.0), _vec(2.0), _vec(0.0)) == 0.0
 
 
 class TestAngleTrace:
@@ -294,14 +267,13 @@ class TestAngleTrace:
             assert np.array_equal(tr.angles[j], one.angles)
             assert one.degenerate == tuple(i for r, i in tr.degenerate if r == j)
             for i in range(2, 21):
-                d_i, d_prev = (transition(states[j, k], states[j, k - 1],
-                                          hi=int(ts[k - 1]), lo=int(ts[k]))
-                               for k in (i, i - 1))
-                try:
-                    want = angle(d_i, d_prev)
-                except DegenerateTransitionError:
+                u, v = (states[j, k] - states[j, k - 1] for k in (i, i - 1))
+                nn = np.linalg.norm(u) * np.linalg.norm(v)
+                if nn == 0.0:
                     want = np.pi
                     assert i in one.degenerate
+                else:
+                    want = np.arccos(np.clip(np.dot(u, v) / nn, -1, 1))
                 assert tr.angles[j, i - 2] == want
 
 
@@ -320,6 +292,48 @@ def test_vecdot_matches_per_row_dot(rows, n, d, log_scale, seed):
         for idx in np.ndindex(dots.shape):
             assert dots[idx] == np.dot(u[idx], v[idx])
             assert norms[idx] == np.linalg.norm(u[idx])
+
+
+@settings(max_examples=60, deadline=None)
+@given(rows=st.integers(1, 8), d=st.integers(1, 300),
+       log_scale=st.floats(-3.0, 8.0), g=st.floats(0.5, 2.0),
+       zero_row=st.integers(0, 8), seed=st.integers(0, 2**32 - 1))
+def test_formulas_batch_rows_equal_single_calls_and_oracles(
+        rows, d, log_scale, g, zero_row, seed):
+    # Each formula on an (S, d) batch, strided or contiguous, gives the bits
+    # of its (d,) call on every row and of the inline np.dot / norm formula.
+    # Row `zero_row` (if any) of the true displacement is exactly zero.
+    buf = 10.0 ** log_scale * np.random.default_rng(seed).standard_normal(
+        (rows, 4, d))
+    if zero_row < rows:
+        buf[zero_row, 1] = 0.0
+    w_rows = np.linspace(0.5, 1.5, rows)
+    for x, d_true, d_prev, x_true in (
+            (buf[:, 0], buf[:, 1], buf[:, 2], buf[:, 3]),  # strided views
+            tuple(buf[:, k].copy() for k in range(4))):    # contiguous
+        w = wg_closed_form(d_true, d_prev, g)
+        batched = (angle(d_true, d_prev), w,
+                   approx_step(x, d_prev, w_rows, g),
+                   approx_step(x, d_prev, 0.75, g),
+                   relative_error(x_true, x, d_true))
+        for k in range(rows):
+            u, v, xk, tk = d_true[k], d_prev[k], x[k], x_true[k]
+            nu, nv = np.linalg.norm(u), np.linalg.norm(v)
+            miss, tn = tk - xk, np.dot(u, u)
+            oracle = (np.pi if nu * nv == 0.0 else
+                      np.arccos(np.clip(np.dot(u, v) / (nu * nv), -1, 1)),
+                      np.dot(u, v) / (g * np.dot(v, v)),
+                      xk + (w_rows[k] * g) * v,
+                      xk + (0.75 * g) * v,
+                      np.dot(miss, miss) / tn if tn != 0.0 else 0.0)
+            single = (angle(u, v), wg_closed_form(u, v, g),
+                      approx_step(xk, v, w_rows[k], g),
+                      approx_step(xk, v, 0.75, g), relative_error(tk, xk, u))
+            for got, one, want in zip(batched, single, oracle):
+                assert np.array_equal(got[k], one) and np.array_equal(one, want)
+        assert all(isinstance(one, float) for one in single[:2] + single[4:])
+        if zero_row < rows:
+            assert batched[0][zero_row] == np.pi and batched[4][zero_row] == 0.0
 
 
 class TestAccelerationPlan:
@@ -599,21 +613,15 @@ class TestGoldenSection:
 
 
 class TestRefineBias:
-    def test_stub_recovers_analytic_argmax(self, sched, gmm):
-        ts = make_timesteps(1000, 40)
-        plan = AccelerationPlan(interval=(13, 39), wg={})
+    def test_stub_recovers_analytic_argmax(self):
         stub = lambda b: 40.0 - 100.0 * (b - 0.02) ** 2
         for mode in ("grid", "binary"):
-            res = refine_bias(gmm, sched, initial_noise(8, 0), ts, plan,
-                              mode=mode, evaluator=stub)
+            res = _search_bias(stub, *BIAS_INTERVAL_DEFAULT, mode=mode)
             assert res.bias == pytest.approx(0.02, abs=1e-4)
 
-    def test_zero_is_always_a_candidate(self, sched, gmm):
-        ts = make_timesteps(1000, 40)
-        plan = AccelerationPlan(interval=(13, 39), wg={})
+    def test_zero_is_always_a_candidate(self):
         # maximum far from zero; zero still probed
-        res = refine_bias(gmm, sched, initial_noise(8, 0), ts, plan,
-                          evaluator=lambda b: b)
+        res = _search_bias(lambda b: b, *BIAS_INTERVAL_DEFAULT)
         assert any(b == 0.0 for b, _ in res.evaluations)
         assert res.psnr >= dict(res.evaluations)[0.0] - 1e-9
 
@@ -626,11 +634,8 @@ class TestRefineBias:
         at_zero = dict(res.evaluations)[0.0]
         assert res.psnr >= at_zero - 1e-9
 
-    def test_degenerate_interval_returns_endpoint(self, sched, gmm):
-        ts = make_timesteps(1000, 40)
-        plan = AccelerationPlan(interval=(13, 39), wg={})
-        res = refine_bias(gmm, sched, initial_noise(8, 0), ts, plan,
-                          interval=(0.03, 0.03), evaluator=lambda b: b)
+    def test_degenerate_interval_returns_endpoint(self):
+        res = _search_bias(lambda b: b, 0.03, 0.03)
         assert res.bias == 0.03
 
     def test_known_scores_are_never_reevaluated(self):
@@ -648,12 +653,8 @@ class TestRefineBias:
         assert res.bias == pytest.approx(0.02, abs=1e-4)
         assert len(res.evaluations) == len(grid) + len(probed)
 
-    def test_invalid_interval_and_mode_rejected(self, sched, gmm):
-        ts = make_timesteps(1000, 40)
-        plan = AccelerationPlan(interval=(13, 39), wg={})
+    def test_invalid_interval_and_mode_rejected(self):
         with pytest.raises(ValueError):
-            refine_bias(gmm, sched, initial_noise(8, 0), ts, plan,
-                        interval=(0.1, -0.1), evaluator=lambda b: b)
+            _search_bias(lambda b: b, 0.1, -0.1)
         with pytest.raises(ValueError):
-            refine_bias(gmm, sched, initial_noise(8, 0), ts, plan,
-                        mode="ternary", evaluator=lambda b: b)
+            _search_bias(lambda b: b, *BIAS_INTERVAL_DEFAULT, mode="ternary")
