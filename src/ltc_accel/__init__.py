@@ -4,16 +4,9 @@ denoisers for end-to-end verification."""
 
 from .errors import (
     ConfigError,
-    DegenerateScheduleError,
-    DegenerateTransitionError,
     LtcError,
-    MetricError,
     NumericError,
-    OrderingError,
-    PlanError,
-    ScheduleError,
     TraceError,
-    TraceExhaustedError,
 )
 from .ltc import (
     AccelerationPlan,
@@ -95,18 +88,11 @@ __all__ = [
     "wg_closed_form",
     "write_trace",
     "ConfigError",
-    "DegenerateScheduleError",
-    "DegenerateTransitionError",
     "LtcError",
-    "MetricError",
     "NoiseSchedule",
     "NumericError",
-    "OrderingError",
     "PhiMode",
-    "PlanError",
-    "ScheduleError",
     "TraceError",
-    "TraceExhaustedError",
     "build_linear_beta",
     "gamma",
     "phi",

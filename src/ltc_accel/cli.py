@@ -12,24 +12,8 @@ import os
 import sys
 from dataclasses import replace
 
-from .errors import (
-    ConfigError,
-    DegenerateScheduleError,
-    DegenerateTransitionError,
-    MetricError,
-    NumericError,
-    OrderingError,
-    PlanError,
-    ScheduleError,
-    TraceError,
-    TraceExhaustedError,
-)
+from .errors import ConfigError, NumericError, TraceError
 from .harness import MODES, PRESETS, ExperimentConfig, parse_config, preset, run
-
-_CONFIG_ERRORS = (ConfigError, PlanError, OrderingError, ScheduleError)
-_NUMERIC_ERRORS = (NumericError, DegenerateScheduleError,
-                   DegenerateTransitionError, MetricError)
-_IO_ERRORS = (TraceError, TraceExhaustedError, OSError)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -84,13 +68,13 @@ def main(argv=None) -> int:
     try:
         cfg = resolve_config(args)
         report = run(cfg, args.mode)
-    except _CONFIG_ERRORS as e:
+    except ConfigError as e:
         print(f"ltc: configuration error: {e}", file=sys.stderr)
         return 2
-    except _NUMERIC_ERRORS as e:
+    except NumericError as e:
         print(f"ltc: numeric error: {e}", file=sys.stderr)
         return 3
-    except _IO_ERRORS as e:
+    except (TraceError, OSError) as e:
         print(f"ltc: i/o error: {e}", file=sys.stderr)
         return 4
     except KeyboardInterrupt:

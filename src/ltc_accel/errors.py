@@ -1,45 +1,20 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package: one class per CLI exit code."""
 
 
 class LtcError(Exception):
     """Base class for all package-specific errors."""
 
 
-class ScheduleError(LtcError, ValueError):
-    """Noise-schedule parameters or table violate the schedule contract."""
-
-
-class DegenerateScheduleError(LtcError, ArithmeticError):
-    """Progress values collapse; the step ratio is undefined."""
-
-
-class OrderingError(LtcError, ValueError):
-    """Timesteps are not in the required strictly descending order."""
-
-
-class DegenerateTransitionError(LtcError, ArithmeticError):
-    """A zero-displacement transition where a direction is required."""
-
-
-class PlanError(LtcError, ValueError):
-    """Acceleration plan is inconsistent with the sampling grid."""
-
-
-class TraceError(LtcError, ValueError):
-    """Recorded-trace file is malformed, truncated, or fails its checksum."""
-
-
-class TraceExhaustedError(LtcError, KeyError):
-    """Lookup of a (seed, t) pair the recorded trace does not contain."""
+class ConfigError(LtcError, ValueError):
+    """Configuration, schedule, timestep grid or acceleration plan is
+    missing, unknown or inconsistent (exit 2)."""
 
 
 class NumericError(LtcError, ArithmeticError):
-    """Non-finite values appeared where finite ones are required."""
+    """A value is non-finite, degenerate or undefined for its inputs
+    (exit 3)."""
 
 
-class MetricError(LtcError, ValueError):
-    """A metric is undefined for the given inputs."""
-
-
-class ConfigError(LtcError, ValueError):
-    """Experiment configuration is missing, unknown, or inconsistent."""
+class TraceError(LtcError, ValueError):
+    """Recorded trace is malformed, fails its checksum, or lacks a
+    requested seed or t (exit 4)."""

@@ -137,7 +137,7 @@ def _parse_interval(text: str):
     t = text.strip().lower()
     if t in ("auto", "none"):
         return t if t == "auto" else None
-    parts = _parse_floats(text)
+    parts = [v for v in text.split(",") if v.strip() != ""]
     if len(parts) != 2:
         raise ConfigError(f"interval must be 'a,b', 'auto' or 'none', got {text!r}")
     return int(parts[0]), int(parts[1])
@@ -260,6 +260,8 @@ def benchmark_gmm(schedule, dim: int = 16) -> DiagGmmDenoiser:
     oscillation while the state commits to a mode, then a long coherent
     stretch where consecutive transitions stay nearly parallel.
     """
+    if dim < 1:
+        raise ConfigError(f"benchmark mixture dim must be at least 1, got {dim}")
     rng = np.random.default_rng(20240601)
     means = rng.uniform(-4.5, 4.5, size=(3, dim))
     variances = rng.uniform(0.6, 1.4, size=(3, dim))
@@ -270,10 +272,9 @@ def build_denoiser(cfg: ExperimentConfig, schedule, seeds, trace):
     """The denoiser of a batch whose rows are `seeds`; `trace` is the read
     payload for kind "trace"."""
     if cfg.kind == "point":
-        return PointMassDenoiser(np.asarray(cfg.mu), schedule)
+        return PointMassDenoiser(cfg.mu, schedule)
     if cfg.kind == "gmm":
-        return DiagGmmDenoiser(np.asarray(cfg.weights), np.asarray(cfg.means),
-                               np.asarray(cfg.variances), schedule)
+        return DiagGmmDenoiser(cfg.weights, cfg.means, cfg.variances, schedule)
     if cfg.kind == "gmm-bench":
         return benchmark_gmm(schedule, cfg.dim)
     return RecordedTraceDenoiser(trace, seeds)
@@ -288,12 +289,11 @@ def _base_plan(cfg: ExperimentConfig, interval, n: int) -> AccelerationPlan:
 
 
 def _auto_interval(full, tau: float) -> object:
-    trace = angle_trace(full)
-    pos = detect_interval(trace, tau)
+    pos = detect_interval(angle_trace(full), tau)
     if pos is None:
         return None
-    a, b = trace.iteration_interval(pos)
-    return a, min(b, full.iterations - 1)  # final iteration is always real
+    # angle position p belongs to iteration p + 2; the final one is always real
+    return pos[0] + 2, min(pos[1] + 2, full.iterations - 1)
 
 
 def _rows(seeds, full, run) -> list:

@@ -34,7 +34,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DegenerateTransitionError, PlanError
+from .errors import ConfigError, NumericError
 from .metrics import psnr
 from .sampler import Trajectory, _chain, check_timesteps, ddim_step, sample_full
 from .schedule import NoiseSchedule, PhiMode, gamma, phi
@@ -61,22 +61,17 @@ def angle(u, v):
 
 @dataclass(frozen=True)
 class AngleTrace:
-    """Per-iteration angles; angles[..., p] belongs to iteration p + start.
+    """Per-iteration angles; angles[..., p] belongs to iteration p + 2.
 
     The angle at iteration i compares that iteration's displacement with
-    the preceding one, so a trace from a full run starts at iteration 2.
-    Zero displacements get theta = pi (nothing coherent to reuse) and are
+    the preceding one, so the angles begin at iteration 2. Zero
+    displacements get theta = pi (nothing coherent to reuse) and are
     listed in `degenerate`. A batched run gives (S, n - 1) angles and
     (row, iteration) pairs in `degenerate`, ordered as a Trajectory's.
     """
 
     angles: np.ndarray
-    start: int = 2
     degenerate: tuple = ()
-
-    def iteration_interval(self, positions: tuple[int, int]) -> tuple[int, int]:
-        a, b = positions
-        return a + self.start, b + self.start
 
 
 def angle_trace(traj: Trajectory) -> AngleTrace:
@@ -89,7 +84,7 @@ def angle_trace(traj: Trajectory) -> AngleTrace:
     else:
         degenerate = tuple((int(r), int(p) + 2) for p, r in np.argwhere(zero.T))
     return AngleTrace(angles=angle(deltas[..., 1:, :], deltas[..., :-1, :]),
-                      start=2, degenerate=degenerate)
+                      degenerate=degenerate)
 
 
 def detect_interval(trace, tau: float) -> tuple[int, int] | None:
@@ -123,7 +118,7 @@ def wg_closed_form(d_true, d_prev, g: float):
         raise ValueError(f"gamma must be positive and finite, got {g}")
     den = np.vecdot(d_prev, d_prev)
     if not den.all():
-        raise DegenerateTransitionError("previous displacement is zero")
+        raise NumericError("previous displacement is zero")
     return np.vecdot(d_true, d_prev) / (g * den)
 
 
@@ -176,42 +171,42 @@ class AccelerationPlan:
                  rows: tuple | None = None) -> tuple[int, ...]:
         """Selected iterations; per-row wg arrays must have shape `rows`."""
         if self.r < 2:
-            raise PlanError(f"r must be at least 2, got {self.r}")
+            raise ConfigError(f"r must be at least 2, got {self.r}")
         if self.r > 2:
             warnings.warn(
                 f"r={self.r} approximates consecutive iterations; only r=2 is validated",
                 stacklevel=2)
         if not self.tau > 0.0:
-            raise PlanError(f"tau must be positive, got {self.tau}")
+            raise ConfigError(f"tau must be positive, got {self.tau}")
         if self.tau > TAU_CEILING:
             warnings.warn(
                 f"tau={self.tau} above the validated ceiling {TAU_CEILING}",
                 stacklevel=2)
         if not np.isfinite(self.bias):
-            raise PlanError(f"bias must be finite, got {self.bias}")
+            raise ConfigError(f"bias must be finite, got {self.bias}")
         bad = sorted(i for i, w in (self.wg or {}).items()
                      if not np.all(np.isfinite(w)) or rows is not None
                      and np.ndim(w) and np.shape(w) != rows)
         if bad:
-            raise PlanError("wg must be finite, and a per-row wg must have one "
-                            f"scale per state row; bad at iterations {bad}")
+            raise ConfigError("wg must be finite, and a per-row wg must have one "
+                              f"scale per state row; bad at iterations {bad}")
         if self.interval is None:
             return ()
         a, b = self.interval
         if not 1 <= a <= b <= n_iterations - 1:
-            raise PlanError(
+            raise ConfigError(
                 f"interval [{a}, {b}] must satisfy 1 <= a <= b <= "
                 f"{n_iterations - 1} (the final iteration is always real)"
             )
         sel = self.selected()
         if sel and sel[0] < 2:
-            raise PlanError(
+            raise ConfigError(
                 f"iteration {sel[0]} cannot be approximated: it lacks two prior states"
             )
         if require_wg:
             missing = [i for i in sel if self.wg is None or i not in self.wg]
             if missing:
-                raise PlanError(f"plan has no wg entry for iterations {missing}")
+                raise ConfigError(f"plan has no wg entry for iterations {missing}")
         return sel
 
     def with_wg(self, wg: dict) -> "AccelerationPlan":

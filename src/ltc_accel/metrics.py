@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import MetricError
+from .errors import NumericError
 
 PSNR_CAP = 99.0
 _MSE_FLOOR_REL = 1e-12
@@ -37,7 +37,7 @@ def _pair(a, b) -> tuple[np.ndarray, np.ndarray]:
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     if a.shape != b.shape:
-        raise MetricError(f"shape mismatch: {a.shape} vs {b.shape}")
+        raise NumericError(f"shape mismatch: {a.shape} vs {b.shape}")
     return a, b
 
 
@@ -50,10 +50,10 @@ def psnr(reference, test):
     """
     reference, test = _pair(reference, test)
     if not (np.all(np.isfinite(reference)) and np.all(np.isfinite(test))):
-        raise MetricError("psnr inputs must be finite")
+        raise NumericError("psnr inputs must be finite")
     peak = np.ptp(reference, axis=-1)
     if np.any(peak == 0.0):
-        raise MetricError("psnr undefined for a constant reference")
+        raise NumericError("psnr undefined for a constant reference")
     mse = np.mean((reference - test) ** 2, axis=-1)
     near = mse <= _MSE_FLOOR_REL * peak * peak
     ratio = np.divide(peak * peak, mse, out=np.full_like(mse, np.inf), where=~near)
@@ -66,7 +66,7 @@ def end_error(x_full, x_accel):
     x_full, x_accel = _pair(x_full, x_accel)
     ref = np.sqrt(np.vecdot(x_full, x_full))
     if np.any(ref == 0.0):
-        raise MetricError("relative end error undefined for a zero reference")
+        raise NumericError("relative end error undefined for a zero reference")
     diff = x_full - x_accel
     err = np.sqrt(np.vecdot(diff, diff))
     return err, 100.0 * err / ref
@@ -76,7 +76,7 @@ def nfe_speedup(total_iterations: int, nfe):
     """Iterations per denoiser evaluation, elementwise over an array of nfe."""
     n = np.asarray(nfe)
     if not (np.all(1 <= n) and np.all(n <= total_iterations)):
-        raise MetricError(
+        raise NumericError(
             f"need 1 <= nfe <= iterations, got nfe={nfe}, iterations={total_iterations}"
         )
     return total_iterations / nfe
@@ -90,10 +90,10 @@ def aggregate(series) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """
     arrays = [np.asarray(s, dtype=np.float64) for s in series]
     if not arrays:
-        raise MetricError("nothing to aggregate")
+        raise NumericError("nothing to aggregate")
     length = arrays[0].shape
     if any(a.ndim != 1 or a.shape != length for a in arrays):
-        raise MetricError("series must all be 1-D with equal length")
+        raise NumericError("series must all be 1-D with equal length")
     stack = np.sort(np.vstack(arrays), axis=0)
     return stack.mean(axis=0), stack[0], stack[-1]
 
@@ -122,7 +122,7 @@ def _write_verified(path: str, data: bytes) -> bytes:
     with open(path, "rb") as f:
         back = f.read()
     if back != data:
-        raise MetricError(f"verification re-read of {path} differs from the write")
+        raise NumericError(f"verification re-read of {path} differs from the write")
     return back
 
 
@@ -133,7 +133,7 @@ def write_csv(path: str, schema: str, rows) -> str:
     rows = [tuple(row) for row in rows]
     for row in rows:
         if len(row) != len(header):
-            raise MetricError(
+            raise NumericError(
                 f"{schema} rows need {len(header)} cells, got {len(row)}"
             )
     buf = io.StringIO(newline="")
@@ -144,7 +144,7 @@ def write_csv(path: str, schema: str, rows) -> str:
     back = _write_verified(path, buf.getvalue().encode("ascii"))
     back_header, back_rows = _parse_csv(back.decode("ascii"), path, schema)
     if back_header != tuple(header) or len(back_rows) != len(rows):
-        raise MetricError(f"verification re-read failed for {path}")
+        raise NumericError(f"verification re-read failed for {path}")
     return hashlib.sha256(back).hexdigest()
 
 
@@ -159,15 +159,15 @@ def _parse_csv(text: str, path: str, schema: str | None):
     try:
         header = tuple(next(reader))
     except StopIteration:
-        raise MetricError(f"{path} is empty") from None
+        raise NumericError(f"{path} is empty") from None
     if schema is not None and header != SCHEMAS[schema]:
-        raise MetricError(
+        raise NumericError(
             f"{path} header {header} does not match schema {SCHEMAS[schema]}"
         )
     rows = []
     for row in reader:
         if len(row) != len(header):
-            raise MetricError(f"{path} row width {len(row)} != {len(header)}")
+            raise NumericError(f"{path} row width {len(row)} != {len(header)}")
         rows.append(tuple(float(c) for c in row))
     return header, rows
 

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericError, TraceError, TraceExhaustedError
+from .errors import ConfigError, NumericError, TraceError
 from .schedule import NoiseSchedule
 
 _MANIFEST_KEYS = ("dim", "steps", "seeds", "data", "endian", "crc32")
@@ -56,7 +56,7 @@ class PointMassDenoiser:
     def __init__(self, mu, schedule: NoiseSchedule):
         self.mu = np.array(mu, dtype=np.float64)
         if self.mu.ndim != 1 or not np.all(np.isfinite(self.mu)):
-            raise ValueError("mu must be a finite vector")
+            raise ConfigError("mu must be a finite vector")
         self.schedule = schedule
         self.dim = self.mu.shape[0]
 
@@ -81,22 +81,27 @@ class DiagGmmDenoiser:
     """Mixture of diagonal Gaussians with an exact marginal score."""
 
     def __init__(self, weights, means, variances, schedule: NoiseSchedule):
-        w = np.asarray(weights, dtype=np.float64)
-        mu = np.asarray(means, dtype=np.float64)
-        var = np.asarray(variances, dtype=np.float64)
+        try:
+            w = np.asarray(weights, dtype=np.float64)
+            mu = np.asarray(means, dtype=np.float64)
+            var = np.asarray(variances, dtype=np.float64)
+        except ValueError as e:  # ragged rows
+            raise ConfigError(f"mixture parameters must be arrays: {e}") from None
         if w.ndim != 1 or mu.ndim != 2 or var.shape != mu.shape:
-            raise ValueError("need weights (k,), means (k, d), variances (k, d)")
+            raise ConfigError("need weights (k,), means (k, d), variances (k, d)")
         if w.shape[0] != mu.shape[0]:
-            raise ValueError("one weight per component required")
+            raise ConfigError("one weight per component required")
+        if mu.shape[1] < 1:
+            raise ConfigError("mixture dimension must be at least 1")
         if not (np.all(np.isfinite(w)) and np.all(np.isfinite(mu))
                 and np.all(np.isfinite(var))):
-            raise ValueError("mixture parameters must be finite")
+            raise ConfigError("mixture parameters must be finite")
         if np.any(w <= 0.0):
-            raise ValueError("mixture weights must be strictly positive")
+            raise ConfigError("mixture weights must be strictly positive")
         if abs(float(np.sum(w)) - 1.0) > 1e-12:
-            raise ValueError("mixture weights must sum to 1 within 1e-12")
+            raise ConfigError("mixture weights must sum to 1 within 1e-12")
         if np.any(var < 0.0):
-            raise ValueError("variances must be nonnegative")
+            raise ConfigError("variances must be nonnegative")
         self.weights = w
         self.means = mu
         self.variances = var
@@ -262,7 +267,7 @@ class RecordedTraceDenoiser:
             raise TraceError(f"trace data must have shape (seeds, steps, dim), got {arr.shape}")
         rows = np.atleast_1d(np.asarray(seed))  # any int size; cast once in range
         if np.any((rows < 0) | (rows >= arr.shape[0])):
-            raise TraceExhaustedError(f"trace holds seeds 0..{arr.shape[0] - 1}, got {seed}")
+            raise TraceError(f"trace holds seeds 0..{arr.shape[0] - 1}, got {seed}")
         self._data = arr
         self._rows = rows.astype(np.int64)
         self.t_train = arr.shape[1]
@@ -283,8 +288,6 @@ class RecordedTraceDenoiser:
             raise ValueError(
                 f"{len(self._rows)} seed rows cannot serve a state of shape {x.shape}")
         if not 1 <= t <= self.t_train:
-            raise TraceExhaustedError(
-                f"trace covers 1 <= t <= {self.t_train}, got t={t}"
-            )
+            raise TraceError(f"trace covers 1 <= t <= {self.t_train}, got t={t}")
         # steps axis is ordered t = t_train down to 1
         return self._data[self._rows, self.t_train - t].astype(np.float64).reshape(x.shape)

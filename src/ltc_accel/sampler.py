@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericError, OrderingError
+from .errors import ConfigError, NumericError
 from .schedule import NoiseSchedule
 
 log = logging.getLogger(__name__)
@@ -53,10 +53,10 @@ class Trajectory:
 def make_timesteps(t_train: int, n_steps: int) -> np.ndarray:
     """Evenly spaced descending grid from t_train to 0 with n_steps + 1 points."""
     if n_steps < 1:
-        raise OrderingError("need at least one sampling step")
+        raise ConfigError("need at least one sampling step")
     ts = np.rint(np.linspace(t_train, 0, n_steps + 1)).astype(np.int64)
     if not np.all(np.diff(ts) < 0):
-        raise OrderingError(
+        raise ConfigError(
             f"{n_steps} steps cannot be placed distinctly on 0..{t_train}"
         )
     return ts
@@ -65,11 +65,11 @@ def make_timesteps(t_train: int, n_steps: int) -> np.ndarray:
 def check_timesteps(timesteps, t_train: int) -> np.ndarray:
     ts = np.asarray(timesteps, dtype=np.int64)
     if ts.ndim != 1 or ts.shape[0] < 2:
-        raise OrderingError("timesteps must be a sequence of at least 2 indices")
+        raise ConfigError("timesteps must be a sequence of at least 2 indices")
     if not np.all(np.diff(ts) < 0):
-        raise OrderingError("timesteps must be strictly descending")
+        raise ConfigError("timesteps must be strictly descending")
     if ts[0] > t_train or ts[-1] < 0:
-        raise OrderingError(
+        raise ConfigError(
             f"timesteps must lie within [0, {t_train}], got [{ts[-1]}, {ts[0]}]"
         )
     return ts
@@ -82,7 +82,7 @@ def ddim_step(x, eps, schedule: NoiseSchedule, t: int, t_prev: int) -> np.ndarra
     the t_prev noise level along the same predicted direction.
     """
     if t_prev >= t:
-        raise OrderingError(f"t_prev must be below t, got t={t}, t_prev={t_prev}")
+        raise ConfigError(f"t_prev must be below t, got t={t}, t_prev={t_prev}")
     if not 1 <= t <= schedule.t_train or t_prev < 0:
         raise IndexError(f"step {t} -> {t_prev} outside schedule 0..{schedule.t_train}")
     x = np.asarray(x, dtype=np.float64)

@@ -23,7 +23,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import DegenerateScheduleError, ScheduleError
+from .errors import ConfigError, NumericError
 
 
 class PhiMode(str, Enum):
@@ -47,20 +47,20 @@ class NoiseSchedule:
     def __post_init__(self):
         ab = np.array(self.alpha_bar, dtype=np.float64, copy=True)
         if ab.ndim != 1:
-            raise ScheduleError("alpha_bar must be one-dimensional")
+            raise ConfigError("alpha_bar must be one-dimensional")
         if self.t_train < 1 or ab.shape[0] != self.t_train + 1:
-            raise ScheduleError(
+            raise ConfigError(
                 f"alpha_bar must have t_train + 1 = {self.t_train + 1} entries, "
                 f"got {ab.shape[0]}"
             )
         if not np.all(np.isfinite(ab)):
-            raise ScheduleError("alpha_bar contains non-finite entries")
+            raise ConfigError("alpha_bar contains non-finite entries")
         if ab[0] != 1.0:
-            raise ScheduleError("alpha_bar[0] must be exactly 1 (clean endpoint)")
+            raise ConfigError("alpha_bar[0] must be exactly 1 (clean endpoint)")
         if ab[-1] <= 0.0:
-            raise ScheduleError("alpha_bar must stay strictly positive")
+            raise ConfigError("alpha_bar must stay strictly positive")
         if not np.all(np.diff(ab) < 0.0):
-            raise ScheduleError("alpha_bar must be strictly decreasing in t")
+            raise ConfigError("alpha_bar must be strictly decreasing in t")
 
         # SNR diverges at t = 0; the slot is filled with inf and guarded by phi().
         snr = np.empty_like(ab)
@@ -91,9 +91,9 @@ def build_linear_beta(t_train: int, beta_start: float = 1e-4,
     evenly spaced grid of t_train points.
     """
     if t_train < 2:
-        raise ScheduleError("t_train must be at least 2")
+        raise ConfigError("t_train must be at least 2")
     if not (0.0 < beta_start <= beta_end < 1.0):
-        raise ScheduleError(
+        raise ConfigError(
             f"betas must satisfy 0 < beta_start <= beta_end < 1, "
             f"got ({beta_start}, {beta_end})"
         )
@@ -122,15 +122,15 @@ def gamma(phi_t: float, phi_t1: float, phi_t2: float) -> float:
     """
     den = phi_t1 - phi_t2
     if not den > 0.0:
-        raise DegenerateScheduleError(
+        raise NumericError(
             f"phi must strictly decrease in t: phi_t1={phi_t1}, phi_t2={phi_t2}"
         )
     num = phi_t - phi_t1
     if not num > 0.0:
-        raise DegenerateScheduleError(
+        raise NumericError(
             f"phi must strictly decrease in t: phi_t={phi_t}, phi_t1={phi_t1}"
         )
     out = num / den
     if not np.isfinite(out):
-        raise DegenerateScheduleError(f"gamma overflowed: {num} / {den}")
+        raise NumericError(f"gamma overflowed: {num} / {den}")
     return out

@@ -20,6 +20,9 @@ from ltc_accel import (
     ConfigError,
     DiagGmmDenoiser,
     ExperimentConfig,
+    LtcError,
+    NumericError,
+    TraceError,
     accelerated_sample,
     benchmark_gmm,
     build_linear_beta,
@@ -153,6 +156,8 @@ def test_parse_overlays_base_preserving_unset_keys(tmp_path):
     ("[plan]\nintervall = 1,2\n", "unknown key"),
     ("[sampling]\nsteps = many\n", "bad value"),
     ("[plan]\ninterval = 1,2,3\n", "interval"),
+    ("[plan]\ninterval = 13.7, 39.9\n", "bad value for plan.interval"),
+    ("[plan]\ninterval = inf, 4\n", "bad value for plan.interval"),
     ("[plan]\nbias = maybe\n", "bias"),
     ("[plan]\nper_seed_wg = probably\n", "boolean"),
     ("[denoiser]\nkind = point\n", "requires mu"),
@@ -287,6 +292,9 @@ def test_benchmark_gmm_is_frozen():
     assert a.means.shape == (3, 16)
     assert np.all(np.abs(a.means) <= 4.5)
     assert np.all((a.variances >= 0.6) & (a.variances <= 1.4))
+    for dim in (0, -1):
+        with pytest.raises(ConfigError, match="dim must be at least 1"):
+            benchmark_gmm(sched, dim)
 
 
 def test_benchmark_angle_profile_has_midrun_low_band(tmp_path):
@@ -642,14 +650,24 @@ def test_cli_numeric_error_exit(tmp_path, capsys):
     assert "numeric error" in capsys.readouterr().err
 
 
-def test_cli_interrupt_exit(tmp_path, monkeypatch, capsys):
-    def interrupted(cfg, mode):
-        raise KeyboardInterrupt
+@pytest.mark.parametrize("fault,code,err", [
+    (ConfigError("c"), 2, "ltc: configuration error: c\n"),
+    (NumericError("n"), 3, "ltc: numeric error: n\n"),
+    (TraceError("t"), 4, "ltc: i/o error: t\n"),
+    (OSError("o"), 4, "ltc: i/o error: o\n"),
+    (KeyboardInterrupt(), 130, "ltc: interrupted\n"),
+], ids=["config", "numeric", "trace", "os", "interrupt"])
+def test_cli_interrupt_exit(tmp_path, monkeypatch, capsys, fault, code, err):
+    # one exception class per exit code, and nothing else derives from LtcError
+    assert set(LtcError.__subclasses__()) == {ConfigError, NumericError, TraceError}
 
-    monkeypatch.setattr(sys.modules["ltc_accel.cli"], "run", interrupted)
+    def failing(cfg, mode):
+        raise fault
+
+    monkeypatch.setattr(sys.modules["ltc_accel.cli"], "run", failing)
     rc = main(["sample", "--seed-set", "0", "--out", str(tmp_path / "o")])
-    assert rc == 130
-    assert capsys.readouterr().err == "ltc: interrupted\n"
+    assert rc == code
+    assert capsys.readouterr().err == err
 
 
 def test_cli_io_error_exit(tmp_path, capsys):
@@ -802,3 +820,95 @@ def test_cli_faulty_trace_manifest_exits_4(tmp_path_factory, fault):
     err = err.getvalue()
     assert err.startswith("ltc: i/o error: ") and "Traceback" not in err
     assert not (tmp_path / "o" / "report.csv").exists()
+
+
+_BAD = ["0", "-1", "nan", "inf", "-inf"]
+_cells = st.sampled_from(["0.5", "1", "-2", "3", *_BAD])
+
+
+def _joined(lists, sep=","):
+    return lists.map(lambda xs: sep.join(xs))
+
+
+_rows = _joined(st.lists(_cells, min_size=1, max_size=3))
+# ';'-separated rows, ragged when the row lengths differ
+_matrices = _joined(st.lists(_rows, min_size=1, max_size=3), ";")
+
+# (valid values, faulty values) a user can type for each config key but
+# run.out. The faulty ones are zero, negative, NaN, inf, non-summing,
+# wrong-count, ragged or unknown; sizes stay small: dim <= 64, steps <= 60,
+# at most 4 seeds. The valid gmm values make a 2-component mixture in d = 1
+# or d = 2, and the trace of _small_trace_config has t_train 24 and 3 seeds.
+_INI_VALUES = {
+    ("schedule", "t_train"): (["24", "1000"], ["-1", "0", "1", "2"]),
+    ("schedule", "beta_start"): (["1e-4", "0.02"], ["1", *_BAD]),
+    ("schedule", "beta_end"): (["0.02", "0.05"], ["1", "1e-5", *_BAD]),
+    ("sampling", "steps"): (["6", "20", "40", "60"], ["-1", "0", "1", "2"]),
+    ("denoiser", "kind"): (list(harness._KINDS), ["vae"]),
+    ("denoiser", "dim"): (["1", "2", "16", "64"], ["-1", "0"]),
+    ("denoiser", "mu"): (["0.5,-1", "1,2,3"], _joined(st.lists(_cells, max_size=4))),
+    ("denoiser", "weights"): (["0.5,0.5", "0.3,0.7"],
+                              st.sampled_from(["1", "0.5,0.6", "1,0"]) | _rows),
+    ("denoiser", "means"): (["-1;1", "0,0;2,2"], _matrices),
+    ("denoiser", "variances"): (["0.5;0.5", "1,1;1,1"], _matrices),
+    ("denoiser", "manifest"): (["eps.trace"], ["absent.trace"]),
+    ("plan", "interval"): (["auto", "none", "3,5", "13,39"],
+                           ["0,4", "5,3", "2,99", "-1,4", "1.5,4", "inf,4"]),
+    ("plan", "r"): (["2"], ["-1", "0", "1", "3"]),
+    ("plan", "tau"): (["0.1", "0.15"], ["0.2", *_BAD]),
+    ("plan", "bias"): (["refine", "0", "0.05"], ["-1", "nan", "inf"]),
+    ("plan", "phi_mode"): ([m.value for m in harness.PhiMode], ["log_snr"]),
+    ("plan", "per_seed_wg"): (["true", "false"], ["maybe"]),
+    ("plan", "calibration_seed"): (["-1", "0"], ["-2", "3", "99"]),
+    ("bias", "lo"): (["-0.05", "0"], ["0.2", *_BAD]),
+    ("bias", "hi"): (["0.10", "0"], ["-0.1", *_BAD]),
+    ("bias", "search"): (["grid", "binary"], ["random"]),
+    ("run", "seeds"): (["0", "0,1", "2,0,1"], _joined(
+        st.lists(st.integers(-1, 5).map(str), max_size=4))),
+    ("run", "jobs"): (["1", "2"], ["-1", "0"]),
+}
+
+
+@st.composite
+def _config_values(draw):
+    """Every [denoiser] key and some others with valid values, and up to two
+    keys with faulty ones."""
+    keys = sorted(_INI_VALUES)
+    faulty = draw(st.lists(st.sampled_from(keys), max_size=2, unique=True))
+    present = set(draw(st.lists(st.sampled_from(keys), unique=True)))
+    present |= {k for k in keys if k[0] == "denoiser"}
+    values = {}
+    for key in sorted(present) + faulty:
+        valid, bad = _INI_VALUES[key]
+        bad = bad if isinstance(bad, st.SearchStrategy) else st.sampled_from(bad)
+        values[key] = draw(bad if key in faulty else st.sampled_from(valid))
+    return values
+
+
+@settings(max_examples=150, deadline=None)
+@example(values={("denoiser", "kind"): "point", ("denoiser", "mu"): "nan"},
+         mode="sample")
+@example(values={("denoiser", "kind"): "gmm", ("denoiser", "weights"): "0.5,0.5",
+                 ("denoiser", "means"): "0;1,2", ("denoiser", "variances"): "1;1"},
+         mode="sample")
+@example(values={("denoiser", "dim"): "0"}, mode="refine")
+@given(values=_config_values(), mode=st.sampled_from(harness.MODES))
+def test_cli_fuzzed_config_never_tracebacks(tmp_path_factory, values, mode):
+    # any config a user can type ends in exit 0, 2, 3 or 4 with a message
+    assert set(_INI_VALUES) == set(harness._KEYS) - {("run", "out")}
+    tmp_path = tmp_path_factory.mktemp("cfg")
+    _small_trace_config(tmp_path)  # eps.trace
+    values = {**values, ("run", "out"): "o"}
+    sections: dict = {}
+    for (section, key), value in values.items():
+        if key in ("manifest", "out"):
+            value = str(tmp_path / value)
+        sections.setdefault(section, []).append(f"{key} = {value}\n")
+    ini = write_ini(tmp_path / "c.ini", "".join(
+        f"[{sec}]\n" + "".join(lines) for sec, lines in sections.items()))
+    with contextlib.redirect_stderr(io.StringIO()) as err:
+        rc = main([mode, "--config", ini])
+    err = err.getvalue()
+    assert rc in (0, 2, 3, 4)
+    assert "Traceback" not in err
+    assert rc == 0 or err.startswith("ltc: ")

@@ -10,10 +10,10 @@ from hypothesis.extra.numpy import arrays
 
 from ltc_accel import (
     AccelerationPlan,
-    DegenerateTransitionError,
+    ConfigError,
     DiagGmmDenoiser,
+    NumericError,
     PhiMode,
-    PlanError,
     Trajectory,
     accelerated_sample,
     angle,
@@ -172,7 +172,7 @@ class TestWgClosedForm:
 
     def test_rejects_degenerate_inputs(self):
         d1, z = _vec(1, 0), _vec(0, 0)
-        with pytest.raises(DegenerateTransitionError):
+        with pytest.raises(NumericError, match="previous displacement is zero"):
             wg_closed_form(d1, z, 1.0)
         with pytest.raises(ValueError):
             wg_closed_form(d1, d1, 0.0)
@@ -241,7 +241,7 @@ class TestAngleTrace:
         traj = Trajectory(timesteps=np.array([3, 2, 1, 0]), states=states)
         tr = angle_trace(traj)
         # iteration 2 delta is zero, so angles at iterations 2 and 3 degenerate
-        assert tr.start == 2
+        assert len(tr.angles) == 2  # iterations 2 and 3
         assert tr.angles[0] == np.pi and tr.angles[1] == np.pi
         assert tr.degenerate == (2, 3)
 
@@ -249,7 +249,9 @@ class TestAngleTrace:
         traj = sample_full(gmm, sched, initial_noise(8, 3), make_timesteps(1000, 20))
         tr = angle_trace(traj)
         assert len(tr.angles) == 19
-        assert tr.iteration_interval((0, 18)) == (2, 20)
+        d = np.diff(traj.states, axis=0)
+        assert tr.angles[0] == angle(d[1], d[0])  # iteration 2
+        assert tr.angles[18] == angle(d[19], d[18])  # iteration 20
 
     @pytest.mark.filterwarnings("error")  # zero norms must not warn
     def test_batch_rows_equal_single_runs_and_angle(self, sched, gmm):
@@ -345,28 +347,28 @@ class TestAccelerationPlan:
         assert len(plan.selected()) == 13
 
     def test_validate_bounds(self):
-        with pytest.raises(PlanError):
+        with pytest.raises(ConfigError, match=r"interval \[0, 10\] must satisfy"):
             AccelerationPlan(interval=(0, 10)).validate(40, require_wg=False)
-        with pytest.raises(PlanError):
+        with pytest.raises(ConfigError, match=r"interval \[13, 40\] must satisfy"):
             AccelerationPlan(interval=(13, 40)).validate(40, require_wg=False)
-        with pytest.raises(PlanError):
+        with pytest.raises(ConfigError, match=r"interval \[20, 13\] must satisfy"):
             AccelerationPlan(interval=(20, 13)).validate(40, require_wg=False)
         # iteration 1 would be selected but has only one prior state
-        with pytest.raises(PlanError):
+        with pytest.raises(ConfigError, match="lacks two prior states"):
             AccelerationPlan(interval=(1, 9)).validate(40, require_wg=False)
         AccelerationPlan(interval=(2, 39)).validate(40, require_wg=False)
 
     def test_validate_parameters(self):
-        with pytest.raises(PlanError):
+        with pytest.raises(ConfigError, match="r must be at least 2"):
             AccelerationPlan(interval=None, r=1).validate(40, require_wg=False)
-        with pytest.raises(PlanError):
+        with pytest.raises(ConfigError, match="tau must be positive"):
             AccelerationPlan(interval=None, tau=0.0).validate(40, require_wg=False)
-        with pytest.raises(PlanError):
+        with pytest.raises(ConfigError, match="bias must be finite"):
             AccelerationPlan(interval=None, bias=np.nan).validate(40, require_wg=False)
         wg = dict.fromkeys(range(13, 40, 2), 1.0)
         for bad in (np.nan, np.inf, -np.inf):
             plan = AccelerationPlan(interval=(13, 39), wg={**wg, 13: bad, 27: bad})
-            with pytest.raises(PlanError, match=r"\[13, 27\]"):
+            with pytest.raises(ConfigError, match=r"\[13, 27\]"):
                 plan.validate(40, require_wg=True)
         with pytest.warns(UserWarning, match="ceiling"):
             AccelerationPlan(interval=None, tau=0.2).validate(40, require_wg=False)
@@ -375,7 +377,7 @@ class TestAccelerationPlan:
 
     def test_missing_wg_entries_rejected(self):
         plan = AccelerationPlan(interval=(13, 39), wg={13: 1.0})
-        with pytest.raises(PlanError, match="wg entry"):
+        with pytest.raises(ConfigError, match="wg entry"):
             plan.validate(40, require_wg=True)
         plan.validate(40, require_wg=False)
 
@@ -588,16 +590,16 @@ class TestCalibrateAndApply:
         x0 = np.stack([initial_noise(8, k) for k in range(3)])
         wg = calibrate_wg(gmm, sched, x0, ts, plan).wg
         accelerated_sample(gmm, sched, x0, ts, plan.with_wg(wg))
-        with pytest.raises(PlanError, match="per-row wg"):
+        with pytest.raises(ConfigError, match="per-row wg"):
             accelerated_sample(gmm, sched, x0, ts,
                                plan.with_wg({i: w[:2] for i, w in wg.items()}))
-        with pytest.raises(PlanError, match="per-row wg"):
+        with pytest.raises(ConfigError, match="per-row wg"):
             accelerated_sample(gmm, sched, x0[0], ts, plan.with_wg(wg))
 
     def test_missing_wg_rejected_at_apply(self, sched, gmm):
         ts = make_timesteps(1000, 40)
         plan = AccelerationPlan(interval=(13, 39), wg={})
-        with pytest.raises(PlanError):
+        with pytest.raises(ConfigError, match="wg entry"):
             accelerated_sample(gmm, sched, initial_noise(8, 0), ts, plan)
 
 

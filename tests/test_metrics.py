@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ltc_accel import MetricError, aggregate, end_error, nfe_speedup, psnr
+from ltc_accel import NumericError, aggregate, end_error, nfe_speedup, psnr
 from ltc_accel.metrics import SCHEMAS, read_csv, write_csv
 
 # Hand value: reference peak 1, mse = 0.005 -> 10 * log10(200)
@@ -28,11 +28,11 @@ def test_psnr_identical_inputs_hit_cap():
 
 
 def test_psnr_rejects_undefined_cases():
-    with pytest.raises(MetricError):
-        psnr(np.array([1.0, 1.0]), np.array([1.0, 2.0]))  # constant reference
-    with pytest.raises(MetricError):
+    with pytest.raises(NumericError, match="constant reference"):
+        psnr(np.array([1.0, 1.0]), np.array([1.0, 2.0]))
+    with pytest.raises(NumericError, match="shape mismatch"):
         psnr(np.array([1.0]), np.array([1.0, 2.0]))
-    with pytest.raises(MetricError):
+    with pytest.raises(NumericError, match="must be finite"):
         psnr(np.array([np.nan, 1.0]), np.array([0.0, 1.0]))
 
 
@@ -58,7 +58,7 @@ def test_end_error_hand_value():
 
 
 def test_end_error_rejects_zero_reference():
-    with pytest.raises(MetricError):
+    with pytest.raises(NumericError, match="zero reference"):
         end_error(np.zeros(3), np.ones(3))
 
 
@@ -85,16 +85,16 @@ def test_batched_metrics_check_every_row():
     bad = {"constant": np.array([[0.0, 1.0], [2.0, 2.0]]),
            "zero": np.array([[0.0, 1.0], [0.0, 0.0]]),
            "nan": np.array([[0.0, 1.0], [np.nan, 3.0]])}
-    with pytest.raises(MetricError, match="constant"):
+    with pytest.raises(NumericError, match="constant"):
         psnr(bad["constant"], ref)
-    with pytest.raises(MetricError, match="zero reference"):
+    with pytest.raises(NumericError, match="zero reference"):
         end_error(bad["zero"], ref)
-    with pytest.raises(MetricError, match="finite"):
+    with pytest.raises(NumericError, match="finite"):
         psnr(ref, bad["nan"])
     for f in (psnr, end_error):
-        with pytest.raises(MetricError, match="shape"):
+        with pytest.raises(NumericError, match="shape"):
             f(ref, ref[:1])
-    with pytest.raises(MetricError):
+    with pytest.raises(NumericError, match="need 1 <= nfe <= iterations"):
         nfe_speedup(40, np.array([26, 0]))
     assert np.array_equal(nfe_speedup(40, np.array([26, 40])), [40 / 26, 1.0])
 
@@ -102,9 +102,9 @@ def test_batched_metrics_check_every_row():
 def test_nfe_speedup_golden_and_errors():
     assert nfe_speedup(40, 26) == pytest.approx(40 / 26, rel=1e-15)
     assert nfe_speedup(40, 40) == 1.0
-    with pytest.raises(MetricError):
+    with pytest.raises(NumericError, match="need 1 <= nfe <= iterations"):
         nfe_speedup(40, 0)
-    with pytest.raises(MetricError):
+    with pytest.raises(NumericError, match="need 1 <= nfe <= iterations"):
         nfe_speedup(40, 41)
 
 
@@ -128,9 +128,9 @@ def test_aggregate_is_permutation_invariant(series, rnd):
 
 
 def test_aggregate_rejects_bad_input():
-    with pytest.raises(MetricError):
+    with pytest.raises(NumericError, match="nothing to aggregate"):
         aggregate([])
-    with pytest.raises(MetricError):
+    with pytest.raises(NumericError, match="equal length"):
         aggregate([[1.0, 2.0], [1.0]])
 
 
@@ -155,10 +155,10 @@ def test_csv_rewrite_is_byte_identical(tmp_path):
 
 def test_csv_schema_enforcement(tmp_path):
     path = str(tmp_path / "x.csv")
-    with pytest.raises(MetricError):
+    with pytest.raises(NumericError, match="rows need 2 cells"):
         write_csv(path, "angle", [(1, 2, 3)])
     write_csv(path, "angle", [(1, 2.0)])
-    with pytest.raises(MetricError):
+    with pytest.raises(NumericError, match="does not match schema"):
         read_csv(path, "error_summary")
     (tmp_path / "x.csv").write_text("Timestep,Angle\n1,abc\n")
     with pytest.raises(ValueError):
@@ -183,5 +183,5 @@ def test_csv_write_that_stores_other_bytes_is_rejected(tmp_path, monkeypatch):
     path = str(tmp_path / "angle.csv")
     with monkeypatch.context() as m:
         m.setattr(os, "write", corrupting)
-        with pytest.raises(MetricError, match="differs"):
+        with pytest.raises(NumericError, match="differs"):
             write_csv(path, "angle", [(2, 0.5)])

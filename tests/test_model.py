@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ltc_accel import NumericError, TraceError, TraceExhaustedError, build_linear_beta
+from ltc_accel import ConfigError, NumericError, TraceError, build_linear_beta
 from ltc_accel.model import (
     DiagGmmDenoiser,
     PointMassDenoiser,
@@ -40,6 +40,8 @@ class TestPointMass:
             assert np.allclose(x0, mu, rtol=1e-12, atol=1e-12)
 
     def test_rejects_bad_inputs(self, sched):
+        with pytest.raises(ConfigError, match="finite vector"):
+            PointMassDenoiser([0.0, np.inf], sched)
         den = PointMassDenoiser([0.0, 1.0], sched)
         with pytest.raises(NumericError):
             den.epsilon_hat([np.nan, 0.0], 10)
@@ -144,10 +146,13 @@ class TestDiagGmm:
             ([1.0], [[0.0]], [[-0.1]]),                        # negative variance
             ([0.5, 0.5], [[0.0]], [[0.1]]),                    # k mismatch
             ([1.0], [[0.0, 1.0]], [[0.1]]),                    # shape mismatch
+            ([0.5, 0.5], [[0.0], [1.0, 2.0]], [[0.1], [0.1]]), # ragged rows
+            ([1.0], [[]], [[]]),                               # d = 0
+            ([1.0], [[np.nan]], [[0.1]]),                      # non-finite
         ],
     )
     def test_rejects_invalid_mixtures(self, sched, w, means, var):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             DiagGmmDenoiser(w, means, var, sched)
 
 
@@ -222,11 +227,11 @@ class TestRecordedTraceDenoiser:
         path = str(tmp_path / "d.trace")
         write_trace(path, data)
         den = RecordedTraceDenoiser.from_manifest(path, seed=0)
-        with pytest.raises(TraceExhaustedError):
+        with pytest.raises(TraceError, match="trace covers 1 <= t <= 3, got t=0"):
             den.epsilon_hat(np.zeros(2), 0)
-        with pytest.raises(TraceExhaustedError):
+        with pytest.raises(TraceError, match="trace covers 1 <= t <= 3, got t=4"):
             den.epsilon_hat(np.zeros(2), 4)
-        with pytest.raises(TraceExhaustedError):
+        with pytest.raises(TraceError, match=r"trace holds seeds 0\.\.0, got 1"):
             RecordedTraceDenoiser(data, seed=1)
 
 
@@ -242,7 +247,7 @@ class TestRecordedTraceDenoiser:
             den.epsilon_hat(np.zeros((2, 2)), 4)
         with pytest.raises(ValueError):
             den.epsilon_hat(np.zeros(2), 4)
-        with pytest.raises(TraceExhaustedError):
+        with pytest.raises(TraceError, match=r"trace holds seeds 0\.\.2, got \[0, 3\]"):
             RecordedTraceDenoiser(data, [0, 3])
 
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from ltc_accel import NoiseSchedule, NumericError, OrderingError, build_linear_beta
+from ltc_accel import ConfigError, NoiseSchedule, NumericError, build_linear_beta
 from ltc_accel.model import DiagGmmDenoiser, PointMassDenoiser
 from ltc_accel.sampler import (
     ddim_step,
@@ -33,9 +33,9 @@ def test_make_timesteps_golden_grid():
 
 
 def test_make_timesteps_rejects_unrepresentable_grid():
-    with pytest.raises(OrderingError):
+    with pytest.raises(ConfigError, match="cannot be placed distinctly"):
         make_timesteps(5, 10)
-    with pytest.raises(OrderingError):
+    with pytest.raises(ConfigError, match="at least one sampling step"):
         make_timesteps(1000, 0)
 
 
@@ -54,9 +54,9 @@ def test_ddim_step_zero_noise_scales_state(sched):
 
 def test_ddim_step_rejects_bad_ordering(sched):
     x = np.zeros(2)
-    with pytest.raises(OrderingError):
+    with pytest.raises(ConfigError, match="t_prev must be below t"):
         ddim_step(x, x, sched, t=100, t_prev=100)
-    with pytest.raises(OrderingError):
+    with pytest.raises(ConfigError, match="t_prev must be below t"):
         ddim_step(x, x, sched, t=100, t_prev=200)
     with pytest.raises(IndexError):
         ddim_step(x, x, sched, t=1001, t_prev=0)
@@ -98,11 +98,11 @@ def test_sample_full_bookkeeping(sched, counting):
 
 def test_sample_full_rejects_bad_inputs(sched):
     den = PointMassDenoiser(np.zeros(2), sched)
-    with pytest.raises(OrderingError):
+    with pytest.raises(ConfigError, match="strictly descending"):
         sample_full(den, sched, np.zeros(2), [100, 100, 0])
-    with pytest.raises(OrderingError):
+    with pytest.raises(ConfigError, match="strictly descending"):
         sample_full(den, sched, np.zeros(2), [100, 200, 0])
-    with pytest.raises(OrderingError):
+    with pytest.raises(ConfigError, match="within"):
         sample_full(den, sched, np.zeros(2), [1200, 600, 0])
     with pytest.raises(NumericError):
         sample_full(den, sched, np.array([np.inf, 0.0]), [100, 0])

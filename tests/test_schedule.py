@@ -6,10 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ltc_accel import (
-    DegenerateScheduleError,
+    ConfigError,
     NoiseSchedule,
+    NumericError,
     PhiMode,
-    ScheduleError,
     build_linear_beta,
     gamma,
     phi,
@@ -48,19 +48,20 @@ def test_alpha_bar_strictly_decreasing_and_positive():
      (40, -0.1, 0.02)],
 )
 def test_build_rejects_invalid_parameters(t_train, b0, b1):
-    with pytest.raises(ScheduleError):
+    match = "t_train must be at least 2" if t_train < 2 else "betas must satisfy"
+    with pytest.raises(ConfigError, match=match):
         build_linear_beta(t_train, b0, b1)
 
 
 def test_from_alpha_bar_validates_table():
     NoiseSchedule.from_alpha_bar([1.0, 0.5, 0.25])
-    with pytest.raises(ScheduleError):
-        NoiseSchedule.from_alpha_bar([0.9, 0.5])  # clean endpoint missing
-    with pytest.raises(ScheduleError):
-        NoiseSchedule.from_alpha_bar([1.0, 0.5, 0.5])  # not strictly decreasing
-    with pytest.raises(ScheduleError):
+    with pytest.raises(ConfigError, match="clean endpoint"):
+        NoiseSchedule.from_alpha_bar([0.9, 0.5])
+    with pytest.raises(ConfigError, match="strictly decreasing"):
+        NoiseSchedule.from_alpha_bar([1.0, 0.5, 0.5])
+    with pytest.raises(ConfigError, match="strictly positive"):
         NoiseSchedule.from_alpha_bar([1.0, 0.5, -0.1])
-    with pytest.raises(ScheduleError):
+    with pytest.raises(ConfigError, match="non-finite"):
         NoiseSchedule.from_alpha_bar([1.0, 0.5, np.nan])
 
 
@@ -115,13 +116,13 @@ def test_gamma_is_one_for_affine_phi():
 
 
 def test_gamma_rejects_non_decreasing_phi():
-    with pytest.raises(DegenerateScheduleError):
+    with pytest.raises(NumericError, match="phi must strictly decrease in t: phi_t1="):
         gamma(3.0, 2.0, 2.0)
-    with pytest.raises(DegenerateScheduleError):
+    with pytest.raises(NumericError, match="phi must strictly decrease in t: phi_t1="):
         gamma(3.0, 2.0, 2.5)
-    with pytest.raises(DegenerateScheduleError):
+    with pytest.raises(NumericError, match="phi must strictly decrease in t: phi_t="):
         gamma(2.0, 2.0, 1.0)
-    with pytest.raises(DegenerateScheduleError):
+    with pytest.raises(NumericError, match="phi must strictly decrease in t: phi_t="):
         gamma(1.5, 2.0, 1.0)
 
 
