@@ -5,8 +5,11 @@ rejected, seeds are always explicit, and reruns of the same config write
 byte-identical files. A run is one in-process pass over one (S, d) batch
 whose rows are the seeds in sorted order: it reads a trace once and makes
 one batched call each for the full runs, the calibration and the
-accelerated runs. `--jobs` is accepted but has no effect, so it stays out
-of the manifest.
+accelerated runs. The calibration and the accelerated runs resume from
+the full runs after the bias-independent prefix (the real steps before
+the first selected iteration), and the bias grid with its zero probe is
+one chain. `--jobs` is accepted but has no effect, so it stays out of
+the manifest.
 
 Modes
 -----
@@ -356,8 +359,12 @@ def run(cfg: ExperimentConfig, mode: str) -> RunReport:
     applied = "accel" in needs or refine
     cal_rows = (list(range(len(seeds))) if "wg" in needs or cfg.per_seed_wg
                 else [cal_row])
+    # Every later chain resumes after the states that no plan changes: those
+    # before the first selected iteration, which the full runs hold.
+    prefix = full.states[:, :min(base.selected(), default=n + 1)]
     if "wg" in needs or applied and base.selected():
-        cal = calibrate_wg(den.take(cal_rows), schedule, x0[cal_rows], ts, base)
+        cal = calibrate_wg(den.take(cal_rows), schedule, x0[cal_rows], ts, base,
+                           prefix=prefix[cal_rows])
     if applied:
         wg, k = cal.wg if base.selected() else {}, cal_rows.index(cal_row)
         plan = base.with_wg(wg if cfg.per_seed_wg else
@@ -373,16 +380,23 @@ def run(cfg: ExperimentConfig, mode: str) -> RunReport:
         files[name] = write_csv(os.path.join(out_dir, name), schema, rows)
 
     # Resolve the bias first so every CSV below reflects the chosen value.
+    # The grid and the zero probe that the search always makes are
+    # independent, so they run as one batch; golden section stays serial.
     if refine:
         grid = np.linspace(cfg.bias_lo, cfg.bias_hi, 11)
+        zero = ([0.0] if cfg.bias_lo <= 0.0 <= cfg.bias_hi and 0.0 not in grid
+                else [])
         objective = _bias_objective(den, schedule, full, plan)
-        mean, lo, hi = aggregate(
-            np.array([objective(float(b)) for b in grid]).T)
+        scores = objective(np.append(grid, zero))
+        mean, lo, hi = aggregate(scores[:len(grid)].T)
         emit("psnr_summary.csv", "psnr_summary", list(zip(grid, mean, lo, hi)))
+        known = list(zip(grid, mean))
+        if zero:  # scored like the search's own probes, by np.mean
+            known.append((0.0, np.mean(scores[-1])))
         bias_star = _search_bias(lambda b: float(np.mean(objective(b))),
                                  cfg.bias_lo, cfg.bias_hi,
                                  mode=cfg.bias_search, tol=1e-5,
-                                 known=zip(grid, mean)).bias
+                                 known=known).bias
         report.bias = bias_star
         result_lines["bias"] = repr(bias_star)
         plan = replace(plan, bias=bias_star)
@@ -407,7 +421,7 @@ def run(cfg: ExperimentConfig, mode: str) -> RunReport:
         report.rows = _rows(seeds, full, cal.trajectory)
 
     if "accel" in needs:
-        acc = accelerated_sample(den, schedule, x0, ts, plan)
+        acc = accelerated_sample(den, schedule, x0, ts, plan, prefix=prefix)
         err_abs = [np.linalg.norm(f - a, axis=1)
                    for f, a in zip(full.states, acc.states)]
         norms = [np.linalg.norm(f, axis=1) for f in full.states]

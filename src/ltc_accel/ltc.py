@@ -223,29 +223,54 @@ def _grid_gamma(schedule: NoiseSchedule, ts: np.ndarray, i: int,
     )
 
 
+def _resume_from(prefix, x_init, ts: np.ndarray, selected):
+    """prefix as an array, checked to hold states 0..k-1 of a full run from
+    x_init with k at most the first selected iteration; None stays None."""
+    if prefix is None:
+        return None
+    prefix = np.asarray(prefix, dtype=np.float64)
+    x_init = np.asarray(x_init, dtype=np.float64)
+    k = prefix.shape[-2] if prefix.ndim == x_init.ndim + 1 else 0
+    if (prefix.shape[:-2] + prefix.shape[-1:] != x_init.shape
+            or not 1 <= k <= min(selected, default=len(ts))
+            or not np.array_equal(prefix[..., 0, :], x_init)):
+        raise ValueError(
+            f"prefix of shape {prefix.shape} is not the states of a full run "
+            f"from x_init before the first selected iteration")
+    return prefix
+
+
 def accelerated_sample(denoiser, schedule: NoiseSchedule, x_init, timesteps,
-                       plan: AccelerationPlan) -> Trajectory:
+                       plan: AccelerationPlan, prefix=None) -> Trajectory:
     """Sampling loop with selected iterations replaced by approximations.
 
     A selected iteration whose previous displacement is exactly zero falls
     back to a real denoiser call (counted in nfe, logged, recorded in
     Trajectory.fallbacks) instead of failing mid-run.
+
+    `prefix` resumes the run from states a full run from x_init already
+    holds: its states[..., :k, :] for any k up to the plan's first
+    selected iteration. Those steps count in nfe; the result is the same.
     """
     ts = check_timesteps(timesteps, schedule.t_train)
     selected = set(plan.validate(len(ts) - 1, require_wg=True,
                                  rows=np.shape(x_init)[:-1]))
     return _chain(denoiser, schedule, x_init, ts, selected,
-                  _extrapolation(schedule, ts, plan))
+                  _extrapolation(schedule, ts, plan),
+                  prefix=_resume_from(prefix, x_init, ts, selected))
 
 
 def _extrapolation(schedule: NoiseSchedule, ts: np.ndarray,
-                   plan: AccelerationPlan):
-    """_chain's reuse hook for a plan: x + (wg[i] + bias) * gamma * d_prev."""
+                   plan: AccelerationPlan, bias=None):
+    """_chain's reuse hook for a plan: x + (wg[i] + bias) * gamma * d_prev,
+    with plan.bias or, given `bias`, one bias per batch row."""
+    bias = plan.bias if bias is None else bias
 
     def extrapolate(i, x, d_prev, rows):
         g = _grid_gamma(schedule, ts, i, plan.phi_mode)
         w = plan.wg[i] if np.ndim(plan.wg[i]) == 0 else plan.wg[i][rows]
-        return approx_step(x, d_prev, w + plan.bias, g)
+        b = bias if np.ndim(bias) == 0 else bias[rows]
+        return approx_step(x, d_prev, w + b, g)
 
     return extrapolate
 
@@ -254,21 +279,36 @@ def _bias_objective(denoiser, schedule: NoiseSchedule, reference: Trajectory,
                     plan: AccelerationPlan):
     """bias -> PSNR of the accelerated end state against the full run.
 
-    `reference` is the full run, one state or a batch; for a batch a call
-    returns the per-row PSNRs. Its states before the first selected
-    iteration are the accelerated run's at any bias, so calls resume there.
+    `reference` is the full run, one state or a batch of S; a call with a
+    scalar bias returns a float, or for a batch the (S,) per-row PSNRs. A
+    call with a 1-D array of B biases returns their (B,) or (B, S) PSNRs
+    from one chain over the reference's rows tiled B times, each equal to
+    the scalar call bit for bit. The reference's states before the first
+    selected iteration are the accelerated run's at any bias, so every
+    call resumes there.
     """
     ts, x_init = reference.timesteps, reference.states[..., 0, :]
     n = len(ts) - 1
     selected = set(plan.validate(n, require_wg=True, rows=x_init.shape[:-1]))
     prefix = reference.states[..., :min(selected, default=n + 1), :]
+    n_rows, lead = len(np.atleast_2d(x_init)), x_init.ndim - 1
 
-    def objective(bias: float):
-        biased = replace(plan, bias=bias)
-        biased.validate(n, require_wg=True)
-        traj = _chain(denoiser, schedule, x_init, ts, selected,
-                      _extrapolation(schedule, ts, biased), prefix=prefix)
-        return psnr(reference.final, traj.final)
+    def objective(bias):
+        b = np.asarray(bias, dtype=np.float64)
+        if b.ndim > 1 or not np.all(np.isfinite(b)):
+            raise ConfigError(f"bias must be finite, one value or 1-D, got {bias}")
+        tile = np.tile(np.arange(n_rows), b.size)  # batch row -> reference row
+
+        def tiled(a):
+            return np.reshape(a, (n_rows, *np.shape(a)[lead:]))[tile]
+
+        wg = {i: w if np.ndim(w) == 0 else w[tile] for i, w in plan.wg.items()}
+        traj = _chain(denoiser.take(tile), schedule, tiled(x_init), ts, selected,
+                      _extrapolation(schedule, ts, replace(plan, wg=wg),
+                                     np.repeat(b, n_rows)),
+                      prefix=tiled(prefix))
+        out = psnr(tiled(reference.final), traj.final)
+        return out.reshape(b.shape + x_init.shape[:-1])[()]
 
     return objective
 
@@ -295,7 +335,7 @@ class CalibrationResult:
 
 
 def calibrate_wg(denoiser, schedule: NoiseSchedule, x_init, timesteps,
-                 plan: AccelerationPlan) -> CalibrationResult:
+                 plan: AccelerationPlan, prefix=None) -> CalibrationResult:
     """Measure per-iteration scales with shadow real steps.
 
     At every selected iteration the real next state is computed, the
@@ -303,7 +343,7 @@ def calibrate_wg(denoiser, schedule: NoiseSchedule, x_init, timesteps,
     the approximated state. A zero previous displacement takes the real
     step and records the neutral scale 1.0; the value is never
     extrapolated because apply-time degeneracy independently falls back
-    to a real step.
+    to a real step. `prefix` resumes the run as in accelerated_sample.
     """
     ts = check_timesteps(timesteps, schedule.t_train)
     n = len(ts) - 1
@@ -326,7 +366,8 @@ def calibrate_wg(denoiser, schedule: NoiseSchedule, x_init, timesteps,
         eps_r[i][rows] = relative_error(x_real, x_star, d_true)
         return x_star
 
-    traj = _chain(denoiser, schedule, x_init, ts, selected, shadow)
+    traj = _chain(denoiser, schedule, x_init, ts, selected, shadow,
+                  prefix=_resume_from(prefix, x_init, ts, selected))
     traj.nfe = np.full(n_rows, n) if np.ndim(x_init) == 2 else n
     if np.ndim(x_init) == 1:
         moved = [i for i in theta if not np.isnan(theta[i][0])]

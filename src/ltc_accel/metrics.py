@@ -10,6 +10,7 @@ its sha256 is taken from those verified bytes.
 from __future__ import annotations
 
 import csv
+import errno
 import hashlib
 import io
 import os
@@ -109,7 +110,8 @@ def _write_verified(path: str, data: bytes) -> bytes:
 
     The file is opened without truncation, written, then cut at the end of
     the data: truncating an existing file to zero first makes some file
-    systems flush it on close. The read-back must equal data.
+    systems flush it on close. A read-back that differs from data is an
+    OSError (EIO).
     """
     fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
     try:
@@ -122,7 +124,8 @@ def _write_verified(path: str, data: bytes) -> bytes:
     with open(path, "rb") as f:
         back = f.read()
     if back != data:
-        raise NumericError(f"verification re-read of {path} differs from the write")
+        raise OSError(errno.EIO,
+                      f"verification re-read of {path} differs from the write")
     return back
 
 
@@ -144,7 +147,8 @@ def write_csv(path: str, schema: str, rows) -> str:
     back = _write_verified(path, buf.getvalue().encode("ascii"))
     back_header, back_rows = _parse_csv(back.decode("ascii"), path, schema)
     if back_header != tuple(header) or len(back_rows) != len(rows):
-        raise NumericError(f"verification re-read failed for {path}")
+        raise OSError(errno.EIO, f"verification re-read of {path} differs "
+                                 "from the rows written")
     return hashlib.sha256(back).hexdigest()
 
 

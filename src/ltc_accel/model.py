@@ -117,8 +117,9 @@ class DiagGmmDenoiser:
         v = ab * self.variances + (1.0 - ab)
         return m, v
 
-    def _log_terms(self, x: np.ndarray, t: int) -> np.ndarray:
-        m, v = self._marginal(t)
+    def _log_terms(self, x: np.ndarray, m: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """Per-component log weight plus log density of x under the
+        marginal (m, v) of one timestep."""
         q = (x[..., None, :] - m) ** 2 / v
         return self._log_w - 0.5 * np.sum(np.log(2.0 * np.pi * v) + q, axis=-1)
 
@@ -126,16 +127,16 @@ class DiagGmmDenoiser:
         """log p_t(x) of the corrupted marginal, one value per row."""
         x = _check_state(x, self.dim)
         _check_t(t, self.schedule.t_train)
-        out = _logsumexp(self._log_terms(x, t))
+        out = _logsumexp(self._log_terms(x, *self._marginal(t)))
         return float(out) if x.ndim == 1 else out
 
     def score(self, x, t: int) -> np.ndarray:
         """grad_x log p_t(x), responsibilities via log-sum-exp."""
         x = _check_state(x, self.dim)
         _check_t(t, self.schedule.t_train)
-        logt = self._log_terms(x, t)
-        r = np.exp(logt - _logsumexp(logt)[..., None])
         m, v = self._marginal(t)
+        logt = self._log_terms(x, m, v)
+        r = np.exp(logt - _logsumexp(logt)[..., None])
         return np.sum(r[..., None] * (m - x[..., None, :]) / v, axis=-2)
 
     def epsilon_hat(self, x, t: int) -> np.ndarray:
@@ -149,8 +150,8 @@ class DiagGmmDenoiser:
     def _far_field(self, x: np.ndarray, t: int, out: np.ndarray) -> np.ndarray:
         """out with the rows whose log terms are all -inf recomputed from the
         nearest component, chosen by a residual scaled to stay finite."""
-        far = np.all(np.atleast_2d(self._log_terms(x, t)) == -np.inf, axis=-1)
         m, v = self._marginal(t)
+        far = np.all(np.atleast_2d(self._log_terms(x, m, v)) == -np.inf, axis=-1)
         res = np.atleast_2d(x)[far][:, None, :] - m
         scaled = res / np.max(np.abs(res), axis=(1, 2), keepdims=True)
         k = np.argmin(np.sum(scaled ** 2 / v, axis=-1), axis=-1)

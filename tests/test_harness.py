@@ -381,13 +381,14 @@ def test_refine_call_count_and_grid_psnr(tmp_path, monkeypatch):
     monkeypatch.setattr(DiagGmmDenoiser, "epsilon_hat", counting)
     cfg = replace(preset("fig4-bias"), seeds=(0, 1), out=str(tmp_path))
     run(cfg, "refine")
-    # Rows evaluated: 2 reference runs (80) + calibration (40) + 31 bias
-    # probes per seed (11 grid, zero, 19 golden), each resuming after the 12
-    # shared real steps (2 * 31 * 15) + the final accelerated runs (2 * 27);
-    # the final rows reuse the search's two reference runs
-    assert sum(calls) == 80 + 40 + 930 + 54
+    # Every chain after the 2 reference runs (40 calls, 80 rows) resumes
+    # after their 12 real steps before iteration 13, the first selected one:
+    # the calibration seed's 28 remaining steps (28 rows), then the 11 grid
+    # biases and zero as one batch of 12 * 2 rows (15 real steps of 24 rows),
+    # 19 golden probes (15 calls of 2 rows each) and the final rows (15 * 2)
+    assert sum(calls) == 80 + 28 + 15 * 24 + 19 * 15 * 2 + 15 * 2
     # Calls: both seeds are one batch, so each step above is one call
-    assert len(calls) == 40 + 40 + 31 * 15 + 27
+    assert len(calls) == 40 + 28 + 15 + 19 * 15 + 15
     monkeypatch.undo()
 
     # From scratch: every grid bias re-runs both chains on every seed.
@@ -410,6 +411,51 @@ def test_refine_call_count_and_grid_psnr(tmp_path, monkeypatch):
             vals.append(psnr(full.final, acc.final))
         assert (lo, hi) == (min(vals), max(vals))
         assert mean == np.mean(sorted(vals))
+
+
+def test_report_call_count(tmp_path, monkeypatch):
+    calls = []
+    epsilon_hat = DiagGmmDenoiser.epsilon_hat
+
+    def counting(self, x, t):
+        calls.append(len(np.atleast_2d(x)))
+        return epsilon_hat(self, x, t)
+
+    monkeypatch.setattr(DiagGmmDenoiser, "epsilon_hat", counting)
+    run(replace(preset("sd2-ddim-40"), seeds=(0, 1), out=str(tmp_path)), "report")
+    # 2 reference runs (40 calls, 80 rows), then the calibration of both
+    # seeds (28 calls) and the accelerated runs (14 real steps), both
+    # resuming after the 12 real steps before iteration 13
+    assert sum(calls) == 80 + 28 * 2 + 14 * 2
+    assert len(calls) == 40 + 28 + 14
+
+
+def test_refine_grid_is_one_batch_with_zero_only_in_range(tmp_path, monkeypatch):
+    batches = []
+    make = harness._bias_objective
+
+    def recording(*args):
+        objective = make(*args)
+
+        def probe(bias):
+            batches.append(np.atleast_1d(bias).tolist())
+            return objective(bias)
+
+        return probe
+
+    monkeypatch.setattr(harness, "_bias_objective", recording)
+    for lo, hi, zero in ((-0.05, 0.10, [0.0]), (0.01, 0.10, []),
+                         (-0.10, -0.02, []), (0.0, 0.10, [])):
+        batches.clear()
+        cfg = replace(preset("fig4-bias"), seeds=(0, 1), bias_lo=lo, bias_hi=hi,
+                      out=str(tmp_path / f"{lo}_{hi}"))
+        run(cfg, "refine")
+        grid = np.linspace(lo, hi, 11).tolist()
+        assert batches[0] == grid + zero
+        # golden section probes one bias at a time, never a known one
+        golden = [b for batch in batches[1:] for b in batch]
+        assert all(len(batch) == 1 for batch in batches[1:]) and golden
+        assert not set(golden) & set(grid + [0.0])
 
 
 def test_report_mode_bundle(tmp_path):
@@ -677,6 +723,22 @@ def test_cli_io_error_exit(tmp_path, capsys):
                "--out", str(blocker / "nested")])
     assert rc == 4
     assert "i/o error" in capsys.readouterr().err
+
+
+def test_cli_failed_write_check_exit(tmp_path, monkeypatch, capsys):
+    write = os.write
+
+    def corrupting(fd, data):  # the file system stores other bytes
+        return write(fd, bytes(data).replace(b"0", b"1"))
+
+    with monkeypatch.context() as m:
+        m.setattr(os, "write", corrupting)
+        rc = main(["angles", "--preset", "sd2-ddim-40", "--seed-set", "0",
+                   "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert rc == 4
+    assert err.startswith("ltc: i/o error:") and "differs" in err
+    assert "Traceback" not in err
 
 
 def test_cli_plan_error_exit(tmp_path, capsys):

@@ -390,6 +390,28 @@ class TestAccelerationPlan:
 INTERVALS_100 = [(2, 38), (13, 39), (21, 99)]  # on a 100-step grid
 
 
+def _kind_batch(kind, seeds, sched, gmm, recorded_data):
+    """(solo, seeds, x0): a batch of the named kind, with solo(k) the
+    denoiser of seed k and solo(seeds) the batch's.
+
+    "mixed": row 0 replays a trace of zeros from x_init = 0, so its
+    selected iterations fall back while the other rows extrapolate.
+    "stall": row 0 replays it from a state so small that squared
+    displacements underflow to 0 late in the run.
+    """
+    data = recorded_data
+    x0 = np.stack([initial_noise(8, k) for k in seeds])
+    if kind in ("mixed", "stall"):
+        data = np.concatenate([data, np.zeros((1, 1000, 8), np.float32)])
+        seeds = [12] + seeds
+        x0 = np.vstack([np.zeros(8) if kind == "mixed"
+                        else 5.5e-163 * initial_noise(8, 0), x0])
+    point = PointMassDenoiser(np.linspace(-1.0, 1.0, 8), sched)
+    solo = {"gmm": lambda k: gmm, "point": lambda k: point}.get(
+        kind, lambda k: RecordedTraceDenoiser(data, k))
+    return solo, seeds, x0
+
+
 class TestCalibrateAndApply:
     def test_error_identity_on_benchmark(self, sched, gmm):
         ts = make_timesteps(1000, 40)
@@ -583,6 +605,87 @@ class TestCalibrateAndApply:
         if kind == "stall" and interval == (21, 99):  # zero true step: (pi, 0)
             assert any(cal.theta[i][0] == np.pi and cal.eps_r[i][0] == 0.0
                        for i in plan.selected())
+
+    @settings(max_examples=30, deadline=None)
+    @example(kind="stall", seeds=[0], interval=(21, 99),
+             phi_mode=PhiMode.SQRT_SNR, bias=0.0)
+    @given(kind=st.sampled_from(["gmm", "point", "trace", "mixed", "stall"]),
+           seeds=st.lists(st.integers(0, 11), min_size=1, max_size=5,
+                          unique=True),
+           interval=st.sampled_from(INTERVALS_100),
+           phi_mode=st.sampled_from(list(PhiMode)),
+           bias=st.floats(-0.05, 0.10))
+    def test_resumed_runs_equal_scratch_runs(self, sched, gmm, recorded_data,
+                                             kind, seeds, interval, phi_mode,
+                                             bias):
+        solo, seeds, x0 = _kind_batch(kind, seeds, sched, gmm, recorded_data)
+        ts = make_timesteps(1000, 100)
+        plan = AccelerationPlan(interval=interval, phi_mode=phi_mode)
+        # the whole batch, and its last row as a (d,) run
+        for den, x in ((solo(seeds), x0), (solo(seeds[-1]), x0[-1])):
+            prefix = sample_full(den, sched, x, ts).states[
+                ..., :plan.selected()[0], :]
+            cal, cal_resumed = (calibrate_wg(den, sched, x, ts, plan, prefix=p)
+                                for p in (None, prefix))
+            for got, want in ((cal_resumed.wg, cal.wg),
+                              (cal_resumed.theta, cal.theta),
+                              (cal_resumed.eps_r, cal.eps_r)):
+                assert got.keys() == want.keys()
+                assert all(np.array_equal(got[i], want[i], equal_nan=True)
+                           for i in want)
+            assert cal_resumed.fallbacks == cal.fallbacks
+            applied = dataclasses.replace(plan.with_wg(cal.wg), bias=bias)
+            acc, acc_resumed = (accelerated_sample(den, sched, x, ts, applied,
+                                                   prefix=p)
+                                for p in (None, prefix))
+            for one, resumed in ((cal.trajectory, cal_resumed.trajectory),
+                                 (acc, acc_resumed)):
+                assert np.array_equal(resumed.states, one.states)
+                assert np.array_equal(resumed.nfe, one.nfe)
+                assert resumed.approximated == one.approximated
+                assert resumed.fallbacks == one.fallbacks
+
+    def test_prefix_must_be_a_full_run_before_the_first_selection(self, sched,
+                                                                  gmm):
+        ts = make_timesteps(1000, 40)
+        plan = AccelerationPlan(interval=(13, 39))
+        x0 = np.stack([initial_noise(8, k) for k in range(2)])
+        states = sample_full(gmm, sched, x0, ts).states
+        wg = calibrate_wg(gmm, sched, x0, ts, plan, prefix=states[:, :13]).wg
+        for bad in (states[:, :14], states[:, :0], states[:1, :13],
+                    states[:, 1:13], states[0, :13]):
+            with pytest.raises(ValueError, match="prefix"):
+                calibrate_wg(gmm, sched, x0, ts, plan, prefix=bad)
+            with pytest.raises(ValueError, match="prefix"):
+                accelerated_sample(gmm, sched, x0, ts, plan.with_wg(wg),
+                                   prefix=bad)
+
+    @settings(max_examples=20, deadline=None)
+    @example(kind="stall", seeds=[0, 3], interval=(21, 99),
+             biases=[0.0, 0.05, -0.05])
+    @given(kind=st.sampled_from(["gmm", "point", "trace", "stall"]),
+           seeds=st.lists(st.integers(0, 11), min_size=1, max_size=4,
+                          unique=True),
+           interval=st.sampled_from(INTERVALS_100),
+           biases=st.lists(st.floats(-0.05, 0.10), min_size=1, max_size=4))
+    def test_batched_biases_equal_scalar_calls(self, sched, gmm, recorded_data,
+                                               kind, seeds, interval, biases):
+        solo, seeds, x0 = _kind_batch(kind, seeds, sched, gmm, recorded_data)
+        ts = make_timesteps(1000, 100)
+        plan = AccelerationPlan(interval=interval)
+        per_row = calibrate_wg(solo(seeds), sched, x0, ts, plan).wg
+        shared = {i: float(w[-1]) for i, w in per_row.items()}
+        # per-row and shared wg on the batch, shared wg on its last row alone
+        for den, x, wg in ((solo(seeds), x0, per_row), (solo(seeds), x0, shared),
+                           (solo(seeds[-1]), x0[-1], shared)):
+            objective = _bias_objective(den, sched, sample_full(den, sched, x, ts),
+                                        plan.with_wg(wg))
+            batch = objective(np.array(biases))
+            assert batch.shape == (len(biases),) + x.shape[:-1]
+            for b, got in zip(biases, batch):
+                assert np.array_equal(got, objective(b))
+        with pytest.raises(ConfigError, match="bias must be finite"):
+            objective(np.array([0.0, np.nan]))
 
     def test_per_row_wg_must_match_rows(self, sched, gmm):
         ts = make_timesteps(1000, 40)

@@ -183,5 +183,5 @@ def test_csv_write_that_stores_other_bytes_is_rejected(tmp_path, monkeypatch):
     path = str(tmp_path / "angle.csv")
     with monkeypatch.context() as m:
         m.setattr(os, "write", corrupting)
-        with pytest.raises(NumericError, match="differs"):
+        with pytest.raises(OSError, match="differs"):
             write_csv(path, "angle", [(2, 0.5)])
