@@ -380,26 +380,15 @@ def run(cfg: ExperimentConfig, mode: str) -> RunReport:
         files[name] = write_csv(os.path.join(out_dir, name), schema, rows)
 
     # Resolve the bias first so every CSV below reflects the chosen value.
-    # The grid and the zero probe that the search always makes are
-    # independent, so they run as one batch; golden section stays serial.
     if refine:
-        grid = np.linspace(cfg.bias_lo, cfg.bias_hi, 11)
-        zero = ([0.0] if cfg.bias_lo <= 0.0 <= cfg.bias_hi and 0.0 not in grid
-                else [])
-        objective = _bias_objective(den, schedule, full, plan)
-        scores = objective(np.append(grid, zero))
-        mean, lo, hi = aggregate(scores[:len(grid)].T)
-        emit("psnr_summary.csv", "psnr_summary", list(zip(grid, mean, lo, hi)))
-        known = list(zip(grid, mean))
-        if zero:  # scored like the search's own probes, by np.mean
-            known.append((0.0, np.mean(scores[-1])))
-        bias_star = _search_bias(lambda b: float(np.mean(objective(b))),
-                                 cfg.bias_lo, cfg.bias_hi,
-                                 mode=cfg.bias_search, tol=1e-5,
-                                 known=known).bias
-        report.bias = bias_star
-        result_lines["bias"] = repr(bias_star)
-        plan = replace(plan, bias=bias_star)
+        found = _search_bias(_bias_objective(den, schedule, full, plan),
+                             cfg.bias_lo, cfg.bias_hi, mode=cfg.bias_search,
+                             tol=1e-5)
+        emit("psnr_summary.csv", "psnr_summary",
+             list(zip(found.grid, *aggregate(found.grid_psnr.T))))
+        report.bias = found.bias
+        result_lines["bias"] = repr(found.bias)
+        plan = replace(plan, bias=found.bias)
 
     if "angles" in needs:
         iters = np.arange(2, n + 1)

@@ -35,7 +35,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ConfigError, NumericError
-from .metrics import psnr
+from .metrics import aggregate, psnr
 from .sampler import Trajectory, _chain, check_timesteps, ddim_step, sample_full
 from .schedule import NoiseSchedule, PhiMode, gamma, phi
 
@@ -277,38 +277,28 @@ def _extrapolation(schedule: NoiseSchedule, ts: np.ndarray,
 
 def _bias_objective(denoiser, schedule: NoiseSchedule, reference: Trajectory,
                     plan: AccelerationPlan):
-    """bias -> PSNR of the accelerated end state against the full run.
-
-    `reference` is the full run, one state or a batch of S; a call with a
-    scalar bias returns a float, or for a batch the (S,) per-row PSNRs. A
-    call with a 1-D array of B biases returns their (B,) or (B, S) PSNRs
-    from one chain over the reference's rows tiled B times, each equal to
-    the scalar call bit for bit. The reference's states before the first
-    selected iteration are the accelerated run's at any bias, so every
-    call resumes there.
+    """A 1-D array of B biases -> the (B, S) PSNRs of the accelerated end
+    states against the S full runs of `reference`, from one chain over its
+    rows tiled B times. The reference's states before the first selected
+    iteration are the accelerated run's at any bias, so every call resumes
+    there.
     """
-    ts, x_init = reference.timesteps, reference.states[..., 0, :]
-    n = len(ts) - 1
-    selected = set(plan.validate(n, require_wg=True, rows=x_init.shape[:-1]))
-    prefix = reference.states[..., :min(selected, default=n + 1), :]
-    n_rows, lead = len(np.atleast_2d(x_init)), x_init.ndim - 1
+    ts, x_init = reference.timesteps, reference.states[:, 0]
+    n, n_rows = len(ts) - 1, len(x_init)
+    selected = set(plan.validate(n, require_wg=True, rows=(n_rows,)))
+    prefix = reference.states[:, :min(selected, default=n + 1)]
 
-    def objective(bias):
-        b = np.asarray(bias, dtype=np.float64)
-        if b.ndim > 1 or not np.all(np.isfinite(b)):
-            raise ConfigError(f"bias must be finite, one value or 1-D, got {bias}")
+    def objective(biases):
+        b = np.asarray(biases, dtype=np.float64)
+        if b.ndim != 1 or not np.all(np.isfinite(b)):
+            raise ConfigError(f"bias must be finite, in a 1-D array, got {biases}")
         tile = np.tile(np.arange(n_rows), b.size)  # batch row -> reference row
-
-        def tiled(a):
-            return np.reshape(a, (n_rows, *np.shape(a)[lead:]))[tile]
-
         wg = {i: w if np.ndim(w) == 0 else w[tile] for i, w in plan.wg.items()}
-        traj = _chain(denoiser.take(tile), schedule, tiled(x_init), ts, selected,
+        traj = _chain(denoiser.take(tile), schedule, x_init[tile], ts, selected,
                       _extrapolation(schedule, ts, replace(plan, wg=wg),
                                      np.repeat(b, n_rows)),
-                      prefix=tiled(prefix))
-        out = psnr(tiled(reference.final), traj.final)
-        return out.reshape(b.shape + x_init.shape[:-1])[()]
+                      prefix=prefix[tile])
+        return psnr(reference.final[tile], traj.final).reshape(b.size, n_rows)
 
     return objective
 
@@ -330,7 +320,6 @@ class CalibrationResult:
     wg: dict
     theta: dict
     eps_r: dict
-    fallbacks: tuple
     trajectory: Trajectory
 
 
@@ -373,8 +362,7 @@ def calibrate_wg(denoiser, schedule: NoiseSchedule, x_init, timesteps,
         moved = [i for i in theta if not np.isnan(theta[i][0])]
         wg = {i: float(w[0]) for i, w in wg.items()}
         theta, eps_r = ({i: float(d[i][0]) for i in moved} for d in (theta, eps_r))
-    return CalibrationResult(wg=wg, theta=theta, eps_r=eps_r,
-                             fallbacks=traj.fallbacks, trajectory=traj)
+    return CalibrationResult(wg=wg, theta=theta, eps_r=eps_r, trajectory=traj)
 
 
 def golden_section_max(f, lo: float, hi: float, tol: float = 1e-6,
@@ -415,43 +403,45 @@ def golden_section_max(f, lo: float, hi: float, tol: float = 1e-6,
 class BiasSearchResult:
     bias: float
     psnr: float
-    evaluations: list  # (bias, psnr) pairs actually probed
+    evaluations: list  # (bias, score) pairs actually probed
+    grid: np.ndarray  # the grid biases
+    grid_psnr: np.ndarray  # (grid points, S) PSNRs at those biases
 
 
 def _search_bias(objective, lo: float, hi: float, mode: str = "grid",
-                 grid_points: int = 11, tol: float = 1e-6,
-                 known=()) -> BiasSearchResult:
+                 grid_points: int = 11, tol: float = 1e-6) -> BiasSearchResult:
     """The bias search behind refine_bias and the harness's refine mode.
 
-    Maximizes objective(bias) over [lo, hi] as refine_bias documents.
-    `known` holds (bias, score) pairs already measured; the objective is
-    never called at those biases. Equal scores go to the smallest |bias|.
+    `objective` maps a 1-D array of B biases to their (B, S) PSNRs. A bias
+    scores metrics.aggregate's mean of its S PSNRs, whatever the batch or
+    the row order. One call scores the grid, plus zero when [lo, hi] holds
+    it off the grid; golden section then probes one bias per call. Equal
+    scores go to the smallest |bias|.
     """
     lo, hi = float(lo), float(hi)
     if hi < lo:
         raise ValueError(f"empty bias interval [{lo}, {hi}]")
     if mode not in ("grid", "binary"):
         raise ValueError(f"unknown search mode {mode!r}")
-    cache = {float(b): float(v) for b, v in known}
+    grid = np.linspace(lo, hi, grid_points)
+    first = np.append(grid, [0.0] if lo <= 0.0 <= hi and 0.0 not in grid else [])
+    first_psnr = objective(first)
+    scores = aggregate(first_psnr.T)[0]
+    cache = dict(zip(first.tolist(), scores.tolist()))
 
     def ev(b: float) -> float:
-        b = float(b)
         if b not in cache:
-            cache[b] = float(objective(b))
+            cache[b] = aggregate(objective(np.array([b])).T)[0].item()
         return cache[b]
 
-    if lo <= 0.0 <= hi:
-        ev(0.0)
     if mode == "grid":
-        grid = np.linspace(lo, hi, grid_points)
-        k = int(np.argmax([ev(b) for b in grid]))
-        golden_section_max(ev, float(grid[max(k - 1, 0)]),
-                           float(grid[min(k + 1, grid_points - 1)]), tol=tol)
-    else:
-        golden_section_max(ev, lo, hi, tol=tol)
+        k = int(np.argmax(scores[:grid_points]))
+        lo, hi = grid[max(k - 1, 0)], grid[min(k + 1, grid_points - 1)]
+    golden_section_max(ev, float(lo), float(hi), tol=tol)
     best = max(cache, key=lambda b: (cache[b], -abs(b)))
     return BiasSearchResult(bias=best, psnr=cache[best],
-                            evaluations=sorted(cache.items()))
+                            evaluations=sorted(cache.items()), grid=grid,
+                            grid_psnr=first_psnr[:grid_points])
 
 
 def refine_bias(denoiser, schedule: NoiseSchedule, x_init, timesteps,
@@ -461,12 +451,13 @@ def refine_bias(denoiser, schedule: NoiseSchedule, x_init, timesteps,
                 tol: float = 1e-6) -> BiasSearchResult:
     """Pick the wg bias maximizing PSNR against the full run.
 
-    mode "grid" scans a uniform grid then refines around the best point by
-    golden section; "binary" runs golden section on the whole interval.
-    Zero is always a candidate when the interval contains it, so the
-    refined bias can never score below the unbiased plan.
+    This is the refine mode's search. Both modes score the grid; then
+    "grid" refines around its best point by golden section and "binary"
+    runs golden section on the whole interval. Zero is always a candidate
+    when the interval contains it, so the refined bias never scores below
+    the unbiased plan. An (S, d) x_init is scored by its mean PSNR.
     """
-    reference = sample_full(denoiser, schedule, x_init, timesteps)
+    reference = sample_full(denoiser, schedule, np.atleast_2d(x_init), timesteps)
     return _search_bias(_bias_objective(denoiser, schedule, reference, plan),
                         interval[0], interval[1], mode=mode,
                         grid_points=grid_points, tol=tol)

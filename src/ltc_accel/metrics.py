@@ -86,8 +86,9 @@ def nfe_speedup(total_iterations: int, nfe):
 def aggregate(series) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Elementwise (mean, min, max) across equally long 1-D series.
 
-    Columns are sorted before summation so the result is exactly
-    permutation-invariant in the series order.
+    Each column is sorted, then summed in order: the mean is exactly
+    permutation-invariant, and a column gets the same bits alone as inside
+    a wider stack, where numpy's mean would sum it pairwise.
     """
     arrays = [np.asarray(s, dtype=np.float64) for s in series]
     if not arrays:
@@ -96,7 +97,7 @@ def aggregate(series) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     if any(a.ndim != 1 or a.shape != length for a in arrays):
         raise NumericError("series must all be 1-D with equal length")
     stack = np.sort(np.vstack(arrays), axis=0)
-    return stack.mean(axis=0), stack[0], stack[-1]
+    return np.add.accumulate(stack, axis=0)[-1] / len(stack), stack[0], stack[-1]
 
 
 def _format_cell(v) -> str:

@@ -179,7 +179,7 @@ def test_criterion_6_bias_refinement(tmp_path):
     stub_ok = True
     stub_err = 0.0
     for mode in ("grid", "binary"):
-        res = _search_bias(lambda b: 40.0 - 100.0 * (b - 0.02) ** 2,
+        res = _search_bias(lambda b: (40.0 - 100.0 * (b - 0.02) ** 2)[:, None],
                            -0.05, 0.10, mode=mode)
         stub_err = max(stub_err, abs(res.bias - 0.02))
         stub_ok = stub_ok and abs(res.bias - 0.02) <= 1e-4

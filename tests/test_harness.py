@@ -3,9 +3,11 @@ byte-level determinism, exit codes."""
 
 import configparser
 import contextlib
+import functools
 import hashlib
 import io
 import multiprocessing.process
+import operator
 import os
 import sys
 from dataclasses import replace
@@ -24,6 +26,7 @@ from ltc_accel import (
     NumericError,
     TraceError,
     accelerated_sample,
+    aggregate,
     benchmark_gmm,
     build_linear_beta,
     calibrate_wg,
@@ -456,6 +459,39 @@ def test_refine_grid_is_one_batch_with_zero_only_in_range(tmp_path, monkeypatch)
         golden = [b for batch in batches[1:] for b in batch]
         assert all(len(batch) == 1 for batch in batches[1:]) and golden
         assert not set(golden) & set(grid + [0.0])
+
+
+def test_bias_score_does_not_depend_on_the_batch(tmp_path, monkeypatch):
+    # Every bias the search scores, in the grid batch or alone, gets
+    # aggregate's Mean over the seeds; so a grid bias scored alone equals
+    # its psnr_summary.csv Mean bit for bit, whatever the row order.
+    objectives = []
+    make = harness._bias_objective
+
+    def recording(*args):
+        objectives.append(make(*args))
+        return objectives[-1]
+
+    monkeypatch.setattr(harness, "_bias_objective", recording)
+    run(replace(preset("fig4-bias"), out=str(tmp_path)), "refine")
+    _, rows = read_csv(tmp_path / "psnr_summary.csv", "psnr_summary")
+    rng = np.random.default_rng(0)
+    for bias, mean, _, _ in rows:
+        alone = objectives[0](np.array([bias]))
+        assert alone.shape == (1, 10)
+        assert aggregate(alone.T)[0][0] == mean
+        assert aggregate(alone[:, rng.permutation(10)].T)[0][0] == mean
+    # The rule rests on np.add.accumulate summing an (S, 1) column in the
+    # same order as each column of a wider stack. np.mean does not: once
+    # S >= 8 it sums one column pairwise but several row by row.
+    for S in (8, 10, 20):
+        for seed in range(5):
+            stack = rng.standard_normal((S, 12)) * 10.0 ** rng.uniform(-3, 8, 12)
+            wide = aggregate(stack)[0]
+            for j in range(12):
+                col = np.sort(stack[:, j])
+                assert aggregate(stack[:, [j]])[0][0] == wide[j]
+                assert wide[j] == functools.reduce(operator.add, col) / S
 
 
 def test_report_mode_bundle(tmp_path):

@@ -499,7 +499,7 @@ class TestCalibrateAndApply:
         assert acc.approximated == ()
         assert acc.nfe == 8  # fallbacks pay real evaluations
         cal = calibrate_wg(den, flat, np.zeros(2), ts, plan)
-        assert cal.fallbacks == (3, 5, 7)
+        assert cal.trajectory.fallbacks == (3, 5, 7)
         assert all(cal.wg[i] == 1.0 for i in (3, 5, 7))
 
     @settings(max_examples=40, deadline=None)
@@ -534,10 +534,10 @@ class TestCalibrateAndApply:
         assert resumed.nfe == acc.nfe
         if kind == "zero":
             assert acc.fallbacks == sel  # psnr is undefined on a 0 reference
-        else:
-            objective = _bias_objective(den, s, full,
+        else:  # the (d,) run as a 1-row batch
+            objective = _bias_objective(den, s, sample_full(den, s, x0[None], ts),
                                         dataclasses.replace(plan, bias=0.0))
-            assert objective(bias) == psnr(full.final, acc.final)
+            assert objective([bias])[0] == psnr(full.final, acc.final)
 
     @settings(max_examples=30, deadline=None)
     @example(kind="stall", seeds=[0], interval=(21, 99),
@@ -579,7 +579,7 @@ class TestCalibrateAndApply:
         # only rows taking a real step reach the denoiser
         assert sum(rows for _, rows in counted.calls) == sum(acc.nfe)
         if kind != "mixed":  # psnr is undefined on the zero row
-            probe = _bias_objective(den, sched, full, applied)(bias)
+            probe = _bias_objective(den, sched, full, applied)([bias])[0]
         for j, k in enumerate(seeds):
             s_full = sample_full(solo(k), sched, x0[j], ts)
             s_cal = calibrate_wg(solo(k), sched, x0[j], ts, plan)
@@ -633,7 +633,7 @@ class TestCalibrateAndApply:
                 assert got.keys() == want.keys()
                 assert all(np.array_equal(got[i], want[i], equal_nan=True)
                            for i in want)
-            assert cal_resumed.fallbacks == cal.fallbacks
+            assert cal_resumed.trajectory.fallbacks == cal.trajectory.fallbacks
             applied = dataclasses.replace(plan.with_wg(cal.wg), bias=bias)
             acc, acc_resumed = (accelerated_sample(den, sched, x, ts, applied,
                                                    prefix=p)
@@ -677,15 +677,16 @@ class TestCalibrateAndApply:
         shared = {i: float(w[-1]) for i, w in per_row.items()}
         # per-row and shared wg on the batch, shared wg on its last row alone
         for den, x, wg in ((solo(seeds), x0, per_row), (solo(seeds), x0, shared),
-                           (solo(seeds[-1]), x0[-1], shared)):
+                           (solo(seeds[-1]), x0[-1:], shared)):
             objective = _bias_objective(den, sched, sample_full(den, sched, x, ts),
                                         plan.with_wg(wg))
             batch = objective(np.array(biases))
             assert batch.shape == (len(biases),) + x.shape[:-1]
             for b, got in zip(biases, batch):
-                assert np.array_equal(got, objective(b))
-        with pytest.raises(ConfigError, match="bias must be finite"):
-            objective(np.array([0.0, np.nan]))
+                assert np.array_equal(got, objective([b])[0])
+        for bad in (np.array([0.0, np.nan]), 0.0, [[0.0]]):
+            with pytest.raises(ConfigError, match="bias must be finite"):
+                objective(bad)
 
     def test_per_row_wg_must_match_rows(self, sched, gmm):
         ts = make_timesteps(1000, 40)
@@ -717,16 +718,29 @@ class TestGoldenSection:
             golden_section_max(lambda x: x, 1.0, 0.0)
 
 
+def _stub(biases):
+    """Batched concave PSNR stub with its argmax at 0.02, one row."""
+    return (40.0 - 100.0 * (np.asarray(biases) - 0.02) ** 2)[:, None]
+
+
+def _ramp(biases):
+    return np.asarray(biases)[:, None]
+
+
 class TestRefineBias:
     def test_stub_recovers_analytic_argmax(self):
-        stub = lambda b: 40.0 - 100.0 * (b - 0.02) ** 2
+        grid = np.linspace(*BIAS_INTERVAL_DEFAULT, 11)
         for mode in ("grid", "binary"):
-            res = _search_bias(stub, *BIAS_INTERVAL_DEFAULT, mode=mode)
+            res = _search_bias(_stub, *BIAS_INTERVAL_DEFAULT, mode=mode)
             assert res.bias == pytest.approx(0.02, abs=1e-4)
+            # both modes score the grid, so binary can only gain from it
+            assert set(grid.tolist()) <= set(dict(res.evaluations))
+            assert np.array_equal(res.grid, grid)
+            assert np.array_equal(res.grid_psnr, _stub(grid))
 
     def test_zero_is_always_a_candidate(self):
         # maximum far from zero; zero still probed
-        res = _search_bias(lambda b: b, *BIAS_INTERVAL_DEFAULT)
+        res = _search_bias(_ramp, *BIAS_INTERVAL_DEFAULT)
         assert any(b == 0.0 for b, _ in res.evaluations)
         assert res.psnr >= dict(res.evaluations)[0.0] - 1e-9
 
@@ -740,26 +754,30 @@ class TestRefineBias:
         assert res.psnr >= at_zero - 1e-9
 
     def test_degenerate_interval_returns_endpoint(self):
-        res = _search_bias(lambda b: b, 0.03, 0.03)
+        res = _search_bias(_ramp, 0.03, 0.03)
         assert res.bias == 0.03
 
     def test_known_scores_are_never_reevaluated(self):
-        grid = np.linspace(-0.05, 0.10, 11)
-        known = [(b, 40.0 - 100.0 * (b - 0.02) ** 2) for b in grid]
-        probed = []
+        calls = []
 
-        def objective(b):
-            probed.append(b)
-            return 40.0 - 100.0 * (b - 0.02) ** 2
+        def objective(biases):
+            calls.append(biases.tolist())
+            return _stub(biases)
 
-        res = _search_bias(objective, -0.05, 0.10, tol=1e-5, known=known)
-        assert probed and not set(probed) & {float(b) for b in grid}
-        assert probed[0] == 0.0  # zero is still probed, first
+        res = _search_bias(objective, -0.05, 0.10, tol=1e-5)
+        grid = np.linspace(-0.05, 0.10, 11).tolist()
+        assert calls[0] == grid + [0.0]  # the grid and zero in one call
+        # golden section probes one bias at a time, each once, never a
+        # grid point or zero
+        golden = [b for call in calls[1:] for b in call]
+        assert golden and all(len(call) == 1 for call in calls[1:])
+        assert len(set(golden)) == len(golden)
+        assert not set(golden) & set(calls[0])
         assert res.bias == pytest.approx(0.02, abs=1e-4)
-        assert len(res.evaluations) == len(grid) + len(probed)
+        assert len(res.evaluations) == len(calls[0]) + len(golden)
 
     def test_invalid_interval_and_mode_rejected(self):
         with pytest.raises(ValueError):
-            _search_bias(lambda b: b, 0.1, -0.1)
+            _search_bias(_ramp, 0.1, -0.1)
         with pytest.raises(ValueError):
-            _search_bias(lambda b: b, *BIAS_INTERVAL_DEFAULT, mode="ternary")
+            _search_bias(_ramp, *BIAS_INTERVAL_DEFAULT, mode="ternary")
