@@ -1,4 +1,4 @@
-"""Write a fixed matrix of 57 run bundles and print the digest of every file.
+"""Write a fixed matrix of 61 run bundles and print the digest of every file.
 
 Usage: python scripts/bundle_matrix.py OUT_DIR
 
@@ -12,7 +12,7 @@ Runs ``ltc_accel.harness.run`` from this checkout's ``src/`` on:
 * ``per_seed_wg`` ``refine``, and ``fig2-trace`` ``report`` with
   ``bias = refine``;
 * ``bias_search = binary`` ``refine`` and ``sample``;
-* ``interval = none`` ``refine`` and ``report``;
+* ``interval = none`` x 6 modes;
 * a numeric bias on ``refine`` and ``report``;
 * a non-default ``calibration_seed`` on ``report``, ``refine`` and an
   ``auto`` ``sample``.
@@ -96,8 +96,10 @@ def matrix() -> list[tuple[str, ExperimentConfig, str]]:
                                   seeds=tuple(range(5))), "refine"),
         ("binary-sample", replace(fig4, bias_search="binary",
                                   seeds=tuple(range(5))), "sample"),
-        ("none-refine", replace(fig4, interval=None, seeds=(0, 1, 2)), "refine"),
-        ("none-report", replace(fig4, interval=None, seeds=(0, 1, 2)), "report"),
+    ]
+    none = replace(fig4, interval=None, seeds=(0, 1, 2))
+    out += [(f"none-{m}", none, m) for m in MODES]
+    out += [
         ("numeric-bias-refine", replace(fig4, bias=0.03), "refine"),
         ("numeric-bias-report", replace(fig4, bias=0.03), "report"),
     ]

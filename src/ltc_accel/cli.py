@@ -80,8 +80,8 @@ def main(argv=None) -> int:
     except KeyboardInterrupt:
         print("ltc: interrupted", file=sys.stderr)
         return 130
-    print(f"mode={report.mode} seeds={len(report.seeds)} "
-          f"fingerprint={report.fingerprint[:12]}")
+    print(f"mode={args.mode} seeds={len(cfg.seeds)} "
+          f"fingerprint={cfg.fingerprint()[:12]}")
     if report.bias is not None:
         print(f"bias={report.bias!r}")
     for name in sorted(report.files):

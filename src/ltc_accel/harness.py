@@ -343,33 +343,10 @@ def run(cfg: ExperimentConfig, mode: str) -> RunReport:
     if cfg.interval == "auto":
         base = _base_plan(cfg, _auto_interval(full.row(cal_row), cfg.tau), n)
 
-    needs = {
-        "angles": frozenset({"angles"}),
-        "calibrate": frozenset({"wg"}),
-        "sample": frozenset({"accel"}),
-        "refine": frozenset({"accel"}),
-        "ablate-skip": frozenset({"accel", "skip"}),
-        "report": frozenset({"angles", "wg", "accel"}),
-    }[mode]
-
-    # Calibrate for the wg table, or for a plan that a run or the bias search
-    # applies: every row when each needs its own wg, else the calibration
-    # seed's alone; calibrate_wg ignores the base plan's wg and bias.
+    traces = mode in ("angles", "report")
+    table = mode in ("calibrate", "report")
+    accel = mode in ("sample", "refine", "ablate-skip", "report")
     refine = mode == "refine" or cfg.bias == "refine"
-    applied = "accel" in needs or refine
-    cal_rows = (list(range(len(seeds))) if "wg" in needs or cfg.per_seed_wg
-                else [cal_row])
-    # Every later chain resumes after the states that no plan changes: those
-    # before the first selected iteration, which the full runs hold.
-    prefix = full.states[:, :min(base.selected(), default=n + 1)]
-    if "wg" in needs or applied and base.selected():
-        cal = calibrate_wg(den.take(cal_rows), schedule, x0[cal_rows], ts, base,
-                           prefix=prefix[cal_rows])
-    if applied:
-        wg, k = cal.wg if base.selected() else {}, cal_rows.index(cal_row)
-        plan = base.with_wg(wg if cfg.per_seed_wg else
-                            {i: float(w[k]) for i, w in wg.items()})
-    report = RunReport(fingerprint=cfg.fingerprint(), mode=mode, seeds=cfg.seeds)
     files: dict = {}
     result_lines: dict = {}
     if cfg.interval == "auto":
@@ -379,18 +356,34 @@ def run(cfg: ExperimentConfig, mode: str) -> RunReport:
     def emit(name: str, schema: str, rows) -> None:
         files[name] = write_csv(os.path.join(out_dir, name), schema, rows)
 
+    # Every later chain resumes after the states that no plan changes: those
+    # before the first selected iteration, which the full runs hold. So an
+    # empty plan's calibration and accelerated runs make no denoiser call.
+    prefix = full.states[:, :min(base.selected(), default=n + 1)]
+    if table or accel or refine:
+        # Every row when each needs its own wg, else the calibration seed's
+        # alone; calibrate_wg ignores the base plan's wg and bias.
+        cal_rows = (list(range(len(seeds))) if table or cfg.per_seed_wg
+                    else [cal_row])
+        cal = calibrate_wg(den.take(cal_rows), schedule, x0[cal_rows], ts, base,
+                           prefix=prefix[cal_rows])
+        k = cal_rows.index(cal_row)
+        plan = base.with_wg(cal.wg if cfg.per_seed_wg else
+                            {i: float(w[k]) for i, w in cal.wg.items()})
+
     # Resolve the bias first so every CSV below reflects the chosen value.
+    bias = None
     if refine:
         found = _search_bias(_bias_objective(den, schedule, full, plan),
                              cfg.bias_lo, cfg.bias_hi, mode=cfg.bias_search,
                              tol=1e-5)
         emit("psnr_summary.csv", "psnr_summary",
              list(zip(found.grid, *aggregate(found.grid_psnr.T))))
-        report.bias = found.bias
-        result_lines["bias"] = repr(found.bias)
-        plan = replace(plan, bias=found.bias)
+        bias = found.bias
+        result_lines["bias"] = repr(bias)
+        plan = replace(plan, bias=bias)
 
-    if "angles" in needs:
+    if traces:
         iters = np.arange(2, n + 1)
         angles = angle_trace(full).angles
         for seed, a in zip(seeds, angles):
@@ -400,16 +393,15 @@ def run(cfg: ExperimentConfig, mode: str) -> RunReport:
         emit("angle_min.csv", "angle", list(zip(iters, lo)))
         emit("angle_max.csv", "angle", list(zip(iters, hi)))
 
-    if "wg" in needs:
+    if table:
         sel = base.selected()
         # one series per seed; the reshape keeps them when sel is empty
         mean, lo, hi = aggregate(
             np.reshape([cal.wg[i] for i in sel], (len(sel), len(seeds))).T)
         emit("latent_wg_summary.csv", "latent_wg_summary",
              list(zip(sel, mean, lo, hi)))
-        report.rows = _rows(seeds, full, cal.trajectory)
 
-    if "accel" in needs:
+    if accel:
         acc = accelerated_sample(den, schedule, x0, ts, plan, prefix=prefix)
         err_abs = [np.linalg.norm(f - a, axis=1)
                    for f, a in zip(full.states, acc.states)]
@@ -423,20 +415,19 @@ def run(cfg: ExperimentConfig, mode: str) -> RunReport:
         mean_a, lo_a, hi_a = aggregate(err_abs)
         emit("error_abs_summary.csv", "error_summary",
              list(zip(positions, mean_a, lo_a, hi_a)))
-        report.rows = _rows(seeds, full, acc)
 
-    if "skip" in needs:
+    if mode == "ablate-skip":
         skip = sample_skipping(den, schedule, x0, ts, set(base.selected()))
         emit("ablation.csv", "ablation",
              list(zip(seeds, psnr(full.final, acc.final),
                       psnr(full.final, skip.final), acc.nfe, skip.nfe)))
 
-    if mode == "angles":
-        # A full run compared to itself: unit speedup, zero end error.
-        report.rows = [(seed, n, n, 1.0, 99.0, 0.0, 0.0) for seed in seeds]
-    emit("report.csv", "report", report.rows)
+    # In angles mode a full run is compared to itself: unit speedup, zero end
+    # error. Its constant rows also serve dim = 1, where psnr has no peak.
+    emit("report.csv", "report",
+         [(seed, n, n, 1.0, 99.0, 0.0, 0.0) for seed in seeds] if mode == "angles"
+         else _rows(seeds, full, acc if accel else cal.trajectory))
 
     _write_manifest(out_dir, mode, cfg, result_lines, files)
-    report.files = files
-    return report
+    return RunReport(bias=bias, files=files)
 

@@ -157,10 +157,6 @@ class AccelerationPlan:
     bias: float = 0.0
     phi_mode: PhiMode = PhiMode.SQRT_SNR
 
-    @classmethod
-    def empty(cls, **kw) -> "AccelerationPlan":
-        return cls(interval=None, **kw)
-
     def selected(self) -> tuple[int, ...]:
         if self.interval is None:
             return ()
@@ -261,16 +257,13 @@ def accelerated_sample(denoiser, schedule: NoiseSchedule, x_init, timesteps,
 
 
 def _extrapolation(schedule: NoiseSchedule, ts: np.ndarray,
-                   plan: AccelerationPlan, bias=None):
-    """_chain's reuse hook for a plan: x + (wg[i] + bias) * gamma * d_prev,
-    with plan.bias or, given `bias`, one bias per batch row."""
-    bias = plan.bias if bias is None else bias
+                   plan: AccelerationPlan):
+    """_chain's reuse hook for a plan: x + (wg[i] + bias) * gamma * d_prev."""
 
     def extrapolate(i, x, d_prev, rows):
         g = _grid_gamma(schedule, ts, i, plan.phi_mode)
         w = plan.wg[i] if np.ndim(plan.wg[i]) == 0 else plan.wg[i][rows]
-        b = bias if np.ndim(bias) == 0 else bias[rows]
-        return approx_step(x, d_prev, w + b, g)
+        return approx_step(x, d_prev, w + plan.bias, g)
 
     return extrapolate
 
@@ -293,10 +286,11 @@ def _bias_objective(denoiser, schedule: NoiseSchedule, reference: Trajectory,
         if b.ndim != 1 or not np.all(np.isfinite(b)):
             raise ConfigError(f"bias must be finite, in a 1-D array, got {biases}")
         tile = np.tile(np.arange(n_rows), b.size)  # batch row -> reference row
-        wg = {i: w if np.ndim(w) == 0 else w[tile] for i, w in plan.wg.items()}
+        bias = np.repeat(b, n_rows)  # added into each row's wg, for plan.bias
+        wg = {i: (w if np.ndim(w) == 0 else w[tile]) + bias
+              for i, w in plan.wg.items()}
         traj = _chain(denoiser.take(tile), schedule, x_init[tile], ts, selected,
-                      _extrapolation(schedule, ts, replace(plan, wg=wg),
-                                     np.repeat(b, n_rows)),
+                      _extrapolation(schedule, ts, replace(plan, wg=wg, bias=0.0)),
                       prefix=prefix[tile])
         return psnr(reference.final[tile], traj.final).reshape(b.size, n_rows)
 

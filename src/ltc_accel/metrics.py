@@ -14,7 +14,7 @@ import errno
 import hashlib
 import io
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -179,11 +179,7 @@ def _parse_csv(text: str, path: str, schema: str | None):
 
 @dataclass
 class RunReport:
-    """Aggregated outcome of one harness run."""
+    """What one harness run chose and wrote."""
 
-    fingerprint: str
-    mode: str
-    seeds: tuple
-    rows: list = field(default_factory=list)          # per-seed report rows
-    bias: float | None = None
-    files: dict = field(default_factory=dict)          # emitted name -> sha256
+    bias: float | None  # the searched bias; None when the run searched none
+    files: dict         # emitted name -> sha256

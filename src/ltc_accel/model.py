@@ -274,11 +274,6 @@ class RecordedTraceDenoiser:
         self.t_train = arr.shape[1]
         self.dim = arr.shape[2]
 
-    @classmethod
-    def from_manifest(cls, manifest_path: str, seed) -> "RecordedTraceDenoiser":
-        _, arr = read_trace(manifest_path)
-        return cls(arr, seed)
-
     def take(self, rows) -> "RecordedTraceDenoiser":
         """The denoiser for the batch rows `rows` of this one."""
         return RecordedTraceDenoiser(self._data, self._rows[rows])

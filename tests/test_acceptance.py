@@ -31,6 +31,7 @@ from ltc_accel import (
     nfe_speedup,
     preset,
     psnr,
+    read_trace,
     refine_bias,
     run,
     sample_full,
@@ -242,7 +243,7 @@ def test_criterion_8_exactness_degeneracies(tmp_path):
     # (b) empty interval reproduces the full run bit for bit
     xb = initial_noise(16, 0)
     fb = sample_full(BENCH, SCHED, xb, TS40)
-    eb = accelerated_sample(BENCH, SCHED, xb, TS40, AccelerationPlan.empty())
+    eb = accelerated_sample(BENCH, SCHED, xb, TS40, AccelerationPlan(interval=None))
     empty_ok = np.array_equal(fb.states, eb.states) and fb.nfe == eb.nfe
 
     # (c) linear drift trace with affine phi: wg = 1 despite f32 storage
@@ -268,7 +269,7 @@ def test_criterion_8_exactness_degeneracies(tmp_path):
         rows[0, j] = (s * u).astype(np.float32)
     man = os.path.join(tmp_path, "drift.trace")
     write_trace(man, rows)
-    den = RecordedTraceDenoiser.from_manifest(man, 0)
+    den = RecordedTraceDenoiser(read_trace(man)[1], 0)
     cal = calibrate_wg(den, drift_sched, c0 * u, ts,
                        AccelerationPlan(interval=(5, 23)))
     dev_wg = max(abs(w - 1.0) for w in cal.wg.values())

@@ -417,6 +417,8 @@ def test_refine_call_count_and_grid_psnr(tmp_path, monkeypatch):
 
 
 def test_report_call_count(tmp_path, monkeypatch):
+    """(batched epsilon_hat calls, rows) of every mode on sd2-ddim-40 with
+    seeds (0, 1), with its interval and with none."""
     calls = []
     epsilon_hat = DiagGmmDenoiser.epsilon_hat
 
@@ -425,12 +427,31 @@ def test_report_call_count(tmp_path, monkeypatch):
         return epsilon_hat(self, x, t)
 
     monkeypatch.setattr(DiagGmmDenoiser, "epsilon_hat", counting)
-    run(replace(preset("sd2-ddim-40"), seeds=(0, 1), out=str(tmp_path)), "report")
-    # 2 reference runs (40 calls, 80 rows), then the calibration of both
-    # seeds (28 calls) and the accelerated runs (14 real steps), both
-    # resuming after the 12 real steps before iteration 13
-    assert sum(calls) == 80 + 28 * 2 + 14 * 2
-    assert len(calls) == 40 + 28 + 14
+    # Every mode pays the 2 full runs (40 calls, 80 rows), and every later
+    # chain resumes after their 12 real steps before iteration 13. Report
+    # adds the calibration of both seeds (28 calls) and the accelerated
+    # runs (14 real steps); sample calibrates one seed; ablate-skip adds
+    # the 26-step skipping runs; refine adds the grid chain and 19 golden
+    # probes. Angles mode never calibrates, and with no interval only the
+    # skipping runs cost more than the full runs.
+    want = {
+        (13, 39): {"angles": (40, 80), "calibrate": (68, 136),
+                   "sample": (82, 136), "refine": (362, 1004),
+                   "ablate-skip": (108, 188), "report": (82, 164)},
+        None: {"angles": (40, 80), "calibrate": (40, 80), "sample": (40, 80),
+               "refine": (40, 80), "ablate-skip": (80, 160),
+               "report": (40, 80)},
+    }
+    got = {}
+    for interval in want:
+        got[interval] = {}
+        for mode in harness.MODES:
+            calls.clear()
+            cfg = replace(preset("sd2-ddim-40"), interval=interval, seeds=(0, 1),
+                          out=str(tmp_path / f"{interval}-{mode}"))
+            run(cfg, mode)
+            got[interval][mode] = (len(calls), sum(calls))
+    assert got == want
 
 
 def test_refine_grid_is_one_batch_with_zero_only_in_range(tmp_path, monkeypatch):
@@ -666,12 +687,23 @@ def test_missing_out_rejected():
 # ---------------------------------------------------------------- cli
 
 def test_cli_sample_happy_path(tmp_path, capsys):
-    rc = main(["sample", "--preset", "sd2-ddim-40",
-               "--seed-set", "0", "1", "--out", str(tmp_path / "o")])
-    assert rc == 0
-    out = capsys.readouterr().out
-    assert "mode=sample" in out and "report.csv" in out
-    assert (tmp_path / "o" / "manifest.txt").exists()
+    """The whole stdout of sample and refine: the run line, refine's bias as
+    the manifest records it, then the written files in sorted order."""
+    fingerprint = replace(preset("sd2-ddim-40"), seeds=(0, 1)).fingerprint()
+    for mode, extra in (("sample", []), ("refine", ["psnr_summary.csv"])):
+        out = tmp_path / mode
+        rc = main([mode, "--preset", "sd2-ddim-40",
+                   "--seed-set", "0", "1", "--out", str(out)])
+        assert rc == 0
+        bias = [line.replace("result.", "", 1)
+                for line in (out / "manifest.txt").read_text().splitlines()
+                if line.startswith("result.bias=")]
+        assert len(bias) == (mode == "refine")
+        names = sorted(["error_abs_summary.csv", "error_summary.csv",
+                        "report.csv", *extra])
+        assert capsys.readouterr().out.splitlines() == [
+            f"mode={mode} seeds=2 fingerprint={fingerprint[:12]}", *bias,
+            *(os.path.join(str(out), name) for name in names)]
 
 
 def test_cli_precedence_preset_config_flags(tmp_path):

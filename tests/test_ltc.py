@@ -25,6 +25,7 @@ from ltc_accel import (
     golden_section_max,
     initial_noise,
     make_timesteps,
+    read_trace,
     refine_bias,
     relative_error,
     sample_full,
@@ -73,7 +74,7 @@ def recorded(tmp_path_factory, recorded_data):
     """Trace denoisers replaying the GMM along full-resolution runs."""
     path = str(tmp_path_factory.mktemp("trace") / "eps.trace")
     write_trace(path, recorded_data)
-    return lambda seed: RecordedTraceDenoiser.from_manifest(path, seed)
+    return lambda seed: RecordedTraceDenoiser(read_trace(path)[1], seed)
 
 
 @pytest.fixture(scope="module")
@@ -81,7 +82,7 @@ def zero_trace(tmp_path_factory):
     """All-zero trace: from x_init = 0 every displacement is exactly 0."""
     path = str(tmp_path_factory.mktemp("zero") / "z.trace")
     write_trace(path, np.zeros((1, 8, 2), dtype=np.float32))
-    return RecordedTraceDenoiser.from_manifest(path, seed=0)
+    return RecordedTraceDenoiser(read_trace(path)[1], 0)
 
 
 def _vec(*xs):
@@ -382,7 +383,7 @@ class TestAccelerationPlan:
         plan.validate(40, require_wg=False)
 
     def test_empty_plan_selects_nothing(self):
-        plan = AccelerationPlan.empty()
+        plan = AccelerationPlan(interval=None)
         assert plan.selected() == ()
         assert plan.validate(40, require_wg=True) == ()
 
@@ -468,8 +469,8 @@ class TestCalibrateAndApply:
         ts = make_timesteps(1000, steps)
         x0 = initial_noise(8, seed)
         full = sample_full(den, sched, x0, ts)
-        acc = accelerated_sample(den, sched, x0, ts, AccelerationPlan.empty())
-        cal = calibrate_wg(den, sched, x0, ts, AccelerationPlan.empty())
+        acc = accelerated_sample(den, sched, x0, ts, AccelerationPlan(interval=None))
+        cal = calibrate_wg(den, sched, x0, ts, AccelerationPlan(interval=None))
         assert np.array_equal(full.states, acc.states)
         assert np.array_equal(full.states, cal.trajectory.states)
         assert full.nfe == acc.nfe == cal.trajectory.nfe == steps
@@ -490,7 +491,7 @@ class TestCalibrateAndApply:
         # all-zero trace with x_init = 0 keeps every displacement at exactly 0
         path = str(tmp_path / "z.trace")
         write_trace(path, np.zeros((1, 8, 2), dtype=np.float32))
-        den = RecordedTraceDenoiser.from_manifest(path, seed=0)
+        den = RecordedTraceDenoiser(read_trace(path)[1], 0)
         flat = build_linear_beta(8, 0.01, 0.05)
         ts = np.arange(8, -1, -1)
         plan = AccelerationPlan(interval=(3, 7), wg={3: 1.0, 5: 1.0, 7: 1.0})

@@ -217,7 +217,7 @@ class TestRecordedTraceDenoiser:
         data = np.arange(2 * 3 * 2, dtype=np.float32).reshape(2, 3, 2)
         path = str(tmp_path / "d.trace")
         write_trace(path, data)
-        den = RecordedTraceDenoiser.from_manifest(path, seed=1)
+        den = RecordedTraceDenoiser(read_trace(path)[1], 1)
         x = np.zeros(2)
         assert np.array_equal(den.epsilon_hat(x, 3), data[1, 0].astype(np.float64))
         assert np.array_equal(den.epsilon_hat(x, 1), data[1, 2].astype(np.float64))
@@ -226,7 +226,7 @@ class TestRecordedTraceDenoiser:
         data = np.zeros((1, 3, 2), dtype=np.float32)
         path = str(tmp_path / "d.trace")
         write_trace(path, data)
-        den = RecordedTraceDenoiser.from_manifest(path, seed=0)
+        den = RecordedTraceDenoiser(read_trace(path)[1], 0)
         with pytest.raises(TraceError, match="trace covers 1 <= t <= 3, got t=0"):
             den.epsilon_hat(np.zeros(2), 0)
         with pytest.raises(TraceError, match="trace covers 1 <= t <= 3, got t=4"):
