@@ -209,14 +209,11 @@ class AccelerationPlan:
         return replace(self, wg=dict(wg))
 
 
-def _grid_gamma(schedule: NoiseSchedule, ts: np.ndarray, i: int,
-                mode: PhiMode) -> float:
-    """gamma for iteration i: target ts[i], sources ts[i-1], ts[i-2]."""
-    return gamma(
-        phi(schedule, int(ts[i]), mode),
-        phi(schedule, int(ts[i - 1]), mode),
-        phi(schedule, int(ts[i - 2]), mode),
-    )
+def _gammas(schedule: NoiseSchedule, ts: np.ndarray,
+            plan: AccelerationPlan) -> dict:
+    """gamma of each selected iteration i: target ts[i], sources ts[i-1], ts[i-2]."""
+    return {i: gamma(*(phi(schedule, int(ts[j]), plan.phi_mode)
+                       for j in (i, i - 1, i - 2))) for i in plan.selected()}
 
 
 def _resume_from(prefix, x_init, ts: np.ndarray, selected):
@@ -252,18 +249,16 @@ def accelerated_sample(denoiser, schedule: NoiseSchedule, x_init, timesteps,
     selected = set(plan.validate(len(ts) - 1, require_wg=True,
                                  rows=np.shape(x_init)[:-1]))
     return _chain(denoiser, schedule, x_init, ts, selected,
-                  _extrapolation(schedule, ts, plan),
+                  _extrapolation(plan, _gammas(schedule, ts, plan)),
                   prefix=_resume_from(prefix, x_init, ts, selected))
 
 
-def _extrapolation(schedule: NoiseSchedule, ts: np.ndarray,
-                   plan: AccelerationPlan):
-    """_chain's reuse hook for a plan: x + (wg[i] + bias) * gamma * d_prev."""
+def _extrapolation(plan: AccelerationPlan, gammas: dict):
+    """_chain's reuse hook for a plan: x + (wg[i] + bias) * gammas[i] * d_prev."""
 
     def extrapolate(i, x, d_prev, rows):
-        g = _grid_gamma(schedule, ts, i, plan.phi_mode)
         w = plan.wg[i] if np.ndim(plan.wg[i]) == 0 else plan.wg[i][rows]
-        return approx_step(x, d_prev, w + plan.bias, g)
+        return approx_step(x, d_prev, w + plan.bias, gammas[i])
 
     return extrapolate
 
@@ -280,6 +275,7 @@ def _bias_objective(denoiser, schedule: NoiseSchedule, reference: Trajectory,
     n, n_rows = len(ts) - 1, len(x_init)
     selected = set(plan.validate(n, require_wg=True, rows=(n_rows,)))
     prefix = reference.states[:, :min(selected, default=n + 1)]
+    gammas = _gammas(schedule, ts, plan)
 
     def objective(biases):
         b = np.asarray(biases, dtype=np.float64)
@@ -290,7 +286,7 @@ def _bias_objective(denoiser, schedule: NoiseSchedule, reference: Trajectory,
         wg = {i: (w if np.ndim(w) == 0 else w[tile]) + bias
               for i, w in plan.wg.items()}
         traj = _chain(denoiser.take(tile), schedule, x_init[tile], ts, selected,
-                      _extrapolation(schedule, ts, replace(plan, wg=wg, bias=0.0)),
+                      _extrapolation(replace(plan, wg=wg, bias=0.0), gammas),
                       prefix=prefix[tile])
         return psnr(reference.final[tile], traj.final).reshape(b.size, n_rows)
 
@@ -335,15 +331,15 @@ def calibrate_wg(denoiser, schedule: NoiseSchedule, x_init, timesteps,
     wg = {i: np.ones(n_rows) for i in sorted(selected)}  # fallbacks: neutral 1.0
     theta = {i: np.full(n_rows, np.nan) for i in sorted(selected)}
     eps_r = {i: np.full(n_rows, np.nan) for i in sorted(selected)}
+    gammas = _gammas(schedule, ts, plan)
 
     def shadow(i, x, d_prev, rows):
         t, t_prev = int(ts[i - 1]), int(ts[i])
         x_real = ddim_step(x, denoiser.take(rows).epsilon_hat(x, t),
                            schedule, t, t_prev)
-        g = _grid_gamma(schedule, ts, i, plan.phi_mode)
         d_true = x_real - x
-        w = wg_closed_form(d_true, d_prev, g)
-        x_star = approx_step(x, d_prev, w, g)
+        w = wg_closed_form(d_true, d_prev, gammas[i])
+        x_star = approx_step(x, d_prev, w, gammas[i])
         # a zero true displacement has theta = pi and eps_r = 0
         wg[i][rows], theta[i][rows] = w, angle(d_true, d_prev)
         eps_r[i][rows] = relative_error(x_real, x_star, d_true)

@@ -17,7 +17,8 @@ subset of a batch's rows. Three families:
   responsibilities go through log-sum-exp so far-field states cannot
   overflow. In epsilon_hat, a state so far out that every log term
   underflows to -inf (|x| near 1e160) gives all responsibility to its
-  nearest component; numpy warns about the overflow on the way.
+  nearest component; numpy warns about the overflow on the way. The
+  constants of each t are cached, up to _CACHE_BYTES per denoiser.
 * RecordedTraceDenoiser: replays externally dumped epsilon_hat vectors
   keyed by (seed, t), read from a checksummed manifest + raw float32 file.
 """
@@ -34,13 +35,14 @@ from .errors import ConfigError, NumericError, TraceError
 from .schedule import NoiseSchedule
 
 _MANIFEST_KEYS = ("dim", "steps", "seeds", "data", "endian", "crc32")
+_CACHE_BYTES = 1 << 22
 
 
 def _check_state(x, dim: int) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     if x.ndim not in (1, 2) or x.shape[-1] != dim:
         raise ValueError(f"state must be (d,) or (S, d) with d = {dim}, got {x.shape}")
-    if not np.all(np.isfinite(x)):
+    if not np.isfinite(x).all():
         raise NumericError("state contains non-finite entries")
     return x
 
@@ -72,8 +74,8 @@ class PointMassDenoiser:
 
 def _logsumexp(a: np.ndarray) -> np.ndarray:
     """log(sum(exp(a))) over the last axis; a -inf row stays -inf."""
-    m = np.max(a, axis=-1, keepdims=True)
-    s = m + np.log(np.sum(np.exp(a - m), axis=-1, keepdims=True))
+    m = np.maximum.reduce(a, axis=-1, keepdims=True)
+    s = m + np.log(np.add.reduce(np.exp(a - m), axis=-1, keepdims=True))
     return np.where(np.isfinite(m), s, m)[..., 0]
 
 
@@ -108,42 +110,50 @@ class DiagGmmDenoiser:
         self.schedule = schedule
         self.dim = mu.shape[1]
         self._log_w = np.log(w)
+        self._per_t = {}  # t -> (m, v, log(2 pi v)), 24 * mu.size bytes each
 
     def _marginal(self, t: int):
+        return self._constants(t)[:2]
+
+    def _constants(self, t: int):
         # Forward corruption keeps the mixture diagonal: component k becomes
         # N(sqrt(ab) * mu_k, ab * var_k + (1 - ab)).
-        ab = self.schedule.alpha_bar[t]
-        m = self.schedule.sqrt_alpha_bar[t] * self.means
-        v = ab * self.variances + (1.0 - ab)
-        return m, v
+        if t not in self._per_t:
+            if (len(self._per_t) + 1) * 24 * self.means.size > _CACHE_BYTES:
+                self._per_t.clear()
+            ab = self.schedule.alpha_bar[t]
+            v = ab * self.variances + (1.0 - ab)
+            self._per_t[t] = (self.schedule.sqrt_alpha_bar[t] * self.means, v,
+                              np.log(2.0 * np.pi * v))
+        return self._per_t[t]
 
-    def _log_terms(self, x: np.ndarray, m: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """Per-component log weight plus log density of x under the
-        marginal (m, v) of one timestep."""
-        q = (x[..., None, :] - m) ** 2 / v
-        return self._log_w - 0.5 * np.sum(np.log(2.0 * np.pi * v) + q, axis=-1)
+    def _log_terms(self, x: np.ndarray, t: int):
+        """(m - x, v, log terms) at t: residuals to the marginal means, the
+        variances, and per component log weight plus log density of x."""
+        m, v, log_2pi_v = self._constants(t)
+        r = m - x[..., None, :]  # squared, the same bits as x - m
+        return r, v, self._log_w - 0.5 * np.add.reduce(log_2pi_v + r ** 2 / v, axis=-1)
 
     def log_density(self, x, t: int):
         """log p_t(x) of the corrupted marginal, one value per row."""
         x = _check_state(x, self.dim)
         _check_t(t, self.schedule.t_train)
-        out = _logsumexp(self._log_terms(x, *self._marginal(t)))
+        out = _logsumexp(self._log_terms(x, t)[2])
         return float(out) if x.ndim == 1 else out
 
     def score(self, x, t: int) -> np.ndarray:
         """grad_x log p_t(x), responsibilities via log-sum-exp."""
         x = _check_state(x, self.dim)
         _check_t(t, self.schedule.t_train)
-        m, v = self._marginal(t)
-        logt = self._log_terms(x, m, v)
-        r = np.exp(logt - _logsumexp(logt)[..., None])
-        return np.sum(r[..., None] * (m - x[..., None, :]) / v, axis=-2)
+        r, v, logt = self._log_terms(x, t)
+        resp = np.exp(logt - _logsumexp(logt)[..., None])
+        return np.add.reduce(resp[..., None] * r / v, axis=-2)
 
     def epsilon_hat(self, x, t: int) -> np.ndarray:
         out = -self.schedule.sqrt_one_minus_alpha_bar[t] * self.score(x, t)
-        if not np.all(np.isfinite(out)):
+        if not np.isfinite(out).all():
             out = self._far_field(np.asarray(x, dtype=np.float64), t, out)
-            if not np.all(np.isfinite(out)):
+            if not np.isfinite(out).all():
                 raise NumericError("epsilon_hat produced non-finite values")
         return out
 
@@ -151,7 +161,7 @@ class DiagGmmDenoiser:
         """out with the rows whose log terms are all -inf recomputed from the
         nearest component, chosen by a residual scaled to stay finite."""
         m, v = self._marginal(t)
-        far = np.all(np.atleast_2d(self._log_terms(x, m, v)) == -np.inf, axis=-1)
+        far = np.all(np.atleast_2d(self._log_terms(x, t)[2]) == -np.inf, axis=-1)
         res = np.atleast_2d(x)[far][:, None, :] - m
         scaled = res / np.max(np.abs(res), axis=(1, 2), keepdims=True)
         k = np.argmin(np.sum(scaled ** 2 / v, axis=-1), axis=-1)
@@ -239,16 +249,17 @@ def read_trace(manifest_path: str) -> tuple[TraceManifest, np.ndarray]:
     if dim < 1 or steps < 1 or seeds < 0:
         raise TraceError("dim and steps must be >= 1, seeds >= 0")
     data_path = os.path.join(os.path.dirname(manifest_path) or ".", fields["data"])
+    expected = seeds * steps * dim * 4
     try:
         with open(data_path, "rb") as f:
-            payload = f.read()
+            size = os.fstat(f.fileno()).st_size  # 0 for a pipe or a device
+            if size == expected or size == 0 and f.peek(1):  # else not read
+                payload = f.read(expected + 1)
+                size = len(payload)
     except (OSError, ValueError) as e:  # ValueError: a NUL byte in the name
         raise TraceError(f"cannot read trace payload: {e}") from None
-    expected = seeds * steps * dim * 4
-    if len(payload) != expected:
-        raise TraceError(
-            f"trace payload is {len(payload)} bytes, manifest implies {expected}"
-        )
+    if size != expected:
+        raise TraceError(f"trace payload is {size} bytes, manifest implies {expected}")
     crc = f"{zlib.crc32(payload) & 0xFFFFFFFF:08x}"
     if crc != fields["crc32"]:
         raise TraceError(f"checksum mismatch: payload {crc}, manifest {fields['crc32']}")

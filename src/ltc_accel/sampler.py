@@ -32,8 +32,8 @@ class Trajectory:
     timesteps: np.ndarray                    # (n + 1,) descending ints
     states: np.ndarray                       # (n + 1, d), or (S, n + 1, d)
     nfe: int = 0
-    approximated: tuple = ()                 # iteration indices replaced by approximations
-    fallbacks: tuple = ()                    # approximation attempts that fell back to real steps
+    approximated: tuple = ()                 # approximated iterations; (row, iteration) in a batch
+    fallbacks: tuple = ()                    # selected iterations that took real steps, likewise
 
     @property
     def iterations(self) -> int:
@@ -92,7 +92,7 @@ def ddim_step(x, eps, schedule: NoiseSchedule, t: int, t_prev: int) -> np.ndarra
     s = schedule
     x0 = (x - s.sqrt_one_minus_alpha_bar[t] * eps) / s.sqrt_alpha_bar[t]
     out = s.sqrt_alpha_bar[t_prev] * x0 + s.sqrt_one_minus_alpha_bar[t_prev] * eps
-    if not np.all(np.isfinite(out)):
+    if not np.isfinite(out).all():
         raise NumericError(f"ddim_step produced non-finite state at t={t}")
     return out
 
@@ -109,11 +109,11 @@ def _chain(denoiser, schedule: NoiseSchedule, x_init, ts: np.ndarray,
     `ts` is an already checked grid; x_init is a (d,) state or an (S, d)
     batch, carried as (S, d) into one (S, n + 1, d) buffer. At a selected
     iteration, each row calls `reuse(i, x, d_prev, rows)` (for its states,
-    previous displacements and row indices) for the next state instead of
-    taking a real step, unless its previous displacement d_prev is exactly
-    zero: then that row falls back to a real step (logged, listed in
-    `fallbacks`, counted in nfe). Only rows taking a real step reach the
-    denoiser.
+    previous displacements and row indices, or slice(None) when all rows
+    move) for the next state instead of taking a real step, unless its
+    previous displacement d_prev is exactly zero: then that row falls back
+    to a real step (logged, listed in `fallbacks`, counted in nfe). Only
+    rows taking a real step reach the denoiser.
 
     `prefix` resumes a run: states 0..k-1 of a run from x_init that took
     only real steps (no selected iteration below k). The loop starts at
@@ -136,17 +136,18 @@ def _chain(denoiser, schedule: NoiseSchedule, x_init, ts: np.ndarray,
         if i in selected:
             d_prev = x - states[:, i - 2]
             moving = np.vecdot(d_prev, d_prev) != 0.0  # exact: terms >= 0
-            rows = np.flatnonzero(moving)
+            rows = moving.nonzero()[0]
+            sel = slice(None) if len(rows) == S else rows  # a slice indexes faster
             if len(rows):
-                states[rows, i] = reuse(i, x[rows], d_prev[rows], rows)
-                nfe[rows] -= 1
-                approximated += [(int(r), i) for r in rows]
+                states[sel, i] = reuse(i, x[sel], d_prev[sel], sel)
+                nfe[sel] -= 1
+                approximated += zip(rows.tolist(), [i] * len(rows))
             if len(rows) == S:
                 continue
-            real = np.flatnonzero(~moving)
+            real = (~moving).nonzero()[0]
             log.warning("iteration %d: zero previous displacement, real step "
                         "taken (rows %s)", i, real.tolist())
-            fallbacks += [(int(r), i) for r in real]
+            fallbacks += zip(real.tolist(), [i] * len(real))
         t, t_prev = int(ts[i - 1]), int(ts[i])
         den = denoiser if isinstance(real, slice) else denoiser.take(real)
         states[real, i] = ddim_step(x[real], den.epsilon_hat(x[real], t),

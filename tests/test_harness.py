@@ -10,6 +10,7 @@ import multiprocessing.process
 import operator
 import os
 import sys
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -850,6 +851,32 @@ def test_cli_corrupt_trace_exit(tmp_path, capsys):
     assert main(args) == 4
     assert "checksum" in capsys.readouterr().err
     assert not (tmp_path / "o" / "report.csv").exists()
+
+
+@pytest.mark.parametrize("payload,size,implied", [
+    ("sparse", 1 << 30, 1152), ("/dev/zero", 1153, 1152), ("empty", 0, 384 * 10**12)])
+def test_cli_trace_payload_read_is_bounded(tmp_path, capsys, payload, size, implied):
+    # a regular file of the wrong size is refused by its size, a device is
+    # read for one byte more than the manifest implies, and an empty file
+    # for none, even when the manifest implies 10**12 seeds
+    args = _trace_cli_args(tmp_path)
+    manifest, data = tmp_path / "eps.trace", tmp_path / "eps.f32"
+    os.truncate(data, size if payload != "/dev/zero" else 0)
+    text = manifest.read_text(encoding="ascii")
+    if payload == "/dev/zero":
+        text = text.replace("data=eps.f32", f"data={payload}")
+    if payload == "empty":
+        text = text.replace("seeds=3", f"seeds={10**12}")
+    manifest.write_text(text, encoding="ascii")
+    tracemalloc.start()
+    try:
+        assert main(args) == 4
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert f"trace payload is {size} bytes, manifest implies {implied}" in (
+        capsys.readouterr().err)
+    assert peak < 16 << 20
 
 
 def test_cli_trace_with_too_few_seeds_exit(tmp_path, capsys):

@@ -36,6 +36,7 @@ from ltc_accel.ltc import (
     BIAS_INTERVAL_DEFAULT,
     _bias_objective,
     _extrapolation,
+    _gammas,
     _search_bias,
 )
 from ltc_accel.metrics import psnr
@@ -527,7 +528,8 @@ class TestCalibrateAndApply:
         sel = plan.selected()
         full = sample_full(den, s, x0, ts)
         acc = accelerated_sample(den, s, x0, ts, plan)
-        resumed = _chain(den, s, x0, ts, set(sel), _extrapolation(s, ts, plan),
+        resumed = _chain(den, s, x0, ts, set(sel),
+                         _extrapolation(plan, _gammas(s, ts, plan)),
                          prefix=full.states[:sel[0]])
         assert np.array_equal(resumed.states, acc.states)
         assert resumed.approximated == acc.approximated
@@ -539,6 +541,26 @@ class TestCalibrateAndApply:
             objective = _bias_objective(den, s, sample_full(den, s, x0[None], ts),
                                         dataclasses.replace(plan, bias=0.0))
             assert objective([bias])[0] == psnr(full.final, acc.final)
+
+    @pytest.mark.parametrize("kind", ["gmm", "stall"])
+    def test_batch_bookkeeping_is_pinned(self, sched, gmm, recorded_data, kind):
+        # pairs run iteration by iteration, rows ascending within one. The
+        # "stall" row's squared displacements are 0 up to iteration 49 and
+        # again from 89 on, so it falls back there and moves in between.
+        solo, seeds, x0 = _kind_batch(kind, [0, 3], sched, gmm, recorded_data)
+        ts = make_timesteps(1000, 100)
+        plan = AccelerationPlan(interval=(21, 99))  # 40 selected iterations
+        stalled = [*range(21, 50, 2), *range(89, 100, 2)] if kind == "stall" else []
+        fallbacks = tuple((0, i) for i in stalled)
+        approximated = tuple((r, i) for i in plan.selected()
+                             for r in range(len(seeds)) if (r, i) not in fallbacks)
+        cal = calibrate_wg(solo(seeds), sched, x0, ts, plan)
+        acc = accelerated_sample(solo(seeds), sched, x0, ts, plan.with_wg(cal.wg))
+        for traj, nfe in ((cal.trajectory, [100] * len(seeds)),
+                          (acc, [60 + len(stalled)] + [60] * (len(seeds) - 1))):
+            assert traj.approximated == approximated
+            assert traj.fallbacks == fallbacks
+            assert traj.nfe.tolist() == nfe
 
     @settings(max_examples=30, deadline=None)
     @example(kind="stall", seeds=[0], interval=(21, 99),

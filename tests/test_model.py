@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from ltc_accel import ConfigError, NumericError, TraceError, build_linear_beta
 from ltc_accel.model import (
+    _CACHE_BYTES,
     DiagGmmDenoiser,
     PointMassDenoiser,
     RecordedTraceDenoiser,
@@ -289,3 +290,99 @@ def test_batched_epsilon_hat_rows_equal_single_calls(batch_denoisers, kind,
         assert out.shape == x.shape
         for j, seed in enumerate(seeds):
             assert np.array_equal(out[j], single(seed).epsilon_hat(x[j], t))
+
+
+# DiagGmmDenoiser's formulas as they stood before its per-t constants were
+# cached: the reference that every bit of the cached path must match.
+def _ref_marginal(den, t):
+    ab = den.schedule.alpha_bar[t]
+    return den.schedule.sqrt_alpha_bar[t] * den.means, ab * den.variances + (1.0 - ab)
+
+
+def _ref_log_terms(den, x, m, v):
+    q = (x[..., None, :] - m) ** 2 / v
+    return np.log(den.weights) - 0.5 * np.sum(np.log(2.0 * np.pi * v) + q, axis=-1)
+
+
+def _ref_logsumexp(a):
+    m = np.max(a, axis=-1, keepdims=True)
+    s = m + np.log(np.sum(np.exp(a - m), axis=-1, keepdims=True))
+    return np.where(np.isfinite(m), s, m)[..., 0]
+
+
+def _ref_log_density(den, x, t):
+    return _ref_logsumexp(_ref_log_terms(den, x, *_ref_marginal(den, t)))
+
+
+def _ref_score(den, x, t):
+    m, v = _ref_marginal(den, t)
+    logt = _ref_log_terms(den, x, m, v)
+    r = np.exp(logt - _ref_logsumexp(logt)[..., None])
+    return np.sum(r[..., None] * (m - x[..., None, :]) / v, axis=-2)
+
+
+def _ref_epsilon_hat(den, x, t):
+    c = den.schedule.sqrt_one_minus_alpha_bar[t]
+    out = -c * _ref_score(den, x, t)
+    if not np.all(np.isfinite(out)):
+        m, v = _ref_marginal(den, t)
+        far = np.all(np.atleast_2d(_ref_log_terms(den, x, m, v)) == -np.inf, axis=-1)
+        res = np.atleast_2d(x)[far][:, None, :] - m
+        scaled = res / np.max(np.abs(res), axis=(1, 2), keepdims=True)
+        k = np.argmin(np.sum(scaled ** 2 / v, axis=-1), axis=-1)
+        np.atleast_2d(out)[far] = c * (res[np.arange(len(k)), k] / v[k])
+    return out
+
+
+def _same_bits(got, want):
+    got, want = np.asarray(got, np.float64), np.asarray(want, np.float64)
+    return got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+# near the origin; the 1e16 - 1e154 range where tied components each get
+# responsibility 1; the far field past 1e155 where every log term is -inf
+_SCALES = [0.0, 0.01, 1.0, 20.0, 1e8, 1e16, 1e40, 1e100, 1e154, 1e155, 1e160, 1e300]
+
+
+@settings(max_examples=60, deadline=None)
+@given(gen=st.integers(0, 2**32 - 1), k=st.integers(1, 4), d=st.integers(1, 5),
+       ts=st.lists(st.integers(1, 1000), min_size=1, max_size=12))
+def test_gmm_path_matches_the_uncached_formulas_bit_for_bit(sched, gen, k, d, ts):
+    rng = np.random.default_rng(gen)
+    w = rng.uniform(0.1, 1.0, size=k)
+    w /= np.sum(w)
+    means = rng.choice([0.0, 1.0], size=(k, 1)) * rng.normal(size=(k, d))
+    if rng.integers(2):  # symmetric components: the far-field and tie regimes
+        means[-1] = -means[0]
+    variances = rng.choice([0.0, 0.01, 0.5, 2.0], size=(k, d))
+    den = DiagGmmDenoiser(w, means, variances, sched)
+    x = (rng.standard_normal((5, d)) * rng.choice(_SCALES, size=(5, 1))
+         * rng.choice([-1.0, 1.0], size=(5, 1)))
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for t in ts:  # drawn in any order, with repeats: cache hits and misses
+            for state in (x, x[0]):
+                want = _ref_epsilon_hat(den, state, t)
+                if np.all(np.isfinite(want)):
+                    assert _same_bits(den.epsilon_hat(state, t), want)
+                else:  # the nearest score overflows
+                    with pytest.raises(NumericError):
+                        den.epsilon_hat(state, t)
+                assert _same_bits(den.score(state, t), _ref_score(den, state, t))
+                assert _same_bits(den.log_density(state, t),
+                                  _ref_log_density(den, state, t))
+
+
+def test_per_t_constants_stay_within_their_bound(sched):
+    # d = 1024, k = 3 at all 1000 t would hold 74 MB of constants
+    rng = np.random.default_rng(4)
+    for d in (16, 1024):
+        den = DiagGmmDenoiser([0.5, 0.3, 0.2], rng.normal(size=(3, d)),
+                              rng.uniform(0.5, 1.5, size=(3, d)), sched)
+        x = rng.standard_normal((2, d))
+        most = 0
+        for t in [*range(1, 1001), *range(1000, 0, -7)]:
+            assert _same_bits(den.epsilon_hat(x, t), _ref_epsilon_hat(den, x, t))
+            most = max(most, len(den._per_t))
+        assert most * sum(a.nbytes for a in den._per_t[t]) <= _CACHE_BYTES
+        if d == 16:  # small mixtures keep every t of the schedule
+            assert most == len(den._per_t) == 1000
