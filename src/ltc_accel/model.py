@@ -35,7 +35,7 @@ from .errors import ConfigError, NumericError, TraceError
 from .schedule import NoiseSchedule
 
 _MANIFEST_KEYS = ("dim", "steps", "seeds", "data", "endian", "crc32")
-_CACHE_BYTES = 1 << 22
+_CACHE_BYTES = 1 << 21
 
 
 def _check_state(x, dim: int) -> np.ndarray:
