@@ -10,7 +10,6 @@ from .errors import (
 )
 from .ltc import (
     AccelerationPlan,
-    AngleTrace,
     BiasSearchResult,
     CalibrationResult,
     accelerated_sample,
@@ -52,7 +51,6 @@ from .schedule import NoiseSchedule, PhiMode, build_linear_beta, gamma, phi
 
 __all__ = [
     "AccelerationPlan",
-    "AngleTrace",
     "BiasSearchResult",
     "CalibrationResult",
     "DiagGmmDenoiser",

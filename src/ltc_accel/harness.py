@@ -38,8 +38,7 @@ from .ltc import (
     angle_trace,
     calibrate_wg,
     detect_interval,
-    _bias_objective,
-    _search_bias,
+    refine_bias,
 )
 from .metrics import (
     RunReport,
@@ -374,9 +373,8 @@ def run(cfg: ExperimentConfig, mode: str) -> RunReport:
     # Resolve the bias first so every CSV below reflects the chosen value.
     bias = None
     if refine:
-        found = _search_bias(_bias_objective(den, schedule, full, plan),
-                             cfg.bias_lo, cfg.bias_hi, mode=cfg.bias_search,
-                             tol=1e-5)
+        found = refine_bias(den, schedule, full, plan, (cfg.bias_lo, cfg.bias_hi),
+                            cfg.bias_search, tol=1e-5)
         emit("psnr_summary.csv", "psnr_summary",
              list(zip(found.grid, *aggregate(found.grid_psnr.T))))
         bias = found.bias
@@ -385,7 +383,7 @@ def run(cfg: ExperimentConfig, mode: str) -> RunReport:
 
     if traces:
         iters = np.arange(2, n + 1)
-        angles = angle_trace(full).angles
+        angles = angle_trace(full)
         for seed, a in zip(seeds, angles):
             emit(f"angle_seed{seed}.csv", "angle", list(zip(iters, a)))
         mean, lo, hi = aggregate(angles)

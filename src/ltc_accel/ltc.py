@@ -36,7 +36,7 @@ import numpy as np
 
 from .errors import ConfigError, NumericError
 from .metrics import aggregate, psnr
-from .sampler import Trajectory, _chain, check_timesteps, ddim_step, sample_full
+from .sampler import Trajectory, _chain, check_timesteps, ddim_step
 from .schedule import NoiseSchedule, PhiMode, gamma, phi
 
 TAU_DEFAULT = 0.1
@@ -44,6 +44,8 @@ TAU_CEILING = 0.15
 BIAS_INTERVAL_DEFAULT = (-0.05, 0.10)
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+_GOLDEN_MAX_ITER = 200
+_GRID_POINTS = 11
 
 
 def angle(u, v):
@@ -59,56 +61,30 @@ def angle(u, v):
     return np.where(zero, np.pi, np.arccos(np.clip(c, -1.0, 1.0)))[()]
 
 
-@dataclass(frozen=True)
-class AngleTrace:
-    """Per-iteration angles; angles[..., p] belongs to iteration p + 2.
-
-    The angle at iteration i compares that iteration's displacement with
-    the preceding one, so the angles begin at iteration 2. Zero
-    displacements get theta = pi (nothing coherent to reuse) and are
-    listed in `degenerate`. A batched run gives (S, n - 1) angles and
-    (row, iteration) pairs in `degenerate`, ordered as a Trajectory's.
-    """
-
-    angles: np.ndarray
-    degenerate: tuple = ()
-
-
-def angle_trace(traj: Trajectory) -> AngleTrace:
-    """Angles between consecutive displacements of a trajectory or a batch."""
+def angle_trace(traj: Trajectory) -> np.ndarray:
+    """Angles between consecutive displacements of a trajectory, (n - 1,),
+    or of a batch, (S, n - 1). angles[..., p] belongs to iteration p + 2:
+    the angle at iteration i compares its displacement with the preceding
+    one. A zero displacement gets pi (nothing coherent to reuse)."""
     deltas = np.diff(np.asarray(traj.states, dtype=np.float64), axis=-2)
-    norms = np.sqrt(np.vecdot(deltas, deltas))
-    zero = norms[..., 1:] * norms[..., :-1] == 0.0  # where `angle` gives pi
-    if zero.ndim == 1:
-        degenerate = tuple(int(p) + 2 for p in np.flatnonzero(zero))
-    else:
-        degenerate = tuple((int(r), int(p) + 2) for p, r in np.argwhere(zero.T))
-    return AngleTrace(angles=angle(deltas[..., 1:, :], deltas[..., :-1, :]),
-                      degenerate=degenerate)
+    return angle(deltas[..., 1:, :], deltas[..., :-1, :])
 
 
-def detect_interval(trace, tau: float) -> tuple[int, int] | None:
-    """Longest contiguous run of angles strictly below tau.
-
-    Accepts an AngleTrace or a plain sequence; returns 0-based positions
-    into it, ties broken toward the earliest run, None when no angle is
-    below tau.
-    """
+def detect_interval(angles, tau: float) -> tuple[int, int] | None:
+    """Longest contiguous run of 1-D angles strictly below tau, as 0-based
+    positions (first, last); ties go to the earliest run, None when no
+    angle is below tau."""
     if tau <= 0.0:
         raise ValueError(f"tau must be positive, got {tau}")
-    angles = np.asarray(trace.angles if isinstance(trace, AngleTrace) else trace,
-                        dtype=np.float64)
-    best: tuple[int, int] | None = None
-    best_len = 0
-    run_start = None
-    for p, below in enumerate(np.append(angles < tau, False)):
-        if below and run_start is None:
-            run_start = p
-        elif not below and run_start is not None:
-            if p - run_start > best_len:
-                best, best_len = (run_start, p - 1), p - run_start
-            run_start = None
-    return best
+    below = np.asarray(angles, dtype=np.float64) < tau
+    if below.ndim != 1:
+        raise ValueError(f"angles must be 1-D, got shape {below.shape}")
+    edges = np.diff(np.pad(below, 1).astype(np.int8))  # +1 opens a run, -1 ends it
+    starts, ends = np.flatnonzero(edges == 1), np.flatnonzero(edges == -1)
+    if not starts.size:
+        return None
+    k = int(np.argmax(ends - starts))
+    return int(starts[k]), int(ends[k]) - 1
 
 
 def wg_closed_form(d_true, d_prev, g: float):
@@ -168,16 +144,14 @@ class AccelerationPlan:
         """Selected iterations; per-row wg arrays must have shape `rows`."""
         if self.r < 2:
             raise ConfigError(f"r must be at least 2, got {self.r}")
+        # each warning has one source line: the default filter shows it once
         if self.r > 2:
-            warnings.warn(
-                f"r={self.r} approximates consecutive iterations; only r=2 is validated",
-                stacklevel=2)
+            warnings.warn(f"r={self.r} approximates one iteration in {self.r}; "
+                          "only r=2 is validated")
         if not self.tau > 0.0:
             raise ConfigError(f"tau must be positive, got {self.tau}")
         if self.tau > TAU_CEILING:
-            warnings.warn(
-                f"tau={self.tau} above the validated ceiling {TAU_CEILING}",
-                stacklevel=2)
+            warnings.warn(f"tau={self.tau} above the validated ceiling {TAU_CEILING}")
         if not np.isfinite(self.bias):
             raise ConfigError(f"bias must be finite, got {self.bias}")
         bad = sorted(i for i, w in (self.wg or {}).items()
@@ -271,6 +245,8 @@ def _bias_objective(denoiser, schedule: NoiseSchedule, reference: Trajectory,
     iteration are the accelerated run's at any bias, so every call resumes
     there.
     """
+    if np.ndim(reference.states) != 3:
+        raise ValueError(f"reference is not a batch: states {np.shape(reference.states)}")
     ts, x_init = reference.timesteps, reference.states[:, 0]
     n, n_rows = len(ts) - 1, len(x_init)
     selected = set(plan.validate(n, require_wg=True, rows=(n_rows,)))
@@ -355,8 +331,7 @@ def calibrate_wg(denoiser, schedule: NoiseSchedule, x_init, timesteps,
     return CalibrationResult(wg=wg, theta=theta, eps_r=eps_r, trajectory=traj)
 
 
-def golden_section_max(f, lo: float, hi: float, tol: float = 1e-6,
-                       max_iter: int = 200):
+def golden_section_max(f, lo: float, hi: float, tol: float = 1e-6):
     """Golden-section maximization of a unimodal scalar function.
 
     Returns (x_best, evaluations) where evaluations collects every
@@ -375,7 +350,7 @@ def golden_section_max(f, lo: float, hi: float, tol: float = 1e-6,
     c = b - _INVPHI * (b - a)
     d = a + _INVPHI * (b - a)
     fc, fd = ev(c), ev(d)
-    for _ in range(max_iter):
+    for _ in range(_GOLDEN_MAX_ITER):
         if b - a <= tol:
             break
         if fc >= fd:
@@ -399,8 +374,8 @@ class BiasSearchResult:
 
 
 def _search_bias(objective, lo: float, hi: float, mode: str = "grid",
-                 grid_points: int = 11, tol: float = 1e-6) -> BiasSearchResult:
-    """The bias search behind refine_bias and the harness's refine mode.
+                 tol: float = 1e-6) -> BiasSearchResult:
+    """The bias search behind refine_bias.
 
     `objective` maps a 1-D array of B biases to their (B, S) PSNRs. A bias
     scores metrics.aggregate's mean of its S PSNRs, whatever the batch or
@@ -413,7 +388,7 @@ def _search_bias(objective, lo: float, hi: float, mode: str = "grid",
         raise ValueError(f"empty bias interval [{lo}, {hi}]")
     if mode not in ("grid", "binary"):
         raise ValueError(f"unknown search mode {mode!r}")
-    grid = np.linspace(lo, hi, grid_points)
+    grid = np.linspace(lo, hi, _GRID_POINTS)
     first = np.append(grid, [0.0] if lo <= 0.0 <= hi and 0.0 not in grid else [])
     first_psnr = objective(first)
     scores = aggregate(first_psnr.T)[0]
@@ -425,29 +400,26 @@ def _search_bias(objective, lo: float, hi: float, mode: str = "grid",
         return cache[b]
 
     if mode == "grid":
-        k = int(np.argmax(scores[:grid_points]))
-        lo, hi = grid[max(k - 1, 0)], grid[min(k + 1, grid_points - 1)]
+        k = int(np.argmax(scores[:_GRID_POINTS]))
+        lo, hi = grid[max(k - 1, 0)], grid[min(k + 1, _GRID_POINTS - 1)]
     golden_section_max(ev, float(lo), float(hi), tol=tol)
     best = max(cache, key=lambda b: (cache[b], -abs(b)))
     return BiasSearchResult(bias=best, psnr=cache[best],
                             evaluations=sorted(cache.items()), grid=grid,
-                            grid_psnr=first_psnr[:grid_points])
+                            grid_psnr=first_psnr[:_GRID_POINTS])
 
 
-def refine_bias(denoiser, schedule: NoiseSchedule, x_init, timesteps,
+def refine_bias(denoiser, schedule: NoiseSchedule, reference: Trajectory,
                 plan: AccelerationPlan,
                 interval: tuple[float, float] = BIAS_INTERVAL_DEFAULT,
-                mode: str = "grid", grid_points: int = 11,
-                tol: float = 1e-6) -> BiasSearchResult:
-    """Pick the wg bias maximizing PSNR against the full run.
+                mode: str = "grid", tol: float = 1e-6) -> BiasSearchResult:
+    """Pick the wg bias maximizing mean PSNR against the batched full runs
+    `reference` (states (S, n + 1, d)); the refine mode's search.
 
-    This is the refine mode's search. Both modes score the grid; then
-    "grid" refines around its best point by golden section and "binary"
-    runs golden section on the whole interval. Zero is always a candidate
-    when the interval contains it, so the refined bias never scores below
-    the unbiased plan. An (S, d) x_init is scored by its mean PSNR.
+    Both modes score the grid; then "grid" refines around its best point
+    by golden section and "binary" runs golden section on the whole
+    interval. Zero is always a candidate when the interval contains it, so
+    the refined bias never scores below the unbiased plan.
     """
-    reference = sample_full(denoiser, schedule, np.atleast_2d(x_init), timesteps)
     return _search_bias(_bias_objective(denoiser, schedule, reference, plan),
-                        interval[0], interval[1], mode=mode,
-                        grid_points=grid_points, tol=tol)
+                        interval[0], interval[1], mode=mode, tol=tol)

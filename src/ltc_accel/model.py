@@ -48,8 +48,8 @@ def _check_state(x, dim: int) -> np.ndarray:
 
 
 def _check_t(t: int, t_train: int):
-    if not 1 <= t <= t_train:
-        raise IndexError(f"epsilon_hat is defined for 1 <= t <= {t_train}, got t={t}")
+    if not (isinstance(t, (int, np.integer)) and 1 <= t <= t_train):
+        raise IndexError(f"epsilon_hat is defined for integer t in [1, {t_train}], got {t!r}")
 
 
 class PointMassDenoiser:
@@ -150,7 +150,8 @@ class DiagGmmDenoiser:
         return np.add.reduce(resp[..., None] * r / v, axis=-2)
 
     def epsilon_hat(self, x, t: int) -> np.ndarray:
-        out = -self.schedule.sqrt_one_minus_alpha_bar[t] * self.score(x, t)
+        score = self.score(x, t)  # checks t before the schedule is indexed
+        out = -self.schedule.sqrt_one_minus_alpha_bar[t] * score
         if not np.isfinite(out).all():
             out = self._far_field(np.asarray(x, dtype=np.float64), t, out)
             if not np.isfinite(out).all():
@@ -258,6 +259,8 @@ def read_trace(manifest_path: str) -> tuple[TraceManifest, np.ndarray]:
                 size = len(payload)
     except (OSError, ValueError) as e:  # ValueError: a NUL byte in the name
         raise TraceError(f"cannot read trace payload: {e}") from None
+    except (OverflowError, MemoryError):  # a device read for more than fits
+        raise TraceError(f"cannot hold the {expected} bytes the manifest implies") from None
     if size != expected:
         raise TraceError(f"trace payload is {size} bytes, manifest implies {expected}")
     crc = f"{zlib.crc32(payload) & 0xFFFFFFFF:08x}"

@@ -189,7 +189,8 @@ def test_criterion_6_bias_refinement(tmp_path):
     plan = AccelerationPlan(interval=(12, 38))
     x0 = initial_noise(16, 0)
     cal = calibrate_wg(BENCH, SCHED, x0, TS40, plan)
-    res = refine_bias(BENCH, SCHED, x0, TS40, plan.with_wg(cal.wg))
+    res = refine_bias(BENCH, SCHED, sample_full(BENCH, SCHED, x0[None], TS40),
+                      plan.with_wg(cal.wg))
     at_zero = [v for b, v in res.evaluations if b == 0.0]
     zero_ok = bool(at_zero) and res.psnr >= at_zero[0] - 1e-9
 

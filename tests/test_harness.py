@@ -11,6 +11,7 @@ import operator
 import os
 import sys
 import tracemalloc
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -40,7 +41,7 @@ from ltc_accel import (
     sample_full,
     write_trace,
 )
-from ltc_accel import harness
+from ltc_accel import harness, ltc, model
 from ltc_accel.cli import main
 from ltc_accel.harness import PRESETS
 from ltc_accel.metrics import read_csv
@@ -455,9 +456,26 @@ def test_report_call_count(tmp_path, monkeypatch):
     assert got == want
 
 
+def test_harness_holds_no_private_name_of_ltc():
+    private = {name for name in vars(ltc) if name[0] == "_" and name[-1] != "_"}
+    assert not private & set(vars(harness))
+
+
+@pytest.mark.parametrize("mode", ["refine", "report", "sample"])
+def test_plan_warnings_show_once_per_run(tmp_path, mode):
+    # every caller validates the plan, and each warning still shows once
+    cfg = replace(preset("fig4-bias"), r=3, tau=0.2, out=str(tmp_path))
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("default")
+        run(cfg, mode)
+    assert sorted(str(w.message) for w in seen) == [
+        "r=3 approximates one iteration in 3; only r=2 is validated",
+        "tau=0.2 above the validated ceiling 0.15"]
+
+
 def test_refine_grid_is_one_batch_with_zero_only_in_range(tmp_path, monkeypatch):
     batches = []
-    make = harness._bias_objective
+    make = ltc._bias_objective
 
     def recording(*args):
         objective = make(*args)
@@ -468,7 +486,7 @@ def test_refine_grid_is_one_batch_with_zero_only_in_range(tmp_path, monkeypatch)
 
         return probe
 
-    monkeypatch.setattr(harness, "_bias_objective", recording)
+    monkeypatch.setattr(ltc, "_bias_objective", recording)
     for lo, hi, zero in ((-0.05, 0.10, [0.0]), (0.01, 0.10, []),
                          (-0.10, -0.02, []), (0.0, 0.10, [])):
         batches.clear()
@@ -488,13 +506,13 @@ def test_bias_score_does_not_depend_on_the_batch(tmp_path, monkeypatch):
     # aggregate's Mean over the seeds; so a grid bias scored alone equals
     # its psnr_summary.csv Mean bit for bit, whatever the row order.
     objectives = []
-    make = harness._bias_objective
+    make = ltc._bias_objective
 
     def recording(*args):
         objectives.append(make(*args))
         return objectives[-1]
 
-    monkeypatch.setattr(harness, "_bias_objective", recording)
+    monkeypatch.setattr(ltc, "_bias_objective", recording)
     run(replace(preset("fig4-bias"), out=str(tmp_path)), "refine")
     _, rows = read_csv(tmp_path / "psnr_summary.csv", "psnr_summary")
     rng = np.random.default_rng(0)
@@ -877,6 +895,31 @@ def test_cli_trace_payload_read_is_bounded(tmp_path, capsys, payload, size, impl
     assert f"trace payload is {size} bytes, manifest implies {implied}" in (
         capsys.readouterr().err)
     assert peak < 16 << 20
+
+
+def test_cli_oversized_trace_manifest_exits_4(tmp_path, capsys, monkeypatch):
+    # 10**20 seeds of /dev/zero overflow one read's size; 10**12 seeds fit
+    # it but not memory, so that read is patched to fail as it would
+    args = _trace_cli_args(tmp_path)  # 384 payload bytes per seed
+    manifest = tmp_path / "eps.trace"
+    text = manifest.read_text(encoding="ascii").replace("data=eps.f32",
+                                                        "data=/dev/zero")
+
+    class NoRoom(io.BufferedReader):
+        def read(self, size=-1):
+            raise MemoryError
+
+    def no_room(path, mode="r", **kwargs):
+        return NoRoom(io.FileIO(path)) if mode == "rb" else open(path, mode, **kwargs)
+
+    for seeds, patched in ((10**20, False), (10**12, True)):
+        if patched:
+            monkeypatch.setattr(model, "open", no_room, raising=False)
+        manifest.write_text(text.replace("seeds=3", f"seeds={seeds}"),
+                            encoding="ascii")
+        assert main(args) == 4
+        assert f"cannot hold the {384 * seeds} bytes the manifest implies" in (
+            capsys.readouterr().err)
 
 
 def test_cli_trace_with_too_few_seeds_exit(tmp_path, capsys):

@@ -123,6 +123,19 @@ class TestAngle:
         assert angle(a * u, b * v) == pytest.approx(th, abs=1e-6)
 
 
+def _state_machine(angles, tau):
+    """detect_interval as one pass over the mask, kept as its reference."""
+    best, best_len, run_start = None, 0, None
+    for p, below in enumerate(np.append(np.asarray(angles) < tau, False)):
+        if below and run_start is None:
+            run_start = p
+        elif not below and run_start is not None:
+            if p - run_start > best_len:
+                best, best_len = (run_start, p - 1), p - run_start
+            run_start = None
+    return best
+
+
 class TestDetectInterval:
     def test_plain_dip(self):
         out = detect_interval([0.5, 0.05, 0.05, 0.05, 0.5], tau=0.1)
@@ -148,6 +161,28 @@ class TestDetectInterval:
     def test_rejects_nonpositive_tau(self):
         with pytest.raises(ValueError):
             detect_interval([0.1], tau=0.0)
+
+    def test_rejects_a_batch(self, sched, gmm):
+        with pytest.raises(ValueError, match="1-D"):
+            detect_interval([[0.05, 0.05]], tau=0.1)
+        x0 = np.stack([initial_noise(8, k) for k in range(2)])
+        batch = sample_full(gmm, sched, x0, make_timesteps(1000, 10))
+        with pytest.raises(ValueError, match="1-D"):
+            detect_interval(angle_trace(batch), tau=0.1)
+
+    @settings(max_examples=500)
+    @given(st.lists(st.one_of(st.floats(0.0, 0.3),
+                              st.sampled_from([0.0, 0.1, 0.2, np.nan])),
+                    max_size=60),
+           st.sampled_from([0.1, 0.2, 0.3, 1e-300]))
+    @example([], 0.1)
+    @example([0.05] * 9, 0.1)
+    @example([0.5, np.nan, 0.1], 0.1)
+    @example([np.nan, 0.05, np.nan, 0.05, 0.05, np.nan, 0.05, 0.05], 0.1)
+    def test_matches_the_state_machine(self, seq, tau):
+        got = detect_interval(seq, tau)
+        assert got == _state_machine(seq, tau)
+        assert got is None or all(type(p) is int for p in got)
 
     @settings(max_examples=200)
     @given(st.lists(st.floats(0.0, 0.3), min_size=1, max_size=40))
@@ -243,17 +278,16 @@ class TestAngleTrace:
         traj = Trajectory(timesteps=np.array([3, 2, 1, 0]), states=states)
         tr = angle_trace(traj)
         # iteration 2 delta is zero, so angles at iterations 2 and 3 degenerate
-        assert len(tr.angles) == 2  # iterations 2 and 3
-        assert tr.angles[0] == np.pi and tr.angles[1] == np.pi
-        assert tr.degenerate == (2, 3)
+        assert len(tr) == 2  # iterations 2 and 3
+        assert tr[0] == np.pi and tr[1] == np.pi
 
     def test_iteration_mapping(self, sched, gmm):
         traj = sample_full(gmm, sched, initial_noise(8, 3), make_timesteps(1000, 20))
         tr = angle_trace(traj)
-        assert len(tr.angles) == 19
+        assert len(tr) == 19
         d = np.diff(traj.states, axis=0)
-        assert tr.angles[0] == angle(d[1], d[0])  # iteration 2
-        assert tr.angles[18] == angle(d[19], d[18])  # iteration 20
+        assert tr[0] == angle(d[1], d[0])  # iteration 2
+        assert tr[18] == angle(d[19], d[18])  # iteration 20
 
     @pytest.mark.filterwarnings("error")  # zero norms must not warn
     def test_batch_rows_equal_single_runs_and_angle(self, sched, gmm):
@@ -264,21 +298,18 @@ class TestAngleTrace:
         states[1, 5], states[2, 3] = states[1, 4], states[2, 2]
         batch = Trajectory(timesteps=ts, states=states, nfe=np.full(3, 20))
         tr = angle_trace(batch)
-        assert tr.angles.shape == (3, 19)
-        assert tr.degenerate == ((2, 3), (2, 4), (1, 5), (1, 6))
+        assert tr.shape == (3, 19)
         for j in range(3):
             one = angle_trace(batch.row(j))
-            assert np.array_equal(tr.angles[j], one.angles)
-            assert one.degenerate == tuple(i for r, i in tr.degenerate if r == j)
+            assert np.array_equal(tr[j], one)
             for i in range(2, 21):
                 u, v = (states[j, k] - states[j, k - 1] for k in (i, i - 1))
                 nn = np.linalg.norm(u) * np.linalg.norm(v)
                 if nn == 0.0:
                     want = np.pi
-                    assert i in one.degenerate
                 else:
                     want = np.arccos(np.clip(np.dot(u, v) / nn, -1, 1))
-                assert tr.angles[j, i - 2] == want
+                assert tr[j, i - 2] == want
 
 
 @settings(max_examples=60, deadline=None)
@@ -772,9 +803,19 @@ class TestRefineBias:
         x0 = initial_noise(8, 1)
         plan = AccelerationPlan(interval=(13, 39))
         cal = calibrate_wg(gmm, sched, x0, ts, plan)
-        res = refine_bias(gmm, sched, x0, ts, plan.with_wg(cal.wg))
+        res = refine_bias(gmm, sched, sample_full(gmm, sched, x0[None], ts),
+                          plan.with_wg(cal.wg))
         at_zero = dict(res.evaluations)[0.0]
         assert res.psnr >= at_zero - 1e-9
+
+    def test_refuses_an_unbatched_reference(self, sched, gmm):
+        ts = make_timesteps(1000, 40)
+        x0 = initial_noise(8, 1)
+        plan = AccelerationPlan(interval=(13, 39))
+        cal = calibrate_wg(gmm, sched, x0, ts, plan)
+        with pytest.raises(ValueError, match="not a batch"):
+            refine_bias(gmm, sched, sample_full(gmm, sched, x0, ts),
+                        plan.with_wg(cal.wg))
 
     def test_degenerate_interval_returns_endpoint(self):
         res = _search_bias(_ramp, 0.03, 0.03)

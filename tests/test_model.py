@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ltc_accel import ConfigError, NumericError, TraceError, build_linear_beta
+from ltc_accel import (ConfigError, NumericError, TraceError, benchmark_gmm,
+                       build_linear_beta)
 from ltc_accel.model import (
     _CACHE_BYTES,
     DiagGmmDenoiser,
@@ -113,6 +114,23 @@ class TestDiagGmm:
         den = DiagGmmDenoiser(
             [0.5, 0.5], [[-1.0, 2.0], [1.0, -2.0]], [[0.1, 0.1], [0.1, 0.1]], sched)
         assert np.allclose(den.score(np.zeros(2), 123), 0.0, atol=1e-13)
+
+    def test_timesteps_must_be_integers(self, sched):
+        # a float t is refused alike before and after its integer twin's
+        # constants are cached; Python and numpy integers are accepted
+        den, x = benchmark_gmm(sched), np.full(16, 0.3)
+        for cached in (False, True):
+            assert (500 in den._per_t) is cached
+            for f in (den.score, den.epsilon_hat, den.log_density):
+                with pytest.raises(IndexError, match="integer t in"):
+                    f(x, 500.0)
+            den.score(x, 500)
+        want = den.epsilon_hat(x, 500)
+        for t in (np.int64(500), np.int32(500), np.uint16(500)):
+            assert np.array_equal(den.epsilon_hat(x, t), want)
+            assert den.log_density(x, t) == den.log_density(x, 500)
+        with pytest.raises(IndexError, match="integer t in"):
+            PointMassDenoiser([0.0], sched).epsilon_hat([1.0], np.float64(10))
 
     def test_far_field_states_stay_finite(self, sched):
         den = DiagGmmDenoiser(
