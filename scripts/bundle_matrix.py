@@ -1,4 +1,4 @@
-"""Write a fixed matrix of 61 run bundles and print the digest of every file.
+"""Write a fixed matrix of 62 run bundles and print the digest of every file.
 
 Usage: python scripts/bundle_matrix.py OUT_DIR
 
@@ -8,7 +8,8 @@ Runs ``ltc_accel.harness.run`` from this checkout's ``src/`` on:
 * a ``kind = trace`` config x 6 modes, plus ``sample`` with
   ``bias = refine``, ``refine`` with ``per_seed_wg``, and ``report`` with
   ``per_seed_wg``, ``interval = auto`` and ``bias = refine``;
-* ``interval = auto`` x 6 modes, plus ``sample`` with ``bias = refine``;
+* ``interval = auto`` x 6 modes, plus ``sample`` with ``bias = refine``,
+  and ``report`` with a tau no angle reaches (``result.interval=none``);
 * ``per_seed_wg`` ``refine``, and ``fig2-trace`` ``report`` with
   ``bias = refine``;
 * ``bias_search = binary`` ``refine`` and ``sample``;
@@ -85,6 +86,7 @@ def matrix() -> list[tuple[str, ExperimentConfig, str]]:
     auto = replace(PRESETS["sd2-ddim-40"], interval="auto", tau=0.15,
                    seeds=tuple(range(6)))
     out += [(f"auto-{m}", auto, m) for m in MODES]
+    out += [("auto-none", replace(auto, tau=1e-9), "report")]
     fig4 = PRESETS["fig4-bias"]
     out += [
         ("auto-sample-bias-refine", replace(auto, bias="refine"), "sample"),

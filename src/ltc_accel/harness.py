@@ -242,6 +242,8 @@ def validate_config(cfg: ExperimentConfig) -> ExperimentConfig:
         raise ConfigError(f"unknown phi_mode {cfg.phi_mode!r}")
     if cfg.bias_search not in ("grid", "binary"):
         raise ConfigError(f"unknown bias search {cfg.bias_search!r}")
+    if not np.isfinite([cfg.bias_lo, cfg.bias_hi]).all():
+        raise ConfigError(f"bias bounds must be finite, got [{cfg.bias_lo}, {cfg.bias_hi}]")
     if not cfg.bias_lo <= cfg.bias_hi:
         raise ConfigError(f"empty bias interval [{cfg.bias_lo}, {cfg.bias_hi}]")
     if cfg.calibration_seed != -1 and cfg.calibration_seed not in cfg.seeds:
@@ -290,14 +292,6 @@ def _base_plan(cfg: ExperimentConfig, interval, n: int) -> AccelerationPlan:
     return plan
 
 
-def _auto_interval(full, tau: float) -> object:
-    pos = detect_interval(angle_trace(full), tau)
-    if pos is None:
-        return None
-    # angle position p belongs to iteration p + 2; the final one is always real
-    return pos[0] + 2, min(pos[1] + 2, full.iterations - 1)
-
-
 def _rows(seeds, full, run) -> list:
     """Report rows: each row of batch `run` against that row of `full`."""
     n = full.iterations
@@ -340,7 +334,7 @@ def run(cfg: ExperimentConfig, mode: str) -> RunReport:
     cal_row = seeds.index(cfg.seeds[0] if cfg.calibration_seed == -1
                           else cfg.calibration_seed)
     if cfg.interval == "auto":
-        base = _base_plan(cfg, _auto_interval(full.row(cal_row), cfg.tau), n)
+        base = _base_plan(cfg, detect_interval(angle_trace(full.row(cal_row)), cfg.tau), n)
 
     traces = mode in ("angles", "report")
     table = mode in ("calibrate", "report")
@@ -355,17 +349,16 @@ def run(cfg: ExperimentConfig, mode: str) -> RunReport:
     def emit(name: str, schema: str, rows) -> None:
         files[name] = write_csv(os.path.join(out_dir, name), schema, rows)
 
-    # Every later chain resumes after the states that no plan changes: those
-    # before the first selected iteration, which the full runs hold. So an
-    # empty plan's calibration and accelerated runs make no denoiser call.
-    prefix = full.states[:, :min(base.selected(), default=n + 1)]
+    # Every later chain resumes from the full runs after the real steps they
+    # share, so an empty plan's calibration and accelerated runs make no
+    # denoiser call.
     if table or accel or refine:
         # Every row when each needs its own wg, else the calibration seed's
         # alone; calibrate_wg ignores the base plan's wg and bias.
         cal_rows = (list(range(len(seeds))) if table or cfg.per_seed_wg
                     else [cal_row])
         cal = calibrate_wg(den.take(cal_rows), schedule, x0[cal_rows], ts, base,
-                           prefix=prefix[cal_rows])
+                           full=full.states[cal_rows])
         k = cal_rows.index(cal_row)
         plan = base.with_wg(cal.wg if cfg.per_seed_wg else
                             {i: float(w[k]) for i, w in cal.wg.items()})
@@ -400,7 +393,7 @@ def run(cfg: ExperimentConfig, mode: str) -> RunReport:
              list(zip(sel, mean, lo, hi)))
 
     if accel:
-        acc = accelerated_sample(den, schedule, x0, ts, plan, prefix=prefix)
+        acc = accelerated_sample(den, schedule, x0, ts, plan, full=full.states)
         err_abs = [np.linalg.norm(f - a, axis=1)
                    for f, a in zip(full.states, acc.states)]
         norms = [np.linalg.norm(f, axis=1) for f in full.states]

@@ -71,9 +71,9 @@ def angle_trace(traj: Trajectory) -> np.ndarray:
 
 
 def detect_interval(angles, tau: float) -> tuple[int, int] | None:
-    """Longest contiguous run of 1-D angles strictly below tau, as 0-based
-    positions (first, last); ties go to the earliest run, None when no
-    angle is below tau."""
+    """Plan interval of the longest run of 1-D angles below tau: angles[p] is
+    iteration p + 2, and b stops at len(angles), the final iteration being
+    real. Ties go to the earliest run; None when no angle is below tau."""
     if tau <= 0.0:
         raise ValueError(f"tau must be positive, got {tau}")
     below = np.asarray(angles, dtype=np.float64) < tau
@@ -84,7 +84,7 @@ def detect_interval(angles, tau: float) -> tuple[int, int] | None:
     if not starts.size:
         return None
     k = int(np.argmax(ends - starts))
-    return int(starts[k]), int(ends[k]) - 1
+    return int(starts[k]) + 2, min(int(ends[k]) + 1, below.size)
 
 
 def wg_closed_form(d_true, d_prev, g: float):
@@ -190,41 +190,38 @@ def _gammas(schedule: NoiseSchedule, ts: np.ndarray,
                        for j in (i, i - 1, i - 2))) for i in plan.selected()}
 
 
-def _resume_from(prefix, x_init, ts: np.ndarray, selected):
-    """prefix as an array, checked to hold states 0..k-1 of a full run from
-    x_init with k at most the first selected iteration; None stays None."""
-    if prefix is None:
+def _resume_from(full, x_init, ts: np.ndarray, selected):
+    """The states before the first selected iteration of `full`, checked to
+    hold all n + 1 states of a full run from x_init; None stays None."""
+    if full is None:
         return None
-    prefix = np.asarray(prefix, dtype=np.float64)
-    x_init = np.asarray(x_init, dtype=np.float64)
-    k = prefix.shape[-2] if prefix.ndim == x_init.ndim + 1 else 0
-    if (prefix.shape[:-2] + prefix.shape[-1:] != x_init.shape
-            or not 1 <= k <= min(selected, default=len(ts))
-            or not np.array_equal(prefix[..., 0, :], x_init)):
-        raise ValueError(
-            f"prefix of shape {prefix.shape} is not the states of a full run "
-            f"from x_init before the first selected iteration")
-    return prefix
+    full = np.asarray(full, dtype=np.float64)
+    if (full.shape[:-2] + full.shape[-1:] != np.shape(x_init)
+            or full.shape[-2:-1] != ts.shape
+            or not np.array_equal(full[..., 0, :], x_init)):
+        raise ValueError(f"full of shape {full.shape} is not a full run from x_init")
+    return full[..., :min(selected, default=len(ts)), :]
 
 
 def accelerated_sample(denoiser, schedule: NoiseSchedule, x_init, timesteps,
-                       plan: AccelerationPlan, prefix=None) -> Trajectory:
+                       plan: AccelerationPlan, full=None) -> Trajectory:
     """Sampling loop with selected iterations replaced by approximations.
 
     A selected iteration whose previous displacement is exactly zero falls
     back to a real denoiser call (counted in nfe, logged, recorded in
     Trajectory.fallbacks) instead of failing mid-run.
 
-    `prefix` resumes the run from states a full run from x_init already
-    holds: its states[..., :k, :] for any k up to the plan's first
-    selected iteration. Those steps count in nfe; the result is the same.
+    `full`, the (n + 1, d) or (S, n + 1, d) states of the full runs from
+    x_init, starts the loop at the plan's first selected iteration: the
+    real steps before it are the full runs'. Those steps count in nfe;
+    the result is the same.
     """
     ts = check_timesteps(timesteps, schedule.t_train)
     selected = set(plan.validate(len(ts) - 1, require_wg=True,
                                  rows=np.shape(x_init)[:-1]))
     return _chain(denoiser, schedule, x_init, ts, selected,
                   _extrapolation(plan, _gammas(schedule, ts, plan)),
-                  prefix=_resume_from(prefix, x_init, ts, selected))
+                  prefix=_resume_from(full, x_init, ts, selected))
 
 
 def _extrapolation(plan: AccelerationPlan, gammas: dict):
@@ -250,7 +247,7 @@ def _bias_objective(denoiser, schedule: NoiseSchedule, reference: Trajectory,
     ts, x_init = reference.timesteps, reference.states[:, 0]
     n, n_rows = len(ts) - 1, len(x_init)
     selected = set(plan.validate(n, require_wg=True, rows=(n_rows,)))
-    prefix = reference.states[:, :min(selected, default=n + 1)]
+    prefix = _resume_from(reference.states, x_init, ts, selected)
     gammas = _gammas(schedule, ts, plan)
 
     def objective(biases):
@@ -290,7 +287,7 @@ class CalibrationResult:
 
 
 def calibrate_wg(denoiser, schedule: NoiseSchedule, x_init, timesteps,
-                 plan: AccelerationPlan, prefix=None) -> CalibrationResult:
+                 plan: AccelerationPlan, full=None) -> CalibrationResult:
     """Measure per-iteration scales with shadow real steps.
 
     At every selected iteration the real next state is computed, the
@@ -298,7 +295,7 @@ def calibrate_wg(denoiser, schedule: NoiseSchedule, x_init, timesteps,
     the approximated state. A zero previous displacement takes the real
     step and records the neutral scale 1.0; the value is never
     extrapolated because apply-time degeneracy independently falls back
-    to a real step. `prefix` resumes the run as in accelerated_sample.
+    to a real step. `full` resumes the run as in accelerated_sample.
     """
     ts = check_timesteps(timesteps, schedule.t_train)
     n = len(ts) - 1
@@ -322,7 +319,7 @@ def calibrate_wg(denoiser, schedule: NoiseSchedule, x_init, timesteps,
         return x_star
 
     traj = _chain(denoiser, schedule, x_init, ts, selected, shadow,
-                  prefix=_resume_from(prefix, x_init, ts, selected))
+                  prefix=_resume_from(full, x_init, ts, selected))
     traj.nfe = np.full(n_rows, n) if np.ndim(x_init) == 2 else n
     if np.ndim(x_init) == 1:
         moved = [i for i in theta if not np.isnan(theta[i][0])]

@@ -48,7 +48,7 @@ def _check_state(x, dim: int) -> np.ndarray:
 
 
 def _check_t(t: int, t_train: int):
-    if not (isinstance(t, (int, np.integer)) and 1 <= t <= t_train):
+    if isinstance(t, bool) or not (isinstance(t, (int, np.integer)) and 1 <= t <= t_train):
         raise IndexError(f"epsilon_hat is defined for integer t in [1, {t_train}], got {t!r}")
 
 
@@ -112,9 +112,6 @@ class DiagGmmDenoiser:
         self._log_w = np.log(w)
         self._per_t = {}  # t -> (m, v, log(2 pi v)), 24 * mu.size bytes each
 
-    def _marginal(self, t: int):
-        return self._constants(t)[:2]
-
     def _constants(self, t: int):
         # Forward corruption keeps the mixture diagonal: component k becomes
         # N(sqrt(ab) * mu_k, ab * var_k + (1 - ab)).
@@ -161,7 +158,7 @@ class DiagGmmDenoiser:
     def _far_field(self, x: np.ndarray, t: int, out: np.ndarray) -> np.ndarray:
         """out with the rows whose log terms are all -inf recomputed from the
         nearest component, chosen by a residual scaled to stay finite."""
-        m, v = self._marginal(t)
+        m, v = self._constants(t)[:2]
         far = np.all(np.atleast_2d(self._log_terms(x, t)[2]) == -np.inf, axis=-1)
         res = np.atleast_2d(x)[far][:, None, :] - m
         scaled = res / np.max(np.abs(res), axis=(1, 2), keepdims=True)
@@ -297,6 +294,8 @@ class RecordedTraceDenoiser:
         if x.shape[:-1] != self._rows.shape and not (x.ndim == 1 and len(self._rows) == 1):
             raise ValueError(
                 f"{len(self._rows)} seed rows cannot serve a state of shape {x.shape}")
+        if isinstance(t, bool) or not isinstance(t, (int, np.integer)):
+            raise IndexError(f"epsilon_hat is defined for integer t, got {t!r}")
         if not 1 <= t <= self.t_train:
             raise TraceError(f"trace covers 1 <= t <= {self.t_train}, got t={t}")
         # steps axis is ordered t = t_train down to 1

@@ -94,10 +94,9 @@ def test_criterion_2_error_bound():
     for seed in range(20):
         x0 = initial_noise(16, seed)
         trace = angle_trace(sample_full(BENCH, SCHED, x0, TS40))
-        pos = detect_interval(trace, tau)
-        assert pos is not None
-        a, b = (pos[0] + 2, pos[1] + 2)
-        plan = AccelerationPlan(interval=(a, min(b, 39)), tau=tau, r=2)
+        interval = detect_interval(trace, tau)
+        assert interval is not None
+        plan = AccelerationPlan(interval=interval, tau=tau, r=2)
         cal = calibrate_wg(BENCH, SCHED, x0, TS40, plan)
         for i, eps_r in cal.eps_r.items():
             theta = cal.theta[i]

@@ -760,6 +760,16 @@ def test_cli_bad_seed_exit(tmp_path, capsys, seeds, flags):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("mode", ["sample", "refine"])
+@pytest.mark.parametrize("bound", ["lo = -inf", "hi = inf", "lo = nan"])
+def test_cli_non_finite_bias_bound_exits_2(tmp_path, capsys, mode, bound):
+    ini = write_ini(tmp_path / "b.ini", f"[bias]\n{bound}\n")
+    assert main([mode, "--preset", "fig4-bias", "--config", ini,
+                 "--seed-set", "0", "--out", str(tmp_path / "o")]) == 2
+    assert "bias bounds must be finite" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_cli_config_that_is_not_utf8_exit(tmp_path, capsys):
     ini = tmp_path / "l1.ini"
     ini.write_bytes("[run]\n# caf\xe9\nseeds = 0\n".encode("latin-1"))

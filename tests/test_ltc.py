@@ -124,7 +124,8 @@ class TestAngle:
 
 
 def _state_machine(angles, tau):
-    """detect_interval as one pass over the mask, kept as its reference."""
+    """The longest run below tau as 0-based angle positions, in one pass
+    over the mask: detect_interval's reference, through _plan_interval."""
     best, best_len, run_start = None, 0, None
     for p, below in enumerate(np.append(np.asarray(angles) < tau, False)):
         if below and run_start is None:
@@ -136,27 +137,34 @@ def _state_machine(angles, tau):
     return best
 
 
+def _plan_interval(pos, n_angles):
+    """0-based angle positions (p, q) as plan iterations: angle p belongs to
+    iteration p + 2, and the final iteration, n_angles + 1, stays real."""
+    return None if pos is None else (pos[0] + 2, min(pos[1] + 2, n_angles))
+
+
 class TestDetectInterval:
     def test_plain_dip(self):
         out = detect_interval([0.5, 0.05, 0.05, 0.05, 0.5], tau=0.1)
-        assert out == (1, 3)
+        assert out == _plan_interval((1, 3), 5) == (3, 5)
 
     def test_profile_with_high_shoulders(self):
         # high plateau, long dip over positions 12..38, high tail
         trace = np.concatenate([
             np.full(12, 0.4), np.full(27, 0.03), np.full(3, 0.5)])
-        assert detect_interval(trace, tau=0.1) == (12, 38)
+        assert detect_interval(trace, tau=0.1) == _plan_interval((12, 38), 42)
 
     def test_ties_break_toward_earliest(self):
-        assert detect_interval([0.05, 0.5, 0.05], tau=0.1) == (0, 0)
-        assert detect_interval([0.05, 0.05, 0.5, 0.05, 0.05], tau=0.1) == (0, 1)
+        assert detect_interval([0.05, 0.5, 0.05], tau=0.1) == (2, 2)
+        assert detect_interval([0.05, 0.05, 0.5, 0.05, 0.05], tau=0.1) == (2, 3)
 
     def test_no_coherent_steps_is_none(self):
         assert detect_interval([0.5, 0.2, 0.9], tau=0.1) is None
         assert detect_interval([0.1, 0.1], tau=0.1) is None  # strict <
 
     def test_everything_below_tau(self):
-        assert detect_interval([0.01] * 7, tau=0.1) == (0, 6)
+        # positions 0..6 are iterations 2..8; b stops before the final one
+        assert detect_interval([0.01] * 7, tau=0.1) == (2, 7)
 
     def test_rejects_nonpositive_tau(self):
         with pytest.raises(ValueError):
@@ -181,8 +189,21 @@ class TestDetectInterval:
     @example([np.nan, 0.05, np.nan, 0.05, 0.05, np.nan, 0.05, 0.05], 0.1)
     def test_matches_the_state_machine(self, seq, tau):
         got = detect_interval(seq, tau)
-        assert got == _state_machine(seq, tau)
+        assert got == _plan_interval(_state_machine(seq, tau), len(seq))
         assert got is None or all(type(p) is int for p in got)
+
+    @settings(max_examples=300)
+    @given(st.lists(st.one_of(st.floats(0.0, 0.3), st.just(np.nan)),
+                    max_size=60),
+           st.sampled_from([0.1, 0.2, 0.3]))
+    @example([0.5, 0.05], 0.1)  # a run on the last angle alone: a > b
+    @example([0.05, 0.5, 0.05, 0.05], 0.1)
+    def test_returns_a_plan_interval(self, seq, tau):
+        # for angle_trace of an n-iteration run, len(seq) = n - 1
+        got = detect_interval(seq, tau)
+        assert got == _plan_interval(_state_machine(seq, tau), len(seq))
+        if got is not None and got[0] <= got[1]:  # validate raises if not
+            AccelerationPlan(interval=got).validate(len(seq) + 1, require_wg=False)
 
     @settings(max_examples=200)
     @given(st.lists(st.floats(0.0, 0.3), min_size=1, max_size=40))
@@ -198,7 +219,7 @@ class TestDetectInterval:
                 runs.append((start, p - 1))
                 start = None
         want = max(runs, key=lambda ab: ab[1] - ab[0], default=None)
-        assert got == want
+        assert got == _plan_interval(want, len(seq))
 
 
 class TestWgClosedForm:
@@ -677,10 +698,9 @@ class TestCalibrateAndApply:
         plan = AccelerationPlan(interval=interval, phi_mode=phi_mode)
         # the whole batch, and its last row as a (d,) run
         for den, x in ((solo(seeds), x0), (solo(seeds[-1]), x0[-1])):
-            prefix = sample_full(den, sched, x, ts).states[
-                ..., :plan.selected()[0], :]
-            cal, cal_resumed = (calibrate_wg(den, sched, x, ts, plan, prefix=p)
-                                for p in (None, prefix))
+            full = sample_full(den, sched, x, ts).states
+            cal, cal_resumed = (calibrate_wg(den, sched, x, ts, plan, full=p)
+                                for p in (None, full))
             for got, want in ((cal_resumed.wg, cal.wg),
                               (cal_resumed.theta, cal.theta),
                               (cal_resumed.eps_r, cal.eps_r)):
@@ -690,8 +710,8 @@ class TestCalibrateAndApply:
             assert cal_resumed.trajectory.fallbacks == cal.trajectory.fallbacks
             applied = dataclasses.replace(plan.with_wg(cal.wg), bias=bias)
             acc, acc_resumed = (accelerated_sample(den, sched, x, ts, applied,
-                                                   prefix=p)
-                                for p in (None, prefix))
+                                                   full=p)
+                                for p in (None, full))
             for one, resumed in ((cal.trajectory, cal_resumed.trajectory),
                                  (acc, acc_resumed)):
                 assert np.array_equal(resumed.states, one.states)
@@ -705,14 +725,39 @@ class TestCalibrateAndApply:
         plan = AccelerationPlan(interval=(13, 39))
         x0 = np.stack([initial_noise(8, k) for k in range(2)])
         states = sample_full(gmm, sched, x0, ts).states
-        wg = calibrate_wg(gmm, sched, x0, ts, plan, prefix=states[:, :13]).wg
-        for bad in (states[:, :14], states[:, :0], states[:1, :13],
-                    states[:, 1:13], states[0, :13]):
-            with pytest.raises(ValueError, match="prefix"):
-                calibrate_wg(gmm, sched, x0, ts, plan, prefix=bad)
-            with pytest.raises(ValueError, match="prefix"):
+        wg = calibrate_wg(gmm, sched, x0, ts, plan, full=states).wg
+        # every cut prefix, wrong rows, shapes and starts
+        for bad in (states[:, :13], states[:, :14], states[:, :0],
+                    states[:1, :13], states[:, 1:13], states[0, :13],
+                    states[:, :40], states[:1], states[:, 1:], states[0],
+                    states[::-1], states[..., :4]):
+            with pytest.raises(ValueError, match="not a full run"):
+                calibrate_wg(gmm, sched, x0, ts, plan, full=bad)
+            with pytest.raises(ValueError, match="not a full run"):
                 accelerated_sample(gmm, sched, x0, ts, plan.with_wg(wg),
-                                   prefix=bad)
+                                   full=bad)
+
+    @pytest.mark.parametrize("interval", [(13, 39), (3, 39), None])
+    def test_accelerated_run_from_full_runs_equals_scratch_run(
+            self, sched, gmm, counting, interval):
+        ts = make_timesteps(1000, 40)
+        x0 = np.stack([initial_noise(8, k) for k in range(3)])
+        plan = AccelerationPlan(interval=interval)
+        for x in (x0, x0[1]):  # a batch, and one (d,) run
+            full = sample_full(gmm, sched, x, ts)
+            applied = plan.with_wg(calibrate_wg(gmm, sched, x, ts, plan).wg)
+            counted = counting(gmm)
+            resumed = accelerated_sample(counted, sched, x, ts, applied,
+                                         full=full.states)
+            scratch = accelerated_sample(gmm, sched, x, ts, applied)
+            assert np.array_equal(resumed.states, scratch.states)
+            assert np.array_equal(resumed.nfe, scratch.nfe)
+            assert resumed.approximated == scratch.approximated
+            # only the iterations from the first selected one reach the denoiser
+            first = plan.selected()[0] if interval else 41
+            assert [t for t, _ in counted.calls] == [
+                int(ts[i - 1]) for i in range(first, 41)
+                if i not in plan.selected()]
 
     @settings(max_examples=20, deadline=None)
     @example(kind="stall", seeds=[0, 3], interval=(21, 99),

@@ -144,7 +144,7 @@ class TestDiagGmm:
         # the smaller scaled residual and takes all responsibility
         den = DiagGmmDenoiser(
             [0.5, 0.5], [[-1.0], [1.0]], [[0.01], [0.04]], sched)
-        m, v = den._marginal(500)
+        m, v = den._constants(500)[:2]
         c = sched.sqrt_one_minus_alpha_bar[500]
         with np.errstate(over="ignore", invalid="ignore"):
             for x in (1e160, -1e160, 1e300, -1e300):
@@ -228,6 +228,26 @@ class TestTraceIO:
         (tmp_path / "m.trace").write_text("\n".join(mutate(lines)) + "\n")
         with pytest.raises(TraceError):
             read_trace(path)
+
+
+@pytest.mark.parametrize("kind", ["point", "gmm", "trace"])
+def test_every_denoiser_refuses_a_t_that_is_not_an_integer(sched, kind):
+    # a float or a bool t gets the module's IndexError before any lookup or
+    # cached constant; a numpy integer is served as its int
+    data = np.arange(5 * 4, dtype=np.float32).reshape(1, 5, 4)
+    den = {"point": PointMassDenoiser(np.ones(4), sched),
+           "gmm": DiagGmmDenoiser([1.0], np.ones((1, 4)), np.ones((1, 4)), sched),
+           "trace": RecordedTraceDenoiser(data, 0)}[kind]
+    x = np.full(4, 0.3)
+    for t in (3.0, np.float64(3.0), True, False):
+        with pytest.raises(IndexError, match="integer t"):
+            den.epsilon_hat(x, t)
+    assert getattr(den, "_per_t", {}) == {}
+    assert np.array_equal(den.epsilon_hat(x, np.int64(3)), den.epsilon_hat(x, 3))
+    if kind == "trace":  # an integer outside the trace stays a TraceError
+        for t in (np.int64(0), np.int64(6)):
+            with pytest.raises(TraceError, match="trace covers"):
+                den.epsilon_hat(x, t)
 
 
 class TestRecordedTraceDenoiser:
