@@ -73,7 +73,8 @@ def angle_trace(traj: Trajectory) -> np.ndarray:
 def detect_interval(angles, tau: float) -> tuple[int, int] | None:
     """Plan interval of the longest run of 1-D angles below tau: angles[p] is
     iteration p + 2, and b stops at len(angles), the final iteration being
-    real. Ties go to the earliest run; None when no angle is below tau."""
+    real. Ties go to the earliest run; None when no angle is below tau, or
+    only the last one (a > b: nothing but the final iteration to skip)."""
     if tau <= 0.0:
         raise ValueError(f"tau must be positive, got {tau}")
     below = np.asarray(angles, dtype=np.float64) < tau
@@ -84,7 +85,8 @@ def detect_interval(angles, tau: float) -> tuple[int, int] | None:
     if not starts.size:
         return None
     k = int(np.argmax(ends - starts))
-    return int(starts[k]) + 2, min(int(ends[k]) + 1, below.size)
+    a, b = int(starts[k]) + 2, min(int(ends[k]) + 1, below.size)
+    return (a, b) if a <= b else None
 
 
 def wg_closed_form(d_true, d_prev, g: float):

@@ -3,8 +3,8 @@
 Every emitted CSV has a registered schema (exact header). Writers format
 floats with repr so files are deterministic and round-trip exactly. Each
 file is written in one pass over any older file of the same name, read
-back once, compared byte for byte with what was written and parsed again;
-its sha256 is taken from those verified bytes.
+back once and compared byte for byte with what was written; its sha256 is
+taken from those verified bytes.
 """
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ from __future__ import annotations
 import csv
 import errno
 import hashlib
-import io
 import os
 from dataclasses import dataclass
 
@@ -134,46 +133,34 @@ def write_csv(path: str, schema: str, rows) -> str:
     """Write rows under a registered schema, verify the re-read file and
     return the sha256 of its bytes."""
     header = SCHEMAS[schema]
-    rows = [tuple(row) for row in rows]
+    lines = [",".join(header)]
     for row in rows:
         if len(row) != len(header):
             raise NumericError(
                 f"{schema} rows need {len(header)} cells, got {len(row)}"
             )
-    buf = io.StringIO(newline="")
-    w = csv.writer(buf)
-    w.writerow(header)
-    for row in rows:
-        w.writerow([_format_cell(v) for v in row])
-    back = _write_verified(path, buf.getvalue().encode("ascii"))
-    back_header, back_rows = _parse_csv(back.decode("ascii"), path, schema)
-    if back_header != tuple(header) or len(back_rows) != len(rows):
-        raise OSError(errno.EIO, f"verification re-read of {path} differs "
-                                 "from the rows written")
+        lines.append(",".join(_format_cell(v) for v in row))
+    back = _write_verified(path, ("\r\n".join(lines) + "\r\n").encode("ascii"))
     return hashlib.sha256(back).hexdigest()
 
 
 def read_csv(path: str, schema: str | None = None):
     """Parse a CSV back; header must match its schema, cells must be numeric."""
     with open(path, "r", encoding="ascii", newline="") as f:
-        return _parse_csv(f.read(), path, schema)
-
-
-def _parse_csv(text: str, path: str, schema: str | None):
-    reader = csv.reader(io.StringIO(text, newline=""))
-    try:
-        header = tuple(next(reader))
-    except StopIteration:
-        raise NumericError(f"{path} is empty") from None
-    if schema is not None and header != SCHEMAS[schema]:
-        raise NumericError(
-            f"{path} header {header} does not match schema {SCHEMAS[schema]}"
-        )
-    rows = []
-    for row in reader:
-        if len(row) != len(header):
-            raise NumericError(f"{path} row width {len(row)} != {len(header)}")
-        rows.append(tuple(float(c) for c in row))
+        reader = csv.reader(f)
+        try:
+            header = tuple(next(reader))
+        except StopIteration:
+            raise NumericError(f"{path} is empty") from None
+        if schema is not None and header != SCHEMAS[schema]:
+            raise NumericError(
+                f"{path} header {header} does not match schema {SCHEMAS[schema]}"
+            )
+        rows = []
+        for row in reader:
+            if len(row) != len(header):
+                raise NumericError(f"{path} row width {len(row)} != {len(header)}")
+            rows.append(tuple(float(c) for c in row))
     return header, rows
 
 

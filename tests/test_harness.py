@@ -847,6 +847,25 @@ def test_cli_plan_error_exit(tmp_path, capsys):
     assert "configuration error" in capsys.readouterr().err
 
 
+def test_cli_auto_interval_on_the_last_angle_alone_is_none(tmp_path, monkeypatch):
+    # a run below tau on the final angle alone leaves nothing to approximate
+    real = harness.angle_trace
+
+    def last_only(traj):
+        angles = np.full_like(real(traj), 0.5)
+        angles[..., -1] = 0.0
+        return angles
+
+    monkeypatch.setattr(harness, "angle_trace", last_only)
+    ini = write_ini(tmp_path / "a.ini", "[plan]\ninterval = auto\n")
+    out = tmp_path / "o"
+    assert main(["report", "--preset", "sd2-ddim-40", "--config", ini,
+                 "--seed-set", "0", "1", "--out", str(out)]) == 0
+    assert "result.interval=none" in manifest_lines(str(out))
+    _, rows = read_csv(out / "report.csv", "report")
+    assert len(rows) == 2 and all(row[1] == 40.0 for row in rows)
+
+
 def _trace_cli_args(tmp_path, interval="3,5", seeds="0,1,2", r=2):
     manifest = _small_trace_config(tmp_path).manifest  # 3 seeds, t_train 24
     ini = write_ini(tmp_path / "t.ini", f"""

@@ -165,6 +165,40 @@ def test_csv_schema_enforcement(tmp_path):
         read_csv(path, "angle")
 
 
+_CELLS = [(7, "7"), (np.int64(3), "3"), (-0.0, "-0.0"), (1 / 7, repr(1 / 7)),
+          (5e-324, "5e-324"), (1e308, "1e+308"), (np.inf, "inf"),
+          (-np.inf, "-inf"), (np.nan, "nan")]
+
+
+@pytest.mark.parametrize("schema", sorted(SCHEMAS))
+def test_csv_bytes_are_the_joined_cells_and_read_back_as_written(tmp_path, schema):
+    # no header name needs quoting and every cell is a bare float literal,
+    # so the bytes are the plain joins and read back to what was written
+    header = SCHEMAS[schema]
+    width = len(header)
+    rows = [[_CELLS[(i + j) % len(_CELLS)] for j in range(width)]
+            for i in range(0, len(_CELLS), width)]  # every cell, wrapped
+    path = tmp_path / f"{schema}.csv"
+    write_csv(str(path), schema, [[v for v, _ in row] for row in rows])
+    want = "".join(",".join(line) + "\r\n" for line in
+                   [header, *([text for _, text in row] for row in rows)])
+    assert path.read_bytes() == want.encode("ascii")
+    back_header, back = read_csv(str(path), schema)
+    assert back_header == header
+    assert [[repr(c) for c in row] for row in back] == \
+        [[repr(float(v)) for v, _ in row] for row in rows]
+
+
+def test_csv_bad_last_row_leaves_the_old_file_untouched(tmp_path):
+    path = tmp_path / "report.csv"
+    write_csv(str(path), "report", [(0, 40, 40, 1.0, 99.0, 0.0, 0.0)])
+    old = path.read_bytes()
+    rows = [(1, 26, 40, 40 / 26, 30.5, 0.1, 1.5)] * 3 + [(2, 26, 40)]
+    with pytest.raises(NumericError, match="report rows need 7 cells, got 3"):
+        write_csv(str(path), "report", rows)
+    assert path.read_bytes() == old
+
+
 def test_csv_write_over_a_longer_file_leaves_only_the_new_bytes(tmp_path):
     path = tmp_path / "angle.csv"
     path.write_bytes(b"9,9.0\r\n" * 500)
