@@ -1,4 +1,4 @@
-"""Write a fixed matrix of 62 run bundles and print the digest of every file.
+"""Write a fixed matrix of 64 run bundles and print the digest of every file.
 
 Usage: python scripts/bundle_matrix.py OUT_DIR
 
@@ -16,7 +16,9 @@ Runs ``ltc_accel.harness.run`` from this checkout's ``src/`` on:
 * ``interval = none`` x 6 modes;
 * a numeric bias on ``refine`` and ``report``;
 * a non-default ``calibration_seed`` on ``report``, ``refine`` and an
-  ``auto`` ``sample``.
+  ``auto`` ``sample``;
+* ``sd2-ddim-40`` with the seeds 3 and 2**64 - 1 on ``report`` and
+  ``ablate-skip``, whose Seed cells numpy would not hold as int64.
 
 Each bundle lands in OUT_DIR/<name>/, and one line ``<name>/<file>
 <sha256>`` is printed per file of each bundle, ``manifest.txt`` included,
@@ -113,6 +115,8 @@ def matrix() -> list[tuple[str, ExperimentConfig, str]]:
         ("cal-seed-auto-sample", replace(cal, interval="auto", tau=0.15),
          "sample"),
     ]
+    wide = replace(PRESETS["sd2-ddim-40"], seeds=(3, 2**64 - 1))
+    out += [(f"wide-seed-{m}", wide, m) for m in ("report", "ablate-skip")]
     return out
 
 

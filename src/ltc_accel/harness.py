@@ -292,12 +292,12 @@ def _base_plan(cfg: ExperimentConfig, interval, n: int) -> AccelerationPlan:
     return plan
 
 
-def _rows(seeds, full, run) -> list:
-    """Report rows: each row of batch `run` against that row of `full`."""
+def _rows(seeds, full, run) -> tuple:
+    """Report columns: each row of batch `run` against that row of `full`."""
     n = full.iterations
     err, rel = end_error(full.final, run.final)
-    return list(zip(seeds, run.nfe, [n] * len(seeds), nfe_speedup(n, run.nfe),
-                    psnr(full.final, run.final), err, rel))
+    return (seeds, run.nfe, [n] * len(seeds), nfe_speedup(n, run.nfe),
+            psnr(full.final, run.final), err, rel)
 
 
 def _write_manifest(out_dir: str, mode: str, cfg: ExperimentConfig,
@@ -325,10 +325,10 @@ def run(cfg: ExperimentConfig, mode: str) -> RunReport:
     # interval, which the full runs decide.
     base = _base_plan(cfg, None if cfg.interval == "auto" else cfg.interval, n)
     out_dir = cfg.out
-    os.makedirs(out_dir, exist_ok=True)
     seeds = tuple(sorted(cfg.seeds))
     trace = read_trace(cfg.manifest)[1] if cfg.kind == "trace" else None
     den = build_denoiser(cfg, schedule, seeds, trace)
+    os.makedirs(out_dir, exist_ok=True)
     x0 = np.stack([initial_noise(den.dim, seed) for seed in seeds])
     full = sample_full(den, schedule, x0, ts)
     cal_row = seeds.index(cfg.seeds[0] if cfg.calibration_seed == -1
@@ -346,8 +346,8 @@ def run(cfg: ExperimentConfig, mode: str) -> RunReport:
         result_lines["interval"] = ("none" if base.interval is None else
                                     "{},{}".format(*base.interval))
 
-    def emit(name: str, schema: str, rows) -> None:
-        files[name] = write_csv(os.path.join(out_dir, name), schema, rows)
+    def emit(name: str, schema: str, *columns) -> None:
+        files[name] = write_csv(os.path.join(out_dir, name), schema, columns)
 
     # Every later chain resumes from the full runs after the real steps they
     # share, so an empty plan's calibration and accelerated runs make no
@@ -368,8 +368,8 @@ def run(cfg: ExperimentConfig, mode: str) -> RunReport:
     if refine:
         found = refine_bias(den, schedule, full, plan, (cfg.bias_lo, cfg.bias_hi),
                             cfg.bias_search, tol=1e-5)
-        emit("psnr_summary.csv", "psnr_summary",
-             list(zip(found.grid, *aggregate(found.grid_psnr.T))))
+        emit("psnr_summary.csv", "psnr_summary", found.grid,
+             *aggregate(found.grid_psnr.T))
         bias = found.bias
         result_lines["bias"] = repr(bias)
         plan = replace(plan, bias=bias)
@@ -378,19 +378,18 @@ def run(cfg: ExperimentConfig, mode: str) -> RunReport:
         iters = np.arange(2, n + 1)
         angles = angle_trace(full)
         for seed, a in zip(seeds, angles):
-            emit(f"angle_seed{seed}.csv", "angle", list(zip(iters, a)))
+            emit(f"angle_seed{seed}.csv", "angle", iters, a)
         mean, lo, hi = aggregate(angles)
-        emit("angle_mean.csv", "angle", list(zip(iters, mean)))
-        emit("angle_min.csv", "angle", list(zip(iters, lo)))
-        emit("angle_max.csv", "angle", list(zip(iters, hi)))
+        emit("angle_mean.csv", "angle", iters, mean)
+        emit("angle_min.csv", "angle", iters, lo)
+        emit("angle_max.csv", "angle", iters, hi)
 
     if table:
         sel = base.selected()
         # one series per seed; the reshape keeps them when sel is empty
         mean, lo, hi = aggregate(
             np.reshape([cal.wg[i] for i in sel], (len(sel), len(seeds))).T)
-        emit("latent_wg_summary.csv", "latent_wg_summary",
-             list(zip(sel, mean, lo, hi)))
+        emit("latent_wg_summary.csv", "latent_wg_summary", sel, mean, lo, hi)
 
     if accel:
         acc = accelerated_sample(den, schedule, x0, ts, plan, full=full.states)
@@ -400,24 +399,19 @@ def run(cfg: ExperimentConfig, mode: str) -> RunReport:
         err_rel = [100.0 * d / np.where(m == 0.0, np.inf, m)
                    for d, m in zip(err_abs, norms)]
         positions = np.arange(n + 1)
-        mean, lo, hi = aggregate(err_rel)
-        emit("error_summary.csv", "error_summary",
-             list(zip(positions, mean, lo, hi)))
-        mean_a, lo_a, hi_a = aggregate(err_abs)
-        emit("error_abs_summary.csv", "error_summary",
-             list(zip(positions, mean_a, lo_a, hi_a)))
+        emit("error_summary.csv", "error_summary", positions, *aggregate(err_rel))
+        emit("error_abs_summary.csv", "error_summary", positions, *aggregate(err_abs))
 
     if mode == "ablate-skip":
         skip = sample_skipping(den, schedule, x0, ts, set(base.selected()))
-        emit("ablation.csv", "ablation",
-             list(zip(seeds, psnr(full.final, acc.final),
-                      psnr(full.final, skip.final), acc.nfe, skip.nfe)))
+        emit("ablation.csv", "ablation", seeds, psnr(full.final, acc.final),
+             psnr(full.final, skip.final), acc.nfe, skip.nfe)
 
     # In angles mode a full run is compared to itself: unit speedup, zero end
     # error. Its constant rows also serve dim = 1, where psnr has no peak.
-    emit("report.csv", "report",
-         [(seed, n, n, 1.0, 99.0, 0.0, 0.0) for seed in seeds] if mode == "angles"
-         else _rows(seeds, full, acc if accel else cal.trajectory))
+    emit("report.csv", "report", *(
+        (seeds, *([v] * len(seeds) for v in (n, n, 1.0, 99.0, 0.0, 0.0)))
+        if mode == "angles" else _rows(seeds, full, acc if accel else cal.trajectory)))
 
     _write_manifest(out_dir, mode, cfg, result_lines, files)
     return RunReport(bias=bias, files=files)

@@ -1,10 +1,10 @@
 """Run metrics, seedwise aggregation, and the CSV output contract.
 
-Every emitted CSV has a registered schema (exact header). Writers format
-floats with repr so files are deterministic and round-trip exactly. Each
-file is written in one pass over any older file of the same name, read
-back once and compared byte for byte with what was written; its sha256 is
-taken from those verified bytes.
+Every emitted CSV has a registered schema (exact header) and is written
+from one 1-D column per name, ints with str and floats with repr, so files
+are deterministic and round-trip exactly. Each file is written in one pass
+over any older file of the same name, read back through the same
+descriptor and compared byte for byte; its sha256 is that of those bytes.
 """
 
 from __future__ import annotations
@@ -105,42 +105,51 @@ def _format_cell(v) -> str:
     return repr(float(v))
 
 
+def _cells(column):
+    """A 1-D column's cells as _format_cell writes them. A tuple or list
+    goes cell by cell: numpy would make an int beyond int64 a float."""
+    kind = column.dtype.kind if isinstance(column, np.ndarray) else "O"
+    if kind in "iu" or (kind == "f" and column.itemsize <= 8):
+        return map(str if kind in "iu" else repr, column.tolist())
+    return map(_format_cell, column)
+
+
 def _write_verified(path: str, data: bytes) -> bytes:
     """Write data over path in place and return the bytes read back.
 
     The file is opened without truncation, written, then cut at the end of
     the data: truncating an existing file to zero first makes some file
-    systems flush it on close. A read-back that differs from data is an
-    OSError (EIO).
+    systems flush it on close. Reading back through the same descriptor, one
+    byte past the data, must give data, else it is an OSError (EIO).
     """
-    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    fd = os.open(path, os.O_RDWR | os.O_CREAT, 0o666)
     try:
         view = memoryview(data)
         while view:
             view = view[os.write(fd, view):]
         os.ftruncate(fd, len(data))
+        back = os.pread(fd, len(data) + 1, 0)
     finally:
         os.close(fd)
-    with open(path, "rb") as f:
-        back = f.read()
     if back != data:
         raise OSError(errno.EIO,
                       f"verification re-read of {path} differs from the write")
     return back
 
 
-def write_csv(path: str, schema: str, rows) -> str:
-    """Write rows under a registered schema, verify the re-read file and
-    return the sha256 of its bytes."""
+def write_csv(path: str, schema: str, columns) -> str:
+    """Write one 1-D column per name of a registered schema, checked before
+    any byte is written; return the sha256 of the verified bytes."""
     header = SCHEMAS[schema]
-    lines = [",".join(header)]
-    for row in rows:
-        if len(row) != len(header):
-            raise NumericError(
-                f"{schema} rows need {len(header)} cells, got {len(row)}"
-            )
-        lines.append(",".join(_format_cell(v) for v in row))
-    back = _write_verified(path, ("\r\n".join(lines) + "\r\n").encode("ascii"))
+    if len(columns) != len(header):
+        raise NumericError(f"{schema} needs {len(header)} columns, got {len(columns)}")
+    if any(isinstance(c, np.ndarray) and c.ndim != 1 for c in columns):
+        raise NumericError(f"{schema} columns must be 1-D")
+    if len({len(c) for c in columns}) != 1:
+        raise NumericError(f"{schema} columns differ in length: {[len(c) for c in columns]}")
+    lines = map(",".join, zip(*map(_cells, columns)))
+    text = "\r\n".join([",".join(header), *lines]) + "\r\n"
+    back = _write_verified(path, text.encode("ascii"))
     return hashlib.sha256(back).hexdigest()
 
 

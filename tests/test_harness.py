@@ -760,6 +760,36 @@ def test_cli_bad_seed_exit(tmp_path, capsys, seeds, flags):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("denoiser", [
+    "kind = gmm-bench\ndim = 0",
+    "kind = gmm\nweights = 0.5,0.5\nmeans = 0.0,0.0;1.0\nvariances = 1.0,1.0;1.0,1.0",
+    "kind = point\nmu = 1,nan",
+], ids=["dim", "ragged", "nan-mu"])
+def test_cli_bad_denoiser_parameters_exit_2_and_create_nothing(tmp_path, capsys,
+                                                               denoiser):
+    # found only when the denoiser is built, still before any file is touched
+    ini = write_ini(tmp_path / "d.ini", f"[denoiser]\n{denoiser}\n")
+    blocker = tmp_path / "file"
+    blocker.write_text("x")
+    for out in (tmp_path / "o", blocker / "o"):
+        assert main(["sample", "--config", ini, "--seed-set", "0",
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("ltc: configuration error")
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("seeds", [
+    ["3", "18446744073709551615", "1180591620717411303424"],
+    ["3", "18446744073709551615"],  # one uint64 apart, float64 with a 3
+], ids=["2**70", "2**64-1"])
+def test_cli_writes_seeds_beyond_64_bits_exactly(tmp_path, seeds):
+    out = tmp_path / "o"
+    assert main(["sample", "--preset", "sd2-ddim-40", "--seed-set", *seeds,
+                 "--out", str(out)]) == 0
+    lines = (out / "report.csv").read_text(encoding="ascii").splitlines()
+    assert [line.split(",", 1)[0] for line in lines] == ["Seed", *seeds]
+
+
 @pytest.mark.parametrize("mode", ["sample", "refine"])
 @pytest.mark.parametrize("bound", ["lo = -inf", "hi = inf", "lo = nan"])
 def test_cli_non_finite_bias_bound_exits_2(tmp_path, capsys, mode, bound):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from ltc_accel import NumericError, aggregate, end_error, nfe_speedup, psnr
 from ltc_accel.metrics import SCHEMAS, read_csv, write_csv
@@ -137,7 +138,7 @@ def test_aggregate_rejects_bad_input():
 def test_csv_round_trip_is_exact(tmp_path):
     path = str(tmp_path / "latent_wg_summary.csv")
     rows = [(13, 0.1 + 0.2, 1 / 3, 2 / 3), (15, -1.5e-17, 0.25, 99.0)]
-    write_csv(path, "latent_wg_summary", rows)
+    write_csv(path, "latent_wg_summary", list(zip(*rows)))
     header, back = read_csv(path, "latent_wg_summary")
     assert header == SCHEMAS["latent_wg_summary"]
     for want, got in zip(rows, back):
@@ -147,17 +148,17 @@ def test_csv_round_trip_is_exact(tmp_path):
 def test_csv_rewrite_is_byte_identical(tmp_path):
     a = tmp_path / "a.csv"
     b = tmp_path / "b.csv"
-    rows = [(2, 0.123456789012345678), (3, np.float64(1) / 7)]
-    write_csv(str(a), "angle", rows)
-    write_csv(str(b), "angle", rows)
+    columns = [(2, 3), (0.123456789012345678, np.float64(1) / 7)]
+    write_csv(str(a), "angle", columns)
+    write_csv(str(b), "angle", columns)
     assert a.read_bytes() == b.read_bytes()
 
 
 def test_csv_schema_enforcement(tmp_path):
     path = str(tmp_path / "x.csv")
-    with pytest.raises(NumericError, match="rows need 2 cells"):
-        write_csv(path, "angle", [(1, 2, 3)])
-    write_csv(path, "angle", [(1, 2.0)])
+    with pytest.raises(NumericError, match="angle needs 2 columns, got 3"):
+        write_csv(path, "angle", [(1,), (2,), (3,)])
+    write_csv(path, "angle", [(1,), (2.0,)])
     with pytest.raises(NumericError, match="does not match schema"):
         read_csv(path, "error_summary")
     (tmp_path / "x.csv").write_text("Timestep,Angle\n1,abc\n")
@@ -165,21 +166,27 @@ def test_csv_schema_enforcement(tmp_path):
         read_csv(path, "angle")
 
 
-_CELLS = [(7, "7"), (np.int64(3), "3"), (-0.0, "-0.0"), (1 / 7, repr(1 / 7)),
-          (5e-324, "5e-324"), (1e308, "1e+308"), (np.inf, "inf"),
-          (-np.inf, "-inf"), (np.nan, "nan")]
+_INT_CELLS = [(7, "7"), (np.int64(3), "3")]
+_FLOAT_CELLS = [(-0.0, "-0.0"), (1 / 7, repr(1 / 7)), (5e-324, "5e-324"),
+                (1e308, "1e+308"), (np.inf, "inf"), (-np.inf, "-inf"),
+                (np.nan, "nan")]
 
 
 @pytest.mark.parametrize("schema", sorted(SCHEMAS))
 def test_csv_bytes_are_the_joined_cells_and_read_back_as_written(tmp_path, schema):
     # no header name needs quoting and every cell is a bare float literal,
-    # so the bytes are the plain joins and read back to what was written
+    # so the bytes are the plain joins and read back to what was written.
+    # The first column holds the ints, one float array each of the others:
+    # one mixed array would promote 7 to 7.0.
     header = SCHEMAS[schema]
     width = len(header)
-    rows = [[_CELLS[(i + j) % len(_CELLS)] for j in range(width)]
-            for i in range(0, len(_CELLS), width)]  # every cell, wrapped
+    n = len(_FLOAT_CELLS)
+    rows = [[_INT_CELLS[i % len(_INT_CELLS)]] +
+            [_FLOAT_CELLS[(i + j) % n] for j in range(1, width)]
+            for i in range(n)]  # every float cell in every float column
+    columns = [[v for v, _ in col] for col in zip(*rows)]
     path = tmp_path / f"{schema}.csv"
-    write_csv(str(path), schema, [[v for v, _ in row] for row in rows])
+    write_csv(str(path), schema, [columns[0], *map(np.array, columns[1:])])
     want = "".join(",".join(line) + "\r\n" for line in
                    [header, *([text for _, text in row] for row in rows)])
     assert path.read_bytes() == want.encode("ascii")
@@ -191,18 +198,19 @@ def test_csv_bytes_are_the_joined_cells_and_read_back_as_written(tmp_path, schem
 
 def test_csv_bad_last_row_leaves_the_old_file_untouched(tmp_path):
     path = tmp_path / "report.csv"
-    write_csv(str(path), "report", [(0, 40, 40, 1.0, 99.0, 0.0, 0.0)])
+    write_csv(str(path), "report", [(v,) for v in (0, 40, 40, 1.0, 99.0, 0.0, 0.0)])
     old = path.read_bytes()
-    rows = [(1, 26, 40, 40 / 26, 30.5, 0.1, 1.5)] * 3 + [(2, 26, 40)]
-    with pytest.raises(NumericError, match="report rows need 7 cells, got 3"):
-        write_csv(str(path), "report", rows)
+    columns = [(1, 1, 1, 2), (26,) * 4, (40,) * 4] + [(v,) * 3 for v in (40 / 26, 30.5, 0.1, 1.5)]
+    with pytest.raises(NumericError,
+                       match=r"report columns differ in length: \[4, 4, 4, 3, 3, 3, 3\]"):
+        write_csv(str(path), "report", columns)
     assert path.read_bytes() == old
 
 
 def test_csv_write_over_a_longer_file_leaves_only_the_new_bytes(tmp_path):
     path = tmp_path / "angle.csv"
     path.write_bytes(b"9,9.0\r\n" * 500)
-    digest = write_csv(str(path), "angle", [(2, 0.5), (3, 1 / 7)])
+    digest = write_csv(str(path), "angle", [(2, 3), (0.5, 1 / 7)])
     want = f"Timestep,Angle\r\n2,0.5\r\n3,{1 / 7!r}\r\n".encode("ascii")
     assert path.read_bytes() == want
     assert digest == hashlib.sha256(want).hexdigest()
@@ -218,4 +226,75 @@ def test_csv_write_that_stores_other_bytes_is_rejected(tmp_path, monkeypatch):
     with monkeypatch.context() as m:
         m.setattr(os, "write", corrupting)
         with pytest.raises(OSError, match="differs"):
-            write_csv(path, "angle", [(2, 0.5)])
+            write_csv(path, "angle", [(2,), (0.5,)])
+
+
+def _row_writer_bytes(schema, columns) -> bytes:
+    """The row writer the columnar one replaced: each cell of each row by
+    _format_cell's rule, kept here as the reference."""
+    def cell(v):
+        if isinstance(v, (int, np.integer)):
+            return str(int(v))
+        return repr(float(v))
+    lines = [",".join(SCHEMAS[schema])]
+    lines += [",".join(cell(v) for v in row) for row in zip(*columns)]
+    return ("\r\n".join(lines) + "\r\n").encode("ascii")
+
+
+_SPECIAL = [0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308, np.inf, -np.inf, np.nan]
+_floats = st.floats() | st.sampled_from(_SPECIAL)
+# numpy holds ints in [2**63, 2**64) as uint64 or, next to a negative one, as
+# float64, and wider ones as objects
+_ints = st.integers(-2**70, 2**70) | st.sampled_from(
+    [0, 3, -1, 2**63 - 1, 2**63, 2**64 - 1, 2**64, 2**70])
+
+
+@st.composite
+def _columns(draw):
+    """A schema and one column per name: int64, uint64, float64 or float32
+    arrays, tuples of Python ints beyond 64 bits, or lists of Python floats."""
+    schema = draw(st.sampled_from(sorted(SCHEMAS)))
+    n = draw(st.integers(0, 6))
+    columns = []
+    for _ in SCHEMAS[schema]:
+        kind = draw(st.sampled_from(["int64", "uint64", "float64", "float32",
+                                     "ints", "floats"]))
+        if kind in ("int64", "uint64"):
+            columns.append(draw(hnp.arrays(np.dtype(kind), n)))
+        elif kind == "ints":
+            columns.append(tuple(draw(st.lists(_ints, min_size=n, max_size=n))))
+        else:
+            values = draw(st.lists(_floats, min_size=n, max_size=n))
+            with np.errstate(over="ignore"):  # 1e308 is inf as a float32
+                columns.append(values if kind == "floats"
+                               else np.array(values).astype(kind))
+    return schema, columns
+
+
+@settings(max_examples=200, deadline=None)
+@given(_columns())
+def test_csv_columns_give_the_row_writers_bytes(tmp_path_factory, drawn):
+    schema, columns = drawn
+    path = tmp_path_factory.mktemp("csv") / "x.csv"
+    digest = write_csv(str(path), schema, columns)
+    want = _row_writer_bytes(schema, columns)
+    assert path.read_bytes() == want
+    assert digest == hashlib.sha256(want).hexdigest()
+
+
+@pytest.mark.parametrize("columns,message", [
+    ([np.arange(3)], "angle needs 2 columns, got 1"),
+    ([np.arange(3), np.zeros(3), np.zeros(3)], "angle needs 2 columns, got 3"),
+    ([np.arange(3), np.zeros(2)], r"differ in length: \[3, 2\]"),
+    ([(1, 2, 3), [0.5, 0.25]], r"differ in length: \[3, 2\]"),
+    ([np.arange(3), np.zeros((3, 1))], "must be 1-D"),
+    ([np.arange(3)[:, None], np.zeros(3)], "must be 1-D"),
+    ([np.array(3), np.zeros(1)], "must be 1-D"),
+], ids=["one", "three", "arrays", "sequences", "column", "ints", "scalar"])
+def test_csv_bad_columns_leave_the_old_file_untouched(tmp_path, columns, message):
+    path = tmp_path / "angle.csv"
+    write_csv(str(path), "angle", [(2, 3), (0.5, 0.25)])
+    old = path.read_bytes()
+    with pytest.raises(NumericError, match=message):
+        write_csv(str(path), "angle", columns)
+    assert path.read_bytes() == old
