@@ -27,6 +27,7 @@ from __future__ import annotations
 import configparser
 import hashlib
 import os
+import warnings
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -57,6 +58,7 @@ from .schedule import PhiMode, build_linear_beta
 MODES = ("angles", "calibrate", "sample", "refine", "ablate-skip", "report")
 
 _KINDS = ("point", "gmm", "gmm-bench", "trace")
+TAU_CEILING = 0.15
 
 
 @dataclass(frozen=True)
@@ -238,6 +240,15 @@ def validate_config(cfg: ExperimentConfig) -> ExperimentConfig:
         raise ConfigError("seeds must be distinct")
     if min(cfg.seeds) < 0:
         raise ConfigError(f"seeds must be non-negative, got {min(cfg.seeds)}")
+    if not (isinstance(cfg.bias, float) or isinstance(cfg.bias, str)
+            and cfg.bias == "refine"):
+        raise ConfigError(f"bias must be a float or 'refine', got {cfg.bias!r}")
+    iv = cfg.interval
+    pair = isinstance(iv, tuple) and len(iv) == 2 and all(
+        isinstance(v, (int, np.integer)) and not isinstance(v, bool) for v in iv)
+    if not (pair or iv is None or isinstance(iv, str) and iv == "auto"):
+        raise ConfigError("interval must be None, 'auto' or a tuple of two "
+                          f"integers, got {iv!r}")
     if cfg.phi_mode not in tuple(m.value for m in PhiMode):
         raise ConfigError(f"unknown phi_mode {cfg.phi_mode!r}")
     if cfg.bias_search not in ("grid", "binary"):
@@ -272,23 +283,28 @@ def benchmark_gmm(schedule, dim: int = 16) -> DiagGmmDenoiser:
     return DiagGmmDenoiser([0.5, 0.3, 0.2], means, variances, schedule)
 
 
-def build_denoiser(cfg: ExperimentConfig, schedule, seeds, trace):
-    """The denoiser of a batch whose rows are `seeds`; `trace` is the read
-    payload for kind "trace"."""
+def build_denoiser(cfg: ExperimentConfig, schedule, seeds):
+    """The denoiser of a batch whose rows are `seeds`; for kind "trace" it
+    reads the trace."""
     if cfg.kind == "point":
         return PointMassDenoiser(cfg.mu, schedule)
     if cfg.kind == "gmm":
         return DiagGmmDenoiser(cfg.weights, cfg.means, cfg.variances, schedule)
     if cfg.kind == "gmm-bench":
         return benchmark_gmm(schedule, cfg.dim)
-    return RecordedTraceDenoiser(trace, seeds)
+    return RecordedTraceDenoiser(read_trace(cfg.manifest)[1], seeds)
 
 
 def _base_plan(cfg: ExperimentConfig, interval, n: int) -> AccelerationPlan:
-    b = cfg.bias if isinstance(cfg.bias, float) else 0.0
-    plan = AccelerationPlan(interval=interval, r=cfg.r, tau=cfg.tau,
-                            bias=b, phi_mode=PhiMode(cfg.phi_mode))
-    plan.validate(n, require_wg=False)
+    if not cfg.tau > 0.0:
+        raise ConfigError(f"tau must be positive, got {cfg.tau}")
+    # one source line: the default filter shows it once per run
+    if cfg.tau > TAU_CEILING:
+        warnings.warn(f"tau={cfg.tau} above the validated ceiling {TAU_CEILING}")
+    plan = AccelerationPlan(interval=interval, r=cfg.r,
+                            bias=0.0 if cfg.bias == "refine" else cfg.bias,
+                            phi_mode=PhiMode(cfg.phi_mode))
+    plan.validate(n)
     return plan
 
 
@@ -326,15 +342,12 @@ def run(cfg: ExperimentConfig, mode: str) -> RunReport:
     base = _base_plan(cfg, None if cfg.interval == "auto" else cfg.interval, n)
     out_dir = cfg.out
     seeds = tuple(sorted(cfg.seeds))
-    trace = read_trace(cfg.manifest)[1] if cfg.kind == "trace" else None
-    den = build_denoiser(cfg, schedule, seeds, trace)
+    den = build_denoiser(cfg, schedule, seeds)
     os.makedirs(out_dir, exist_ok=True)
     x0 = np.stack([initial_noise(den.dim, seed) for seed in seeds])
     full = sample_full(den, schedule, x0, ts)
     cal_row = seeds.index(cfg.seeds[0] if cfg.calibration_seed == -1
                           else cfg.calibration_seed)
-    if cfg.interval == "auto":
-        base = _base_plan(cfg, detect_interval(angle_trace(full.row(cal_row)), cfg.tau), n)
 
     traces = mode in ("angles", "report")
     table = mode in ("calibrate", "report")
@@ -343,6 +356,7 @@ def run(cfg: ExperimentConfig, mode: str) -> RunReport:
     files: dict = {}
     result_lines: dict = {}
     if cfg.interval == "auto":
+        base = _base_plan(cfg, detect_interval(angle_trace(full.row(cal_row)), cfg.tau), n)
         result_lines["interval"] = ("none" if base.interval is None else
                                     "{},{}".format(*base.interval))
 
@@ -360,8 +374,8 @@ def run(cfg: ExperimentConfig, mode: str) -> RunReport:
         cal = calibrate_wg(den.take(cal_rows), schedule, x0[cal_rows], ts, base,
                            full=full.states[cal_rows])
         k = cal_rows.index(cal_row)
-        plan = base.with_wg(cal.wg if cfg.per_seed_wg else
-                            {i: float(w[k]) for i, w in cal.wg.items()})
+        plan = replace(base, wg=cal.wg if cfg.per_seed_wg else
+                       {i: float(w[k]) for i, w in cal.wg.items()})
 
     # Resolve the bias first so every CSV below reflects the chosen value.
     bias = None

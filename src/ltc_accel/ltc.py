@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,8 +39,6 @@ from .metrics import aggregate, psnr
 from .sampler import Trajectory, _chain, check_timesteps, ddim_step
 from .schedule import NoiseSchedule, PhiMode, gamma, phi
 
-TAU_DEFAULT = 0.1
-TAU_CEILING = 0.15
 BIAS_INTERVAL_DEFAULT = (-0.05, 0.10)
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -130,7 +128,6 @@ class AccelerationPlan:
 
     interval: tuple[int, int] | None
     r: int = 2
-    tau: float = TAU_DEFAULT
     wg: dict | None = None
     bias: float = 0.0
     phi_mode: PhiMode = PhiMode.SQRT_SNR
@@ -141,19 +138,15 @@ class AccelerationPlan:
         a, b = self.interval
         return tuple(i for i in range(a, b + 1) if i % self.r == self.r - 1)
 
-    def validate(self, n_iterations: int, require_wg: bool,
-                 rows: tuple | None = None) -> tuple[int, ...]:
-        """Selected iterations; per-row wg arrays must have shape `rows`."""
+    def validate(self, n_iterations: int, rows: tuple | None = None) -> tuple[int, ...]:
+        """Selected iterations; given `rows`, the states' batch shape, each
+        needs a wg, and a per-row wg must have shape `rows`."""
         if self.r < 2:
             raise ConfigError(f"r must be at least 2, got {self.r}")
-        # each warning has one source line: the default filter shows it once
+        # one source line: the default filter shows the warning once per run
         if self.r > 2:
             warnings.warn(f"r={self.r} approximates one iteration in {self.r}; "
                           "only r=2 is validated")
-        if not self.tau > 0.0:
-            raise ConfigError(f"tau must be positive, got {self.tau}")
-        if self.tau > TAU_CEILING:
-            warnings.warn(f"tau={self.tau} above the validated ceiling {TAU_CEILING}")
         if not np.isfinite(self.bias):
             raise ConfigError(f"bias must be finite, got {self.bias}")
         bad = sorted(i for i, w in (self.wg or {}).items()
@@ -175,14 +168,10 @@ class AccelerationPlan:
             raise ConfigError(
                 f"iteration {sel[0]} cannot be approximated: it lacks two prior states"
             )
-        if require_wg:
-            missing = [i for i in sel if self.wg is None or i not in self.wg]
-            if missing:
-                raise ConfigError(f"plan has no wg entry for iterations {missing}")
+        missing = [i for i in sel if i not in (self.wg or {})]
+        if rows is not None and missing:
+            raise ConfigError(f"plan has no wg entry for iterations {missing}")
         return sel
-
-    def with_wg(self, wg: dict) -> "AccelerationPlan":
-        return replace(self, wg=dict(wg))
 
 
 def _gammas(schedule: NoiseSchedule, ts: np.ndarray,
@@ -219,19 +208,19 @@ def accelerated_sample(denoiser, schedule: NoiseSchedule, x_init, timesteps,
     the result is the same.
     """
     ts = check_timesteps(timesteps, schedule.t_train)
-    selected = set(plan.validate(len(ts) - 1, require_wg=True,
-                                 rows=np.shape(x_init)[:-1]))
+    selected = set(plan.validate(len(ts) - 1, rows=np.shape(x_init)[:-1]))
+    wg = {i: w + plan.bias for i, w in (plan.wg or {}).items()}
     return _chain(denoiser, schedule, x_init, ts, selected,
-                  _extrapolation(plan, _gammas(schedule, ts, plan)),
+                  _extrapolation(wg, _gammas(schedule, ts, plan)),
                   prefix=_resume_from(full, x_init, ts, selected))
 
 
-def _extrapolation(plan: AccelerationPlan, gammas: dict):
-    """_chain's reuse hook for a plan: x + (wg[i] + bias) * gammas[i] * d_prev."""
+def _extrapolation(wg: dict, gammas: dict):
+    """_chain's reuse hook: x + wg[i] * gammas[i] * d_prev, bias in wg[i]."""
 
     def extrapolate(i, x, d_prev, rows):
-        w = plan.wg[i] if np.ndim(plan.wg[i]) == 0 else plan.wg[i][rows]
-        return approx_step(x, d_prev, w + plan.bias, gammas[i])
+        w = wg[i] if np.ndim(wg[i]) == 0 else wg[i][rows]
+        return approx_step(x, d_prev, w, gammas[i])
 
     return extrapolate
 
@@ -248,7 +237,7 @@ def _bias_objective(denoiser, schedule: NoiseSchedule, reference: Trajectory,
         raise ValueError(f"reference is not a batch: states {np.shape(reference.states)}")
     ts, x_init = reference.timesteps, reference.states[:, 0]
     n, n_rows = len(ts) - 1, len(x_init)
-    selected = set(plan.validate(n, require_wg=True, rows=(n_rows,)))
+    selected = set(plan.validate(n, rows=(n_rows,)))
     prefix = _resume_from(reference.states, x_init, ts, selected)
     gammas = _gammas(schedule, ts, plan)
 
@@ -257,11 +246,11 @@ def _bias_objective(denoiser, schedule: NoiseSchedule, reference: Trajectory,
         if b.ndim != 1 or not np.all(np.isfinite(b)):
             raise ConfigError(f"bias must be finite, in a 1-D array, got {biases}")
         tile = np.tile(np.arange(n_rows), b.size)  # batch row -> reference row
-        bias = np.repeat(b, n_rows)  # added into each row's wg, for plan.bias
+        bias = np.repeat(b, n_rows)  # each batch row's bias, for plan.bias
         wg = {i: (w if np.ndim(w) == 0 else w[tile]) + bias
               for i, w in plan.wg.items()}
         traj = _chain(denoiser.take(tile), schedule, x_init[tile], ts, selected,
-                      _extrapolation(replace(plan, wg=wg, bias=0.0), gammas),
+                      _extrapolation(wg, gammas),
                       prefix=prefix[tile])
         return psnr(reference.final[tile], traj.final).reshape(b.size, n_rows)
 
@@ -301,7 +290,7 @@ def calibrate_wg(denoiser, schedule: NoiseSchedule, x_init, timesteps,
     """
     ts = check_timesteps(timesteps, schedule.t_train)
     n = len(ts) - 1
-    selected = set(plan.validate(n, require_wg=False))
+    selected = set(plan.validate(n))
     n_rows = len(np.atleast_2d(x_init))
     wg = {i: np.ones(n_rows) for i in sorted(selected)}  # fallbacks: neutral 1.0
     theta = {i: np.full(n_rows, np.nan) for i in sorted(selected)}

@@ -96,7 +96,7 @@ def test_criterion_2_error_bound():
         trace = angle_trace(sample_full(BENCH, SCHED, x0, TS40))
         interval = detect_interval(trace, tau)
         assert interval is not None
-        plan = AccelerationPlan(interval=interval, tau=tau, r=2)
+        plan = AccelerationPlan(interval=interval, r=2)
         cal = calibrate_wg(BENCH, SCHED, x0, TS40, plan)
         for i, eps_r in cal.eps_r.items():
             theta = cal.theta[i]
@@ -124,7 +124,7 @@ def test_criterion_3_nfe_speedup_goldens():
         plan = AccelerationPlan(interval=interval)
         x0 = initial_noise(16, 0)
         cal = calibrate_wg(BENCH, SCHED, x0, ts, plan)
-        acc = accelerated_sample(BENCH, SCHED, x0, ts, plan.with_wg(cal.wg))
+        acc = accelerated_sample(BENCH, SCHED, x0, ts, replace(plan, wg=cal.wg))
         ratio = nfe_speedup(steps, acc.nfe)
         got.append(f"{steps}it->{acc.nfe}nfe/{ratio:.3f}x")
         ok = ok and acc.nfe == nfe_want
@@ -144,7 +144,7 @@ def test_criterion_4_skipping_ablation():
         x0 = initial_noise(16, seed)
         full = sample_full(BENCH, SCHED, x0, TS40)
         cal = calibrate_wg(BENCH, SCHED, x0, TS40, plan)
-        acc = accelerated_sample(BENCH, SCHED, x0, TS40, plan.with_wg(cal.wg))
+        acc = accelerated_sample(BENCH, SCHED, x0, TS40, replace(plan, wg=cal.wg))
         skip = sample_skipping(BENCH, SCHED, x0, TS40, skipped)
         assert acc.nfe == skip.nfe  # matched positions give equal NFE
         wins += psnr(full.final, acc.final) > psnr(full.final, skip.final)
@@ -160,7 +160,7 @@ def test_criterion_5_end_to_end_error():
     sel = plan.selected()
     assert len(sel) == 13  # 13 of 40 iterations approximated (32.5%)
     cal = calibrate_wg(BENCH, SCHED, initial_noise(16, 0), TS40, plan)
-    p = plan.with_wg(cal.wg)
+    p = replace(plan, wg=cal.wg)
     rels = []
     for seed in range(20):
         x0 = initial_noise(16, seed)
@@ -189,7 +189,7 @@ def test_criterion_6_bias_refinement(tmp_path):
     x0 = initial_noise(16, 0)
     cal = calibrate_wg(BENCH, SCHED, x0, TS40, plan)
     res = refine_bias(BENCH, SCHED, sample_full(BENCH, SCHED, x0[None], TS40),
-                      plan.with_wg(cal.wg))
+                      replace(plan, wg=cal.wg))
     at_zero = [v for b, v in res.evaluations if b == 0.0]
     zero_ok = bool(at_zero) and res.psnr >= at_zero[0] - 1e-9
 
@@ -235,7 +235,7 @@ def test_criterion_8_exactness_degeneracies(tmp_path):
     plan = AccelerationPlan(interval=(13, 39))
     full = sample_full(point, SCHED, x0, TS40)
     cal = calibrate_wg(point, SCHED, x0, TS40, plan)
-    acc = accelerated_sample(point, SCHED, x0, TS40, plan.with_wg(cal.wg))
+    acc = accelerated_sample(point, SCHED, x0, TS40, replace(plan, wg=cal.wg))
     dev_mu = max(float(np.abs(full.final - mu).max()),
                  float(np.abs(acc.final - mu).max()))
     point_ok = dev_mu <= 1e-6

@@ -401,8 +401,8 @@ def test_refine_call_count_and_grid_psnr(tmp_path, monkeypatch):
     ts = make_timesteps(cfg.t_train, cfg.steps)
     den = benchmark_gmm(sched, cfg.dim)
     plan = AccelerationPlan(interval=cfg.interval)
-    plan = plan.with_wg(calibrate_wg(den, sched, initial_noise(den.dim, 0),
-                                     ts, plan).wg)
+    plan = replace(plan, wg=calibrate_wg(den, sched, initial_noise(den.dim, 0),
+                                         ts, plan).wg)
     _, rows = read_csv(tmp_path / "psnr_summary.csv", "psnr_summary")
     grid = np.linspace(cfg.bias_lo, cfg.bias_hi, 11)
     assert [r[0] for r in rows] == list(grid)
@@ -797,6 +797,31 @@ def test_cli_non_finite_bias_bound_exits_2(tmp_path, capsys, mode, bound):
     assert main([mode, "--preset", "fig4-bias", "--config", ini,
                  "--seed-set", "0", "--out", str(tmp_path / "o")]) == 2
     assert "bias bounds must be finite" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("tau", ["0", "-1", "nan"])
+def test_cli_non_positive_tau_exits_2(tmp_path, capsys, tau):
+    # parse_config accepts any float tau; run refuses it before any file
+    ini = write_ini(tmp_path / "t.ini", f"[plan]\ntau = {tau}\n")
+    parse_config(ini)
+    assert main(["sample", "--preset", "sd2-ddim-40", "--config", ini,
+                 "--seed-set", "0", "--out", str(tmp_path / "o")]) == 2
+    assert "tau must be positive" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("field, value", [
+    ("bias", 1), ("bias", True), ("bias", "Refine"),
+    ("interval", "AUTO"), ("interval", "none"), ("interval", (13, 39, 1)),
+    ("interval", (13.0, 39)), ("interval", [13, 39]),
+])
+def test_run_refuses_wrongly_typed_bias_or_interval(tmp_path, field, value):
+    # the INI parser never yields these; a config built in Python can
+    cfg = replace(preset("sd2-ddim-40"), seeds=(0, 1), out=str(tmp_path / "o"),
+                  **{field: value})
+    with pytest.raises(ConfigError, match=field):
+        run(cfg, "sample")
     assert not (tmp_path / "o").exists()
 
 

@@ -206,7 +206,7 @@ class TestDetectInterval:
         got = detect_interval(seq, tau)
         assert got == _plan_interval(_state_machine(seq, tau), len(seq))
         if got is not None:
-            AccelerationPlan(interval=got).validate(len(seq) + 1, require_wg=False)
+            AccelerationPlan(interval=got).validate(len(seq) + 1)
 
     @settings(max_examples=200)
     @given(st.lists(st.floats(0.0, 0.3), min_size=1, max_size=40))
@@ -405,43 +405,40 @@ class TestAccelerationPlan:
 
     def test_validate_bounds(self):
         with pytest.raises(ConfigError, match=r"interval \[0, 10\] must satisfy"):
-            AccelerationPlan(interval=(0, 10)).validate(40, require_wg=False)
+            AccelerationPlan(interval=(0, 10)).validate(40)
         with pytest.raises(ConfigError, match=r"interval \[13, 40\] must satisfy"):
-            AccelerationPlan(interval=(13, 40)).validate(40, require_wg=False)
+            AccelerationPlan(interval=(13, 40)).validate(40)
         with pytest.raises(ConfigError, match=r"interval \[20, 13\] must satisfy"):
-            AccelerationPlan(interval=(20, 13)).validate(40, require_wg=False)
+            AccelerationPlan(interval=(20, 13)).validate(40)
         # iteration 1 would be selected but has only one prior state
         with pytest.raises(ConfigError, match="lacks two prior states"):
-            AccelerationPlan(interval=(1, 9)).validate(40, require_wg=False)
-        AccelerationPlan(interval=(2, 39)).validate(40, require_wg=False)
+            AccelerationPlan(interval=(1, 9)).validate(40)
+        AccelerationPlan(interval=(2, 39)).validate(40)
 
     def test_validate_parameters(self):
         with pytest.raises(ConfigError, match="r must be at least 2"):
-            AccelerationPlan(interval=None, r=1).validate(40, require_wg=False)
-        with pytest.raises(ConfigError, match="tau must be positive"):
-            AccelerationPlan(interval=None, tau=0.0).validate(40, require_wg=False)
+            AccelerationPlan(interval=None, r=1).validate(40)
         with pytest.raises(ConfigError, match="bias must be finite"):
-            AccelerationPlan(interval=None, bias=np.nan).validate(40, require_wg=False)
+            AccelerationPlan(interval=None, bias=np.nan).validate(40)
         wg = dict.fromkeys(range(13, 40, 2), 1.0)
         for bad in (np.nan, np.inf, -np.inf):
             plan = AccelerationPlan(interval=(13, 39), wg={**wg, 13: bad, 27: bad})
             with pytest.raises(ConfigError, match=r"\[13, 27\]"):
-                plan.validate(40, require_wg=True)
-        with pytest.warns(UserWarning, match="ceiling"):
-            AccelerationPlan(interval=None, tau=0.2).validate(40, require_wg=False)
+                plan.validate(40, rows=())
         with pytest.warns(UserWarning, match="r="):
-            AccelerationPlan(interval=(6, 10), r=3).validate(40, require_wg=False)
+            AccelerationPlan(interval=(6, 10), r=3).validate(40)
 
     def test_missing_wg_entries_rejected(self):
         plan = AccelerationPlan(interval=(13, 39), wg={13: 1.0})
-        with pytest.raises(ConfigError, match="wg entry"):
-            plan.validate(40, require_wg=True)
-        plan.validate(40, require_wg=False)
+        for rows in ((), (3,)):  # a wg is required wherever a chain applies it
+            with pytest.raises(ConfigError, match="wg entry"):
+                plan.validate(40, rows=rows)
+        assert plan.validate(40) == tuple(range(13, 40, 2))
 
     def test_empty_plan_selects_nothing(self):
         plan = AccelerationPlan(interval=None)
         assert plan.selected() == ()
-        assert plan.validate(40, require_wg=True) == ()
+        assert plan.validate(40, rows=()) == ()
 
 
 INTERVALS_100 = [(2, 38), (13, 39), (21, 99)]  # on a 100-step grid
@@ -491,7 +488,7 @@ class TestCalibrateAndApply:
         x0 = initial_noise(8, seed)
         plan = AccelerationPlan(interval=interval, phi_mode=phi_mode)
         cal = calibrate_wg(den, sched, x0, ts, plan)
-        acc = accelerated_sample(den, sched, x0, ts, plan.with_wg(cal.wg))
+        acc = accelerated_sample(den, sched, x0, ts, dataclasses.replace(plan, wg=cal.wg))
         assert np.array_equal(acc.states, cal.trajectory.states)
         assert acc.approximated == cal.trajectory.approximated == plan.selected()
 
@@ -507,7 +504,8 @@ class TestCalibrateAndApply:
         plan = AccelerationPlan(interval=interval, phi_mode=phi_mode)
         cal = calibrate_wg(den, sched, x0, ts, plan)
         counted = counting(den)
-        acc = accelerated_sample(counted, sched, x0, ts, plan.with_wg(cal.wg))
+        acc = accelerated_sample(counted, sched, x0, ts,
+                                 dataclasses.replace(plan, wg=cal.wg))
         assert cal.trajectory.nfe == 100
         assert acc.nfe + len(acc.approximated) == 100
         assert acc.nfe == 100 - len(plan.selected())
@@ -537,9 +535,8 @@ class TestCalibrateAndApply:
         x0 = initial_noise(8, 5)
         plan = AccelerationPlan(interval=(13, 39))
         cal = calibrate_wg(gmm, sched, x0, ts, plan)
-        a = accelerated_sample(gmm, sched, x0, ts, plan.with_wg(cal.wg))
-        import dataclasses
-        biased = dataclasses.replace(plan.with_wg(cal.wg), bias=0.05)
+        a = accelerated_sample(gmm, sched, x0, ts, dataclasses.replace(plan, wg=cal.wg))
+        biased = dataclasses.replace(plan, wg=cal.wg, bias=0.05)
         b = accelerated_sample(gmm, sched, x0, ts, biased)
         assert not np.array_equal(a.final, b.final)
 
@@ -578,13 +575,14 @@ class TestCalibrateAndApply:
             den = gmm if kind == "gmm" else recorded(seed)
             s, ts, x0 = sched, make_timesteps(1000, 100), initial_noise(8, seed)
             plan = AccelerationPlan(interval=interval, phi_mode=phi_mode)
-            plan = plan.with_wg(calibrate_wg(den, s, x0, ts, plan).wg)
+            plan = dataclasses.replace(plan, wg=calibrate_wg(den, s, x0, ts, plan).wg)
         plan = dataclasses.replace(plan, bias=bias)
         sel = plan.selected()
         full = sample_full(den, s, x0, ts)
         acc = accelerated_sample(den, s, x0, ts, plan)
+        wg = {i: w + plan.bias for i, w in plan.wg.items()}
         resumed = _chain(den, s, x0, ts, set(sel),
-                         _extrapolation(plan, _gammas(s, ts, plan)),
+                         _extrapolation(wg, _gammas(s, ts, plan)),
                          prefix=full.states[:sel[0]])
         assert np.array_equal(resumed.states, acc.states)
         assert resumed.approximated == acc.approximated
@@ -610,7 +608,8 @@ class TestCalibrateAndApply:
         approximated = tuple((r, i) for i in plan.selected()
                              for r in range(len(seeds)) if (r, i) not in fallbacks)
         cal = calibrate_wg(solo(seeds), sched, x0, ts, plan)
-        acc = accelerated_sample(solo(seeds), sched, x0, ts, plan.with_wg(cal.wg))
+        acc = accelerated_sample(solo(seeds), sched, x0, ts,
+                                 dataclasses.replace(plan, wg=cal.wg))
         for traj, nfe in ((cal.trajectory, [100] * len(seeds)),
                           (acc, [60 + len(stalled)] + [60] * (len(seeds) - 1))):
             assert traj.approximated == approximated
@@ -650,8 +649,8 @@ class TestCalibrateAndApply:
         full = sample_full(den, sched, x0, ts)
         cal = calibrate_wg(den, sched, x0, ts, plan)
         shared = calibrate_wg(solo(seeds[-1]), sched, x0[-1], ts, plan).wg
-        applied = dataclasses.replace(
-            plan.with_wg(cal.wg if per_row else shared), bias=bias)
+        applied = dataclasses.replace(plan, wg=cal.wg if per_row else shared,
+                                      bias=bias)
         counted = counting(den)
         acc = accelerated_sample(counted, sched, x0, ts, applied)
         # only rows taking a real step reach the denoiser
@@ -711,7 +710,7 @@ class TestCalibrateAndApply:
                 assert all(np.array_equal(got[i], want[i], equal_nan=True)
                            for i in want)
             assert cal_resumed.trajectory.fallbacks == cal.trajectory.fallbacks
-            applied = dataclasses.replace(plan.with_wg(cal.wg), bias=bias)
+            applied = dataclasses.replace(plan, wg=cal.wg, bias=bias)
             acc, acc_resumed = (accelerated_sample(den, sched, x, ts, applied,
                                                    full=p)
                                 for p in (None, full))
@@ -737,7 +736,7 @@ class TestCalibrateAndApply:
             with pytest.raises(ValueError, match="not a full run"):
                 calibrate_wg(gmm, sched, x0, ts, plan, full=bad)
             with pytest.raises(ValueError, match="not a full run"):
-                accelerated_sample(gmm, sched, x0, ts, plan.with_wg(wg),
+                accelerated_sample(gmm, sched, x0, ts, dataclasses.replace(plan, wg=wg),
                                    full=bad)
 
     @pytest.mark.parametrize("interval", [(13, 39), (3, 39), None])
@@ -748,7 +747,7 @@ class TestCalibrateAndApply:
         plan = AccelerationPlan(interval=interval)
         for x in (x0, x0[1]):  # a batch, and one (d,) run
             full = sample_full(gmm, sched, x, ts)
-            applied = plan.with_wg(calibrate_wg(gmm, sched, x, ts, plan).wg)
+            applied = dataclasses.replace(plan, wg=calibrate_wg(gmm, sched, x, ts, plan).wg)
             counted = counting(gmm)
             resumed = accelerated_sample(counted, sched, x, ts, applied,
                                          full=full.states)
@@ -781,7 +780,7 @@ class TestCalibrateAndApply:
         for den, x, wg in ((solo(seeds), x0, per_row), (solo(seeds), x0, shared),
                            (solo(seeds[-1]), x0[-1:], shared)):
             objective = _bias_objective(den, sched, sample_full(den, sched, x, ts),
-                                        plan.with_wg(wg))
+                                        dataclasses.replace(plan, wg=wg))
             batch = objective(np.array(biases))
             assert batch.shape == (len(biases),) + x.shape[:-1]
             for b, got in zip(biases, batch):
@@ -795,12 +794,12 @@ class TestCalibrateAndApply:
         plan = AccelerationPlan(interval=(13, 39))
         x0 = np.stack([initial_noise(8, k) for k in range(3)])
         wg = calibrate_wg(gmm, sched, x0, ts, plan).wg
-        accelerated_sample(gmm, sched, x0, ts, plan.with_wg(wg))
+        accelerated_sample(gmm, sched, x0, ts, dataclasses.replace(plan, wg=wg))
         with pytest.raises(ConfigError, match="per-row wg"):
-            accelerated_sample(gmm, sched, x0, ts,
-                               plan.with_wg({i: w[:2] for i, w in wg.items()}))
+            accelerated_sample(gmm, sched, x0, ts, dataclasses.replace(
+                plan, wg={i: w[:2] for i, w in wg.items()}))
         with pytest.raises(ConfigError, match="per-row wg"):
-            accelerated_sample(gmm, sched, x0[0], ts, plan.with_wg(wg))
+            accelerated_sample(gmm, sched, x0[0], ts, dataclasses.replace(plan, wg=wg))
 
     def test_missing_wg_rejected_at_apply(self, sched, gmm):
         ts = make_timesteps(1000, 40)
@@ -852,7 +851,7 @@ class TestRefineBias:
         plan = AccelerationPlan(interval=(13, 39))
         cal = calibrate_wg(gmm, sched, x0, ts, plan)
         res = refine_bias(gmm, sched, sample_full(gmm, sched, x0[None], ts),
-                          plan.with_wg(cal.wg))
+                          dataclasses.replace(plan, wg=cal.wg))
         at_zero = dict(res.evaluations)[0.0]
         assert res.psnr >= at_zero - 1e-9
 
@@ -863,7 +862,7 @@ class TestRefineBias:
         cal = calibrate_wg(gmm, sched, x0, ts, plan)
         with pytest.raises(ValueError, match="not a batch"):
             refine_bias(gmm, sched, sample_full(gmm, sched, x0, ts),
-                        plan.with_wg(cal.wg))
+                        dataclasses.replace(plan, wg=cal.wg))
 
     def test_degenerate_interval_returns_endpoint(self):
         res = _search_bias(_ramp, 0.03, 0.03)
