@@ -1,4 +1,4 @@
-"""Write a fixed matrix of 64 run bundles and print the digest of every file.
+"""Write a fixed matrix of 68 run bundles and print the digest of every file.
 
 Usage: python scripts/bundle_matrix.py OUT_DIR
 
@@ -19,6 +19,9 @@ Runs ``ltc_accel.harness.run`` from this checkout's ``src/`` on:
   ``auto`` ``sample``;
 * ``sd2-ddim-40`` with the seeds 3 and 2**64 - 1 on ``report`` and
   ``ablate-skip``, whose Seed cells numpy would not hold as int64.
+* a ``kind = point`` and an explicit ``kind = gmm`` denoiser on ``report``
+  and ``refine``, so the manifest lines of ``mu``, ``weights``, ``means``
+  and ``variances`` are checked too.
 
 Each bundle lands in OUT_DIR/<name>/, and one line ``<name>/<file>
 <sha256>`` is printed per file of each bundle, ``manifest.txt`` included,
@@ -117,6 +120,14 @@ def matrix() -> list[tuple[str, ExperimentConfig, str]]:
     ]
     wide = replace(PRESETS["sd2-ddim-40"], seeds=(3, 2**64 - 1))
     out += [(f"wide-seed-{m}", wide, m) for m in ("report", "ablate-skip")]
+    point = ExperimentConfig(kind="point", mu=(1.0, -0.5, 2.0, 0.25),
+                             seeds=(0, 1, 2))
+    gmm = ExperimentConfig(kind="gmm", weights=(0.6, 0.4),
+                           means=((-1.0, 0.5, 2.0), (1.5, -0.5, 0.0)),
+                           variances=((0.3, 0.2, 0.5), (0.4, 0.6, 0.2)),
+                           seeds=(0, 1, 2))
+    out += [(f"{name}-{m}", cfg, m) for name, cfg in (("point", point), ("gmm", gmm))
+            for m in ("report", "refine")]
     return out
 
 

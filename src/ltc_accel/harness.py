@@ -2,14 +2,15 @@
 
 Configs are INI files parsed strictly: unknown sections or keys are
 rejected, seeds are always explicit, and reruns of the same config write
-byte-identical files. A run is one in-process pass over one (S, d) batch
-whose rows are the seeds in sorted order: it reads a trace once and makes
-one batched call each for the full runs, the calibration and the
-accelerated runs. The calibration and the accelerated runs resume from
-the full runs after the bias-independent prefix (the real steps before
-the first selected iteration), and the bias grid with its zero probe is
-one chain. `--jobs` is accepted but has no effect, so it stays out of
-the manifest.
+byte-identical files. Each config field declares its INI key, and a
+config is checked when it is built or replaced. A run is one in-process
+pass over one (S, d) batch whose rows are the seeds in sorted order: it
+reads a trace once and makes one batched call each for the full runs,
+the calibration and the accelerated runs. The calibration and the
+accelerated runs resume from the full runs after the bias-independent
+prefix (the real steps before the first selected iteration), and the
+bias grid with its zero probe is one chain. `--jobs` is accepted but has
+no effect, so it stays out of the manifest.
 
 Modes
 -----
@@ -28,12 +29,13 @@ import configparser
 import hashlib
 import os
 import warnings
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
 from .errors import ConfigError
 from .ltc import (
+    BIAS_INTERVAL_DEFAULT,
     AccelerationPlan,
     accelerated_sample,
     angle_trace,
@@ -42,6 +44,7 @@ from .ltc import (
     refine_bias,
 )
 from .metrics import (
+    PSNR_CAP,
     RunReport,
     aggregate,
     end_error,
@@ -59,71 +62,9 @@ MODES = ("angles", "calibrate", "sample", "refine", "ablate-skip", "report")
 
 _KINDS = ("point", "gmm", "gmm-bench", "trace")
 TAU_CEILING = 0.15
-
-
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """Fully resolved experiment description."""
-
-    t_train: int = 1000
-    beta_start: float = 1e-4
-    beta_end: float = 0.02
-    steps: int = 40
-    kind: str = "gmm-bench"
-    dim: int = 16
-    mu: tuple = ()
-    weights: tuple = ()
-    means: tuple = ()
-    variances: tuple = ()
-    manifest: str = ""
-    interval: object = (13, 39)          # (a, b) | "auto" | None
-    r: int = 2
-    tau: float = 0.1
-    bias: object = 0.0                   # float | "refine"
-    phi_mode: str = "sqrt_snr"
-    per_seed_wg: bool = False
-    calibration_seed: int = -1           # -1: first seed
-    bias_lo: float = -0.05
-    bias_hi: float = 0.10
-    bias_search: str = "grid"
-    seeds: tuple = tuple(range(20))
-    out: str = ""
-    jobs: int = 1
-
-    def canonical_lines(self) -> list[str]:
-        """Deterministic key=value lines; execution-only keys excluded."""
-        skip = {"out", "jobs"}
-        lines = []
-        for f in fields(self):
-            if f.name in skip:
-                continue
-            v = getattr(self, f.name)
-            if isinstance(v, tuple):
-                v = ",".join(str(x) for x in v)
-            lines.append(f"config.{f.name}={v}")
-        return sorted(lines)
-
-    def fingerprint(self) -> str:
-        text = "\n".join(self.canonical_lines())
-        return hashlib.sha256(text.encode("ascii")).hexdigest()
-
-
-PRESETS = {
-    "sd2-ddim-40": ExperimentConfig(steps=40, interval=(13, 39)),
-    "sd2-ddim-50": ExperimentConfig(steps=50, interval=(11, 49)),
-    "sd2-ddim-100": ExperimentConfig(steps=100, interval=(21, 99)),
-    "fig2-trace": ExperimentConfig(steps=40, interval=(12, 38), per_seed_wg=True),
-    "fig4-bias": ExperimentConfig(steps=40, interval=(12, 38), bias="refine",
-                                  seeds=tuple(range(10))),
-}
-
-
-def preset(name: str) -> ExperimentConfig:
-    if name not in PRESETS:
-        raise ConfigError(
-            f"unknown preset {name!r}; available: {', '.join(sorted(PRESETS))}"
-        )
-    return PRESETS[name]
+# the type of a field's value by its annotation, as the INI parser yields it
+_TYPES = {"int": (int, np.integer), "float": float, "str": str, "bool": bool,
+          "tuple": tuple}
 
 
 def _parse_floats(text: str) -> tuple:
@@ -166,33 +107,125 @@ def _parse_bool(text: str) -> bool:
     raise ConfigError(f"expected a boolean, got {text!r}")
 
 
+def _key(section: str, parse, default, key: str = ""):
+    """A config field read through `parse` from `key` (default: the field's
+    name) of INI section `section`."""
+    return field(default=default, metadata={"ini": (section, parse, key)})
+
+
+@dataclass(frozen=True)
+class ExperimentConfig:
+    """Fully resolved experiment description, checked when built or replaced."""
+
+    t_train: int = _key("schedule", int, 1000)
+    beta_start: float = _key("schedule", float, 1e-4)
+    beta_end: float = _key("schedule", float, 0.02)
+    steps: int = _key("sampling", int, 40)
+    kind: str = _key("denoiser", str.strip, "gmm-bench")
+    dim: int = _key("denoiser", int, 16)
+    mu: tuple = _key("denoiser", _parse_floats, ())
+    weights: tuple = _key("denoiser", _parse_floats, ())
+    means: tuple = _key("denoiser", _parse_matrix, ())
+    variances: tuple = _key("denoiser", _parse_matrix, ())
+    manifest: str = _key("denoiser", str.strip, "")
+    interval: object = _key("plan", _parse_interval, (13, 39))  # (a, b) | "auto" | None
+    r: int = _key("plan", int, 2)
+    tau: float = _key("plan", float, 0.1)
+    bias: object = _key("plan", _parse_bias, 0.0)  # float | "refine"
+    phi_mode: str = _key("plan", str.strip, "sqrt_snr")
+    per_seed_wg: bool = _key("plan", _parse_bool, False)
+    calibration_seed: int = _key("plan", int, -1)  # -1: first seed
+    bias_lo: float = _key("bias", float, BIAS_INTERVAL_DEFAULT[0], "lo")
+    bias_hi: float = _key("bias", float, BIAS_INTERVAL_DEFAULT[1], "hi")
+    bias_search: str = _key("bias", str.strip, "grid", "search")
+    seeds: tuple = _key("run", lambda v: tuple(int(x) for x in v.split(",") if x.strip()),
+                        tuple(range(20)))
+    out: str = _key("run", str.strip, "")
+    jobs: int = _key("run", int, 1)
+
+    def __post_init__(self) -> None:
+        if self.kind not in _KINDS:
+            raise ConfigError(f"unknown denoiser kind {self.kind!r}; known: {_KINDS}")
+        if self.kind == "point" and not self.mu:
+            raise ConfigError("denoiser kind 'point' requires mu")
+        if self.kind == "gmm" and not (self.weights and self.means and self.variances):
+            raise ConfigError("denoiser kind 'gmm' requires weights, means, variances")
+        if self.kind == "trace" and not self.manifest:
+            raise ConfigError("denoiser kind 'trace' requires manifest")
+        if not (isinstance(self.bias, float) or isinstance(self.bias, str)
+                and self.bias == "refine"):
+            raise ConfigError(f"bias must be a float or 'refine', got {self.bias!r}")
+        iv = self.interval
+        pair = isinstance(iv, tuple) and len(iv) == 2 and all(
+            isinstance(v, (int, np.integer)) and not isinstance(v, bool) for v in iv)
+        if not (pair or iv is None or isinstance(iv, str) and iv == "auto"):
+            raise ConfigError("interval must be None, 'auto' or a tuple of two "
+                              f"integers, got {iv!r}")
+        for f in fields(self):
+            v = getattr(self, f.name)
+            want = _TYPES.get(f.type, object)  # bias and interval: checked above
+            if not isinstance(v, want) or isinstance(v, bool) and f.type != "bool":
+                raise ConfigError(f"{f.name} must be {f.type}, got {v!r}")
+        if not self.seeds:
+            raise ConfigError("at least one seed is required")
+        if len(set(self.seeds)) != len(self.seeds):
+            raise ConfigError("seeds must be distinct")
+        if min(self.seeds) < 0:
+            raise ConfigError(f"seeds must be non-negative, got {min(self.seeds)}")
+        if self.phi_mode not in tuple(m.value for m in PhiMode):
+            raise ConfigError(f"unknown phi_mode {self.phi_mode!r}")
+        if self.bias_search not in ("grid", "binary"):
+            raise ConfigError(f"unknown bias search {self.bias_search!r}")
+        if not np.isfinite([self.bias_lo, self.bias_hi]).all():
+            raise ConfigError(f"bias bounds must be finite, got [{self.bias_lo}, {self.bias_hi}]")
+        if not self.bias_lo <= self.bias_hi:
+            raise ConfigError(f"empty bias interval [{self.bias_lo}, {self.bias_hi}]")
+        if self.calibration_seed != -1 and self.calibration_seed not in self.seeds:
+            raise ConfigError(
+                f"calibration_seed {self.calibration_seed} is not among the seeds")
+        if self.jobs < 1:
+            raise ConfigError("jobs must be at least 1")
+
+    def canonical_lines(self) -> list[str]:
+        """Deterministic key=value lines; execution-only keys excluded."""
+        skip = {"out", "jobs"}
+        lines = []
+        for f in fields(self):
+            if f.name in skip:
+                continue
+            v = getattr(self, f.name)
+            if isinstance(v, tuple):
+                v = ",".join(str(x) for x in v)
+            lines.append(f"config.{f.name}={v}")
+        return sorted(lines)
+
+    def fingerprint(self) -> str:
+        text = "\n".join(self.canonical_lines())
+        return hashlib.sha256(text.encode("ascii")).hexdigest()
+
+
 # (section, key) -> (ExperimentConfig field, parser of the raw value)
-_KEYS = {
-    ("schedule", "t_train"): ("t_train", int),
-    ("schedule", "beta_start"): ("beta_start", float),
-    ("schedule", "beta_end"): ("beta_end", float),
-    ("sampling", "steps"): ("steps", int),
-    ("denoiser", "kind"): ("kind", str.strip),
-    ("denoiser", "dim"): ("dim", int),
-    ("denoiser", "mu"): ("mu", _parse_floats),
-    ("denoiser", "weights"): ("weights", _parse_floats),
-    ("denoiser", "means"): ("means", _parse_matrix),
-    ("denoiser", "variances"): ("variances", _parse_matrix),
-    ("denoiser", "manifest"): ("manifest", str.strip),
-    ("plan", "interval"): ("interval", _parse_interval),
-    ("plan", "r"): ("r", int),
-    ("plan", "tau"): ("tau", float),
-    ("plan", "bias"): ("bias", _parse_bias),
-    ("plan", "phi_mode"): ("phi_mode", str.strip),
-    ("plan", "per_seed_wg"): ("per_seed_wg", _parse_bool),
-    ("plan", "calibration_seed"): ("calibration_seed", int),
-    ("bias", "lo"): ("bias_lo", float),
-    ("bias", "hi"): ("bias_hi", float),
-    ("bias", "search"): ("bias_search", str.strip),
-    ("run", "seeds"): ("seeds", lambda v: tuple(int(x) for x in v.split(",") if x.strip())),
-    ("run", "out"): ("out", str.strip),
-    ("run", "jobs"): ("jobs", int),
+_KEYS = {(section, key or f.name): (f.name, parse)
+         for f in fields(ExperimentConfig)
+         for section, parse, key in [f.metadata["ini"]]}
+
+
+PRESETS = {
+    "sd2-ddim-40": ExperimentConfig(steps=40, interval=(13, 39)),
+    "sd2-ddim-50": ExperimentConfig(steps=50, interval=(11, 49)),
+    "sd2-ddim-100": ExperimentConfig(steps=100, interval=(21, 99)),
+    "fig2-trace": ExperimentConfig(steps=40, interval=(12, 38), per_seed_wg=True),
+    "fig4-bias": ExperimentConfig(steps=40, interval=(12, 38), bias="refine",
+                                  seeds=tuple(range(10))),
 }
+
+
+def preset(name: str) -> ExperimentConfig:
+    if name not in PRESETS:
+        raise ConfigError(
+            f"unknown preset {name!r}; available: {', '.join(sorted(PRESETS))}"
+        )
+    return PRESETS[name]
 
 
 def parse_config(path: str, base: ExperimentConfig | None = None) -> ExperimentConfig:
@@ -222,47 +255,7 @@ def parse_config(path: str, base: ExperimentConfig | None = None) -> ExperimentC
             except ValueError:
                 raise ConfigError(
                     f"bad value for {section}.{key}: {value!r}") from None
-    return validate_config(replace(cfg, **updates))
-
-
-def validate_config(cfg: ExperimentConfig) -> ExperimentConfig:
-    if cfg.kind not in _KINDS:
-        raise ConfigError(f"unknown denoiser kind {cfg.kind!r}; known: {_KINDS}")
-    if cfg.kind == "point" and not cfg.mu:
-        raise ConfigError("denoiser kind 'point' requires mu")
-    if cfg.kind == "gmm" and not (cfg.weights and cfg.means and cfg.variances):
-        raise ConfigError("denoiser kind 'gmm' requires weights, means, variances")
-    if cfg.kind == "trace" and not cfg.manifest:
-        raise ConfigError("denoiser kind 'trace' requires manifest")
-    if not cfg.seeds:
-        raise ConfigError("at least one seed is required")
-    if len(set(cfg.seeds)) != len(cfg.seeds):
-        raise ConfigError("seeds must be distinct")
-    if min(cfg.seeds) < 0:
-        raise ConfigError(f"seeds must be non-negative, got {min(cfg.seeds)}")
-    if not (isinstance(cfg.bias, float) or isinstance(cfg.bias, str)
-            and cfg.bias == "refine"):
-        raise ConfigError(f"bias must be a float or 'refine', got {cfg.bias!r}")
-    iv = cfg.interval
-    pair = isinstance(iv, tuple) and len(iv) == 2 and all(
-        isinstance(v, (int, np.integer)) and not isinstance(v, bool) for v in iv)
-    if not (pair or iv is None or isinstance(iv, str) and iv == "auto"):
-        raise ConfigError("interval must be None, 'auto' or a tuple of two "
-                          f"integers, got {iv!r}")
-    if cfg.phi_mode not in tuple(m.value for m in PhiMode):
-        raise ConfigError(f"unknown phi_mode {cfg.phi_mode!r}")
-    if cfg.bias_search not in ("grid", "binary"):
-        raise ConfigError(f"unknown bias search {cfg.bias_search!r}")
-    if not np.isfinite([cfg.bias_lo, cfg.bias_hi]).all():
-        raise ConfigError(f"bias bounds must be finite, got [{cfg.bias_lo}, {cfg.bias_hi}]")
-    if not cfg.bias_lo <= cfg.bias_hi:
-        raise ConfigError(f"empty bias interval [{cfg.bias_lo}, {cfg.bias_hi}]")
-    if cfg.calibration_seed != -1 and cfg.calibration_seed not in cfg.seeds:
-        raise ConfigError(
-            f"calibration_seed {cfg.calibration_seed} is not among the seeds")
-    if cfg.jobs < 1:
-        raise ConfigError("jobs must be at least 1")
-    return cfg
+    return replace(cfg, **updates)
 
 
 def benchmark_gmm(schedule, dim: int = 16) -> DiagGmmDenoiser:
@@ -332,7 +325,6 @@ def run(cfg: ExperimentConfig, mode: str) -> RunReport:
         raise ConfigError(f"unknown mode {mode!r}; known: {', '.join(MODES)}")
     if not cfg.out:
         raise ConfigError("no output directory configured")
-    validate_config(cfg)
     schedule = build_linear_beta(cfg.t_train, cfg.beta_start, cfg.beta_end)
     ts = make_timesteps(cfg.t_train, cfg.steps)
     n = len(ts) - 1
@@ -424,7 +416,7 @@ def run(cfg: ExperimentConfig, mode: str) -> RunReport:
     # In angles mode a full run is compared to itself: unit speedup, zero end
     # error. Its constant rows also serve dim = 1, where psnr has no peak.
     emit("report.csv", "report", *(
-        (seeds, *([v] * len(seeds) for v in (n, n, 1.0, 99.0, 0.0, 0.0)))
+        (seeds, *([v] * len(seeds) for v in (n, n, 1.0, PSNR_CAP, 0.0, 0.0)))
         if mode == "angles" else _rows(seeds, full, acc if accel else cal.trajectory)))
 
     _write_manifest(out_dir, mode, cfg, result_lines, files)

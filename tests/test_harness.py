@@ -815,14 +815,31 @@ def test_cli_non_positive_tau_exits_2(tmp_path, capsys, tau):
     ("bias", 1), ("bias", True), ("bias", "Refine"),
     ("interval", "AUTO"), ("interval", "none"), ("interval", (13, 39, 1)),
     ("interval", (13.0, 39)), ("interval", [13, 39]),
+    ("r", 2.5), ("per_seed_wg", "no"), ("seeds", [0, 1]), ("tau", "0.1"),
+    ("steps", 40.0), ("t_train", 1000.0), ("dim", True), ("jobs", "2"),
+    ("seeds", "0,1"),
 ])
 def test_run_refuses_wrongly_typed_bias_or_interval(tmp_path, field, value):
     # the INI parser never yields these; a config built in Python can
-    cfg = replace(preset("sd2-ddim-40"), seeds=(0, 1), out=str(tmp_path / "o"),
-                  **{field: value})
     with pytest.raises(ConfigError, match=field):
+        cfg = replace(preset("sd2-ddim-40"), out=str(tmp_path / "o"),
+                      **{"seeds": (0, 1), field: value})
         run(cfg, "sample")
     assert not (tmp_path / "o").exists()
+
+
+def test_run_accepts_numpy_scalars_where_the_parser_yields_numbers(tmp_path):
+    cfg = replace(preset("sd2-ddim-40"), seeds=(0, 1), out=str(tmp_path / "o"),
+                  r=np.int64(2), tau=np.float64(0.1))
+    assert "report.csv" in run(cfg, "sample").files
+
+
+def test_config_checks_itself_when_built_or_replaced():
+    # no unchecked ExperimentConfig exists for run to meet
+    with pytest.raises(ConfigError, match="at least one seed"):
+        replace(preset("sd2-ddim-40"), seeds=())
+    with pytest.raises(ConfigError, match="unknown denoiser kind"):
+        ExperimentConfig(kind="vae")
 
 
 def test_cli_config_that_is_not_utf8_exit(tmp_path, capsys):
