@@ -1,4 +1,4 @@
-"""Write a fixed matrix of 68 run bundles and print the digest of every file.
+"""Write a fixed matrix of 72 run bundles and print the digest of every file.
 
 Usage: python scripts/bundle_matrix.py OUT_DIR
 
@@ -18,10 +18,13 @@ Runs ``ltc_accel.harness.run`` from this checkout's ``src/`` on:
 * a non-default ``calibration_seed`` on ``report``, ``refine`` and an
   ``auto`` ``sample``;
 * ``sd2-ddim-40`` with the seeds 3 and 2**64 - 1 on ``report`` and
-  ``ablate-skip``, whose Seed cells numpy would not hold as int64.
+  ``ablate-skip``, whose Seed cells numpy would not hold as int64;
 * a ``kind = point`` and an explicit ``kind = gmm`` denoiser on ``report``
   and ``refine``, so the manifest lines of ``mu``, ``weights``, ``means``
-  and ``variances`` are checked too.
+  and ``variances`` are checked too;
+* ``phi_mode = snr``, which changes every gamma, and ``r = 3``, which
+  changes the selected iterations, each on ``sd2-ddim-40`` ``report`` and
+  ``fig4-bias`` ``refine`` with the seeds 0, 1, 2.
 
 Each bundle lands in OUT_DIR/<name>/, and one line ``<name>/<file>
 <sha256>`` is printed per file of each bundle, ``manifest.txt`` included,
@@ -128,6 +131,9 @@ def matrix() -> list[tuple[str, ExperimentConfig, str]]:
                            seeds=(0, 1, 2))
     out += [(f"{name}-{m}", cfg, m) for name, cfg in (("point", point), ("gmm", gmm))
             for m in ("report", "refine")]
+    out += [(f"{name}-{m}", replace(PRESETS[p], seeds=(0, 1, 2), **change), m)
+            for name, change in (("snr", {"phi_mode": "snr"}), ("r3", {"r": 3}))
+            for p, m in (("sd2-ddim-40", "report"), ("fig4-bias", "refine"))]
     return out
 
 

@@ -168,6 +168,9 @@ class ExperimentConfig:
                 raise ConfigError(f"{f.name} must be {f.type}, got {v!r}")
         if not self.seeds:
             raise ConfigError("at least one seed is required")
+        if not all(isinstance(s, (int, np.integer)) and not isinstance(s, bool)
+                   for s in self.seeds):
+            raise ConfigError(f"seeds must be integers, got {self.seeds!r}")
         if len(set(self.seeds)) != len(self.seeds):
             raise ConfigError("seeds must be distinct")
         if min(self.seeds) < 0:
@@ -230,7 +233,7 @@ def preset(name: str) -> ExperimentConfig:
 
 def parse_config(path: str, base: ExperimentConfig | None = None) -> ExperimentConfig:
     """Overlay an INI file onto a base config, rejecting unknown keys."""
-    cp = configparser.ConfigParser(interpolation=None)
+    cp = configparser.ConfigParser(interpolation=None, default_section="")
     try:
         with open(path, "r", encoding="utf-8") as f:
             cp.read_file(f)
@@ -373,7 +376,7 @@ def run(cfg: ExperimentConfig, mode: str) -> RunReport:
     bias = None
     if refine:
         found = refine_bias(den, schedule, full, plan, (cfg.bias_lo, cfg.bias_hi),
-                            cfg.bias_search, tol=1e-5)
+                            cfg.bias_search)
         emit("psnr_summary.csv", "psnr_summary", found.grid,
              *aggregate(found.grid_psnr.T))
         bias = found.bias

@@ -44,6 +44,7 @@ BIAS_INTERVAL_DEFAULT = (-0.05, 0.10)
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 _GOLDEN_MAX_ITER = 200
 _GRID_POINTS = 11
+_BIAS_TOL = 1e-5  # golden section stops once the bias bracket is this narrow
 
 
 def angle(u, v):
@@ -174,24 +175,25 @@ class AccelerationPlan:
         return sel
 
 
-def _gammas(schedule: NoiseSchedule, ts: np.ndarray,
-            plan: AccelerationPlan) -> dict:
-    """gamma of each selected iteration i: target ts[i], sources ts[i-1], ts[i-2]."""
-    return {i: gamma(*(phi(schedule, int(ts[j]), plan.phi_mode)
-                       for j in (i, i - 1, i - 2))) for i in plan.selected()}
-
-
-def _resume_from(full, x_init, ts: np.ndarray, selected):
-    """The states before the first selected iteration of `full`, checked to
-    hold all n + 1 states of a full run from x_init; None stays None."""
+def _setup(schedule: NoiseSchedule, timesteps, plan: AccelerationPlan, x_init,
+           full, rows: tuple | None = None):
+    """What every chain applies: the checked grid ts, the selected iterations
+    (validated as plan.validate(n, rows)), gamma of each selected iteration
+    i (target ts[i], sources ts[i-1], ts[i-2]) and the states of `full`
+    before the first of them, `full` checked to hold all n + 1 states of a
+    full run from x_init; None when there is no `full`."""
+    ts = check_timesteps(timesteps, schedule.t_train)
+    selected = set(plan.validate(len(ts) - 1, rows))
+    gammas = {i: gamma(*(phi(schedule, int(ts[j]), plan.phi_mode)
+                         for j in (i, i - 1, i - 2))) for i in selected}
     if full is None:
-        return None
+        return ts, selected, gammas, None
     full = np.asarray(full, dtype=np.float64)
     if (full.shape[:-2] + full.shape[-1:] != np.shape(x_init)
             or full.shape[-2:-1] != ts.shape
             or not np.array_equal(full[..., 0, :], x_init)):
         raise ValueError(f"full of shape {full.shape} is not a full run from x_init")
-    return full[..., :min(selected, default=len(ts)), :]
+    return ts, selected, gammas, full[..., :min(selected, default=len(ts)), :]
 
 
 def accelerated_sample(denoiser, schedule: NoiseSchedule, x_init, timesteps,
@@ -207,12 +209,11 @@ def accelerated_sample(denoiser, schedule: NoiseSchedule, x_init, timesteps,
     real steps before it are the full runs'. Those steps count in nfe;
     the result is the same.
     """
-    ts = check_timesteps(timesteps, schedule.t_train)
-    selected = set(plan.validate(len(ts) - 1, rows=np.shape(x_init)[:-1]))
+    ts, selected, gammas, prefix = _setup(schedule, timesteps, plan, x_init, full,
+                                          rows=np.shape(x_init)[:-1])
     wg = {i: w + plan.bias for i, w in (plan.wg or {}).items()}
     return _chain(denoiser, schedule, x_init, ts, selected,
-                  _extrapolation(wg, _gammas(schedule, ts, plan)),
-                  prefix=_resume_from(full, x_init, ts, selected))
+                  _extrapolation(wg, gammas), prefix=prefix)
 
 
 def _extrapolation(wg: dict, gammas: dict):
@@ -235,11 +236,10 @@ def _bias_objective(denoiser, schedule: NoiseSchedule, reference: Trajectory,
     """
     if np.ndim(reference.states) != 3:
         raise ValueError(f"reference is not a batch: states {np.shape(reference.states)}")
-    ts, x_init = reference.timesteps, reference.states[:, 0]
-    n, n_rows = len(ts) - 1, len(x_init)
-    selected = set(plan.validate(n, rows=(n_rows,)))
-    prefix = _resume_from(reference.states, x_init, ts, selected)
-    gammas = _gammas(schedule, ts, plan)
+    x_init = reference.states[:, 0]
+    n_rows = len(x_init)
+    ts, selected, gammas, prefix = _setup(schedule, reference.timesteps, plan,
+                                          x_init, reference.states, rows=(n_rows,))
 
     def objective(biases):
         b = np.asarray(biases, dtype=np.float64)
@@ -250,8 +250,7 @@ def _bias_objective(denoiser, schedule: NoiseSchedule, reference: Trajectory,
         wg = {i: (w if np.ndim(w) == 0 else w[tile]) + bias
               for i, w in plan.wg.items()}
         traj = _chain(denoiser.take(tile), schedule, x_init[tile], ts, selected,
-                      _extrapolation(wg, gammas),
-                      prefix=prefix[tile])
+                      _extrapolation(wg, gammas), prefix=prefix[tile])
         return psnr(reference.final[tile], traj.final).reshape(b.size, n_rows)
 
     return objective
@@ -288,14 +287,12 @@ def calibrate_wg(denoiser, schedule: NoiseSchedule, x_init, timesteps,
     extrapolated because apply-time degeneracy independently falls back
     to a real step. `full` resumes the run as in accelerated_sample.
     """
-    ts = check_timesteps(timesteps, schedule.t_train)
+    ts, selected, gammas, prefix = _setup(schedule, timesteps, plan, x_init, full)
     n = len(ts) - 1
-    selected = set(plan.validate(n))
     n_rows = len(np.atleast_2d(x_init))
     wg = {i: np.ones(n_rows) for i in sorted(selected)}  # fallbacks: neutral 1.0
     theta = {i: np.full(n_rows, np.nan) for i in sorted(selected)}
     eps_r = {i: np.full(n_rows, np.nan) for i in sorted(selected)}
-    gammas = _gammas(schedule, ts, plan)
 
     def shadow(i, x, d_prev, rows):
         t, t_prev = int(ts[i - 1]), int(ts[i])
@@ -309,8 +306,7 @@ def calibrate_wg(denoiser, schedule: NoiseSchedule, x_init, timesteps,
         eps_r[i][rows] = relative_error(x_real, x_star, d_true)
         return x_star
 
-    traj = _chain(denoiser, schedule, x_init, ts, selected, shadow,
-                  prefix=_resume_from(full, x_init, ts, selected))
+    traj = _chain(denoiser, schedule, x_init, ts, selected, shadow, prefix=prefix)
     traj.nfe = np.full(n_rows, n) if np.ndim(x_init) == 2 else n
     if np.ndim(x_init) == 1:
         moved = [i for i in theta if not np.isnan(theta[i][0])]
@@ -361,8 +357,8 @@ class BiasSearchResult:
     grid_psnr: np.ndarray  # (grid points, S) PSNRs at those biases
 
 
-def _search_bias(objective, lo: float, hi: float, mode: str = "grid",
-                 tol: float = 1e-6) -> BiasSearchResult:
+def _search_bias(objective, lo: float, hi: float,
+                 mode: str = "grid") -> BiasSearchResult:
     """The bias search behind refine_bias.
 
     `objective` maps a 1-D array of B biases to their (B, S) PSNRs. A bias
@@ -379,28 +375,25 @@ def _search_bias(objective, lo: float, hi: float, mode: str = "grid",
     grid = np.linspace(lo, hi, _GRID_POINTS)
     first = np.append(grid, [0.0] if lo <= 0.0 <= hi and 0.0 not in grid else [])
     first_psnr = objective(first)
-    scores = aggregate(first_psnr.T)[0]
-    cache = dict(zip(first.tolist(), scores.tolist()))
-
-    def ev(b: float) -> float:
-        if b not in cache:
-            cache[b] = aggregate(objective(np.array([b])).T)[0].item()
-        return cache[b]
-
+    mean = aggregate(first_psnr.T)[0]
+    scores = dict(zip(first.tolist(), mean.tolist()))
     if mode == "grid":
-        k = int(np.argmax(scores[:_GRID_POINTS]))
+        k = int(np.argmax(mean[:_GRID_POINTS]))
         lo, hi = grid[max(k - 1, 0)], grid[min(k + 1, _GRID_POINTS - 1)]
-    golden_section_max(ev, float(lo), float(hi), tol=tol)
-    best = max(cache, key=lambda b: (cache[b], -abs(b)))
-    return BiasSearchResult(bias=best, psnr=cache[best],
-                            evaluations=sorted(cache.items()), grid=grid,
+    if hi > lo:  # on [lo, lo] golden section would only re-probe the grid
+        scores.update(golden_section_max(
+            lambda b: aggregate(objective(np.array([b])).T)[0].item(),
+            float(lo), float(hi), tol=_BIAS_TOL)[1])
+    best = max(scores, key=lambda b: (scores[b], -abs(b)))
+    return BiasSearchResult(bias=best, psnr=scores[best],
+                            evaluations=sorted(scores.items()), grid=grid,
                             grid_psnr=first_psnr[:_GRID_POINTS])
 
 
 def refine_bias(denoiser, schedule: NoiseSchedule, reference: Trajectory,
                 plan: AccelerationPlan,
                 interval: tuple[float, float] = BIAS_INTERVAL_DEFAULT,
-                mode: str = "grid", tol: float = 1e-6) -> BiasSearchResult:
+                mode: str = "grid") -> BiasSearchResult:
     """Pick the wg bias maximizing mean PSNR against the batched full runs
     `reference` (states (S, n + 1, d)); the refine mode's search.
 
@@ -410,4 +403,4 @@ def refine_bias(denoiser, schedule: NoiseSchedule, reference: Trajectory,
     the refined bias never scores below the unbiased plan.
     """
     return _search_bias(_bias_objective(denoiser, schedule, reference, plan),
-                        interval[0], interval[1], mode=mode, tol=tol)
+                        interval[0], interval[1], mode=mode)

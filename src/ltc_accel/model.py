@@ -56,7 +56,10 @@ class PointMassDenoiser:
     """All probability mass at a single point mu."""
 
     def __init__(self, mu, schedule: NoiseSchedule):
-        self.mu = np.array(mu, dtype=np.float64)
+        try:
+            self.mu = np.array(mu, dtype=np.float64)
+        except ValueError as e:  # not numbers, or ragged
+            raise ConfigError(f"mu must be a finite vector: {e}") from None
         if self.mu.ndim != 1 or not np.all(np.isfinite(self.mu)):
             raise ConfigError("mu must be a finite vector")
         self.schedule = schedule

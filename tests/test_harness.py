@@ -179,6 +179,10 @@ def test_parse_overlays_base_preserving_unset_keys(tmp_path):
     ("[bias]\nsearch = random\n", "search"),
     ("[bias]\nlo = 0.2\nhi = 0.1\n", "bias interval"),
     ("[plan]\ncalibration_seed = 99\n", "calibration_seed"),
+    # [DEFAULT] is an ordinary section, and so an unknown one
+    ("[DEFAULT]\nseeds = 5\n", r"unknown config section \[DEFAULT\]"),
+    ("[DEFAULT]\nr = 3\n[plan]\ntau = 0.1\n", r"unknown config section \[DEFAULT\]"),
+    ("[DEFAULT]\nr = 3\n[run]\nseeds = 0\n", r"unknown config section \[DEFAULT\]"),
 ])
 def test_parse_rejections(tmp_path, text, fragment):
     ini = write_ini(tmp_path / "bad.ini", text)
@@ -817,13 +821,21 @@ def test_cli_non_positive_tau_exits_2(tmp_path, capsys, tau):
     ("interval", (13.0, 39)), ("interval", [13, 39]),
     ("r", 2.5), ("per_seed_wg", "no"), ("seeds", [0, 1]), ("tau", "0.1"),
     ("steps", 40.0), ("t_train", 1000.0), ("dim", True), ("jobs", "2"),
-    ("seeds", "0,1"),
+    ("seeds", "0,1"), ("seeds", (True, 2)), ("seeds", (0.5, 1)), ("seeds", ("1", 2)),
 ])
 def test_run_refuses_wrongly_typed_bias_or_interval(tmp_path, field, value):
     # the INI parser never yields these; a config built in Python can
     with pytest.raises(ConfigError, match=field):
         cfg = replace(preset("sd2-ddim-40"), out=str(tmp_path / "o"),
                       **{"seeds": (0, 1), field: value})
+        run(cfg, "sample")
+    assert not (tmp_path / "o").exists()
+
+
+def test_run_refuses_a_point_mu_that_is_not_numbers(tmp_path):
+    cfg = replace(preset("sd2-ddim-40"), seeds=(0, 1), out=str(tmp_path / "o"),
+                  kind="point", mu=("a",))
+    with pytest.raises(ConfigError, match="mu must be a finite vector"):
         run(cfg, "sample")
     assert not (tmp_path / "o").exists()
 

@@ -36,8 +36,8 @@ from ltc_accel.ltc import (
     BIAS_INTERVAL_DEFAULT,
     _bias_objective,
     _extrapolation,
-    _gammas,
     _search_bias,
+    _setup,
 )
 from ltc_accel.metrics import psnr
 from ltc_accel.model import PointMassDenoiser, RecordedTraceDenoiser
@@ -582,7 +582,7 @@ class TestCalibrateAndApply:
         acc = accelerated_sample(den, s, x0, ts, plan)
         wg = {i: w + plan.bias for i, w in plan.wg.items()}
         resumed = _chain(den, s, x0, ts, set(sel),
-                         _extrapolation(wg, _gammas(s, ts, plan)),
+                         _extrapolation(wg, _setup(s, ts, plan, x0, None)[2]),
                          prefix=full.states[:sel[0]])
         assert np.array_equal(resumed.states, acc.states)
         assert resumed.approximated == acc.approximated
@@ -865,8 +865,15 @@ class TestRefineBias:
                         dataclasses.replace(plan, wg=cal.wg))
 
     def test_degenerate_interval_returns_endpoint(self):
-        res = _search_bias(_ramp, 0.03, 0.03)
+        calls = []
+
+        def objective(biases):
+            calls.append(biases.tolist())
+            return _ramp(biases)
+
+        res = _search_bias(objective, 0.03, 0.03)
         assert res.bias == 0.03
+        assert calls == [[0.03] * 11]  # the grid alone: no golden section on [lo, lo]
 
     def test_known_scores_are_never_reevaluated(self):
         calls = []
@@ -875,7 +882,7 @@ class TestRefineBias:
             calls.append(biases.tolist())
             return _stub(biases)
 
-        res = _search_bias(objective, -0.05, 0.10, tol=1e-5)
+        res = _search_bias(objective, -0.05, 0.10)
         grid = np.linspace(-0.05, 0.10, 11).tolist()
         assert calls[0] == grid + [0.0]  # the grid and zero in one call
         # golden section probes one bias at a time, each once, never a
