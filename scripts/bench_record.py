@@ -1,6 +1,7 @@
 """Bench two checkouts against each other and write one JSON record.
 
 Usage: python scripts/bench_record.py PARENT_DIR CHANGE_DIR OUT_JSON [PAIRS [SECONDS]]
+       python scripts/bench_record.py --wall-speedup CHECKOUT_DIR
 
 For every workload named in CHANGE_DIR/BENCHMARK.json and workload seeds
 1..PAIRS (default 10), runs
@@ -13,15 +14,34 @@ both sides alike. OUT_JSON gets, per workload and side, the median and
 the first and third quartiles of every end-to-end metric, the failed and
 attempted run counts, and the seeds used; plus the Python and numpy
 versions and nproc that the runs report. Progress goes to stderr.
+
+OUT_JSON also gets each side's wall_speedup, from WALL_ROUNDS rounds of
+`--wall-speedup`, in alternating order. That mode imports CHECKOUT_DIR's
+src/ in-process and, at each point of WALL_POINTS (a preset's grid and
+plan at a benchmark-mixture dimension, 20 seeds as one batch), times
+interleaved pairs of sample_full and accelerated_sample with a wg that
+calibrate_wg measured on the first seed. Each side has its own
+denoiser object, so neither sees the other's per-t cache. It prints, per
+point, nfe_speedup (the NFE ratio), the ratio of the two minimum times
+and the quartiles of the per-pair ratios full / accelerated.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import statistics
 import subprocess
 import sys
+import time
+
+# (preset, dim, pairs): the three sd2 presets at the benchmark dimension,
+# and the headline preset on a mixture too large to keep every t cached
+WALL_POINTS = (("sd2-ddim-40", 16, 300), ("sd2-ddim-50", 16, 300),
+               ("sd2-ddim-100", 16, 300), ("sd2-ddim-40", 1024, 60))
+WALL_ROUNDS = 2
+WALL_SEEDS = 20
 
 
 def bench(checkout: str, workload: str, seed: int, seconds: float):
@@ -43,7 +63,52 @@ def summary(values: list) -> dict:
     return {"median": median, "q1": q1, "q3": q3}
 
 
+def wall_speedup(checkout: str) -> dict:
+    """point name -> nfe_speedup, min times and ratios, measured in-process
+    on CHECKOUT's src/ (see the module docstring)."""
+    sys.path.insert(0, os.path.join(checkout, "src"))
+    import numpy as np
+    from ltc_accel.harness import PRESETS, benchmark_gmm
+    from ltc_accel.ltc import AccelerationPlan, accelerated_sample, calibrate_wg
+    from ltc_accel.sampler import initial_noise, make_timesteps, sample_full
+    from ltc_accel.schedule import PhiMode, build_linear_beta
+
+    out = {}
+    for preset, dim, pairs in WALL_POINTS:
+        cfg = PRESETS[preset]
+        schedule = build_linear_beta(cfg.t_train, cfg.beta_start, cfg.beta_end)
+        ts = make_timesteps(cfg.t_train, cfg.steps)
+        x = np.stack([initial_noise(dim, seed) for seed in range(WALL_SEEDS)])
+        plan = AccelerationPlan(interval=cfg.interval, r=cfg.r,
+                                phi_mode=PhiMode(cfg.phi_mode))
+        plan = dataclasses.replace(plan, wg=calibrate_wg(
+            benchmark_gmm(schedule, dim), schedule, x[0], ts, plan).wg)
+        full_den, acc_den = benchmark_gmm(schedule, dim), benchmark_gmm(schedule, dim)
+        times = {"full": [], "accelerated": []}
+        for k in range(pairs + 1):  # pair 0 warms both sides and is dropped
+            for name in (times if k % 2 else reversed(list(times))):
+                start = time.perf_counter()
+                if name == "full":
+                    sample_full(full_den, schedule, x, ts)
+                else:
+                    traj = accelerated_sample(acc_den, schedule, x, ts, plan)
+                times[name].append(time.perf_counter() - start)
+        full, acc = times["full"][1:], times["accelerated"][1:]
+        ratios = [f / a for f, a in zip(full, acc)]
+        out[f"{preset}-d{dim}"] = {
+            "pairs": pairs,
+            "nfe_speedup": (len(ts) - 1) * WALL_SEEDS / int(traj.nfe.sum()),
+            "full_min_s": min(full), "accelerated_min_s": min(acc),
+            "ratio_of_minima": min(full) / min(acc),
+            "paired_ratio": summary(ratios)}
+    return out
+
+
 def main(argv) -> int:
+    if len(argv) == 3 and argv[1] == "--wall-speedup":
+        json.dump(wall_speedup(os.path.abspath(argv[2])), sys.stdout, indent=1,
+                  sort_keys=True)
+        return 0
     if len(argv) not in (4, 5, 6):
         print(__doc__.split("\n\n")[1], file=sys.stderr)
         return 2
@@ -74,6 +139,13 @@ def main(argv) -> int:
                 "metrics": {name: summary([r[0][name] for r in rs])
                             for name in rs[0][0]},
             } for side, rs in runs.items()}}
+    record["wall_speedup"] = {side: [] for side in sides}
+    for k in range(WALL_ROUNDS):
+        for side in (sides if k % 2 == 0 else reversed(list(sides))):
+            print(f"wall_speedup round {k + 1} {side}", file=sys.stderr)
+            record["wall_speedup"][side].append(json.loads(subprocess.run(
+                [sys.executable, os.path.abspath(__file__), "--wall-speedup",
+                 sides[side]], capture_output=True, text=True, check=True).stdout))
     with open(argv[3], "w", encoding="utf-8") as f:
         json.dump(record, f, indent=1, sort_keys=True)
         f.write("\n")

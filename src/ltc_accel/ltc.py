@@ -74,7 +74,7 @@ def detect_interval(angles, tau: float) -> tuple[int, int] | None:
     iteration p + 2, and b stops at len(angles), the final iteration being
     real. Ties go to the earliest run; None when no angle is below tau, or
     only the last one (a > b: nothing but the final iteration to skip)."""
-    if tau <= 0.0:
+    if not tau > 0.0:
         raise ValueError(f"tau must be positive, got {tau}")
     below = np.asarray(angles, dtype=np.float64) < tau
     if below.ndim != 1:
@@ -142,6 +142,9 @@ class AccelerationPlan:
     def validate(self, n_iterations: int, rows: tuple | None = None) -> tuple[int, ...]:
         """Selected iterations; given `rows`, the states' batch shape, each
         needs a wg, and a per-row wg must have shape `rows`."""
+        if not all(isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+                   for v in (self.r, *(self.interval or ()))):
+            raise ConfigError(f"r and the interval must be integers, got {self.r!r}, {self.interval!r}")
         if self.r < 2:
             raise ConfigError(f"r must be at least 2, got {self.r}")
         # one source line: the default filter shows the warning once per run
@@ -177,23 +180,23 @@ class AccelerationPlan:
 
 def _setup(schedule: NoiseSchedule, timesteps, plan: AccelerationPlan, x_init,
            full, rows: tuple | None = None):
-    """What every chain applies: the checked grid ts, the selected iterations
-    (validated as plan.validate(n, rows)), gamma of each selected iteration
-    i (target ts[i], sources ts[i-1], ts[i-2]) and the states of `full`
-    before the first of them, `full` checked to hold all n + 1 states of a
-    full run from x_init; None when there is no `full`."""
+    """What every chain applies: the checked grid ts, gamma of each selected
+    iteration i (target ts[i], sources ts[i-1], ts[i-2]) keyed by i in
+    ascending order, validated as plan.validate(n, rows), and the states of
+    `full` before the first of them, `full` checked to hold all n + 1 states
+    of a full run from x_init; None when there is no `full`."""
     ts = check_timesteps(timesteps, schedule.t_train)
-    selected = set(plan.validate(len(ts) - 1, rows))
     gammas = {i: gamma(*(phi(schedule, int(ts[j]), plan.phi_mode)
-                         for j in (i, i - 1, i - 2))) for i in selected}
+                         for j in (i, i - 1, i - 2)))
+              for i in plan.validate(len(ts) - 1, rows)}
     if full is None:
-        return ts, selected, gammas, None
+        return ts, gammas, None
     full = np.asarray(full, dtype=np.float64)
     if (full.shape[:-2] + full.shape[-1:] != np.shape(x_init)
             or full.shape[-2:-1] != ts.shape
             or not np.array_equal(full[..., 0, :], x_init)):
         raise ValueError(f"full of shape {full.shape} is not a full run from x_init")
-    return ts, selected, gammas, full[..., :min(selected, default=len(ts)), :]
+    return ts, gammas, full[..., :min(gammas, default=len(ts)), :]
 
 
 def accelerated_sample(denoiser, schedule: NoiseSchedule, x_init, timesteps,
@@ -209,21 +212,17 @@ def accelerated_sample(denoiser, schedule: NoiseSchedule, x_init, timesteps,
     real steps before it are the full runs'. Those steps count in nfe;
     the result is the same.
     """
-    ts, selected, gammas, prefix = _setup(schedule, timesteps, plan, x_init, full,
-                                          rows=np.shape(x_init)[:-1])
-    wg = {i: w + plan.bias for i, w in (plan.wg or {}).items()}
-    return _chain(denoiser, schedule, x_init, ts, selected,
-                  _extrapolation(wg, gammas), prefix=prefix)
+    ts, gammas, prefix = _setup(schedule, timesteps, plan, x_init, full,
+                                rows=np.shape(x_init)[:-1])
+    n_rows = len(np.atleast_2d(x_init))
+    applied = {i: np.full(n_rows, plan.wg[i] + plan.bias) for i in gammas}
+    return _chain(denoiser, schedule, x_init, ts, gammas,
+                  _extrapolation(applied, gammas), prefix=prefix)
 
 
-def _extrapolation(wg: dict, gammas: dict):
-    """_chain's reuse hook: x + wg[i] * gammas[i] * d_prev, bias in wg[i]."""
-
-    def extrapolate(i, x, d_prev, rows):
-        w = wg[i] if np.ndim(wg[i]) == 0 else wg[i][rows]
-        return approx_step(x, d_prev, w, gammas[i])
-
-    return extrapolate
+def _extrapolation(applied: dict, gammas: dict):
+    """_chain's reuse hook: x + applied[i] * gammas[i] * d_prev, one scale per row."""
+    return lambda i, x, d_prev, rows: approx_step(x, d_prev, applied[i][rows], gammas[i])
 
 
 def _bias_objective(denoiser, schedule: NoiseSchedule, reference: Trajectory,
@@ -238,8 +237,9 @@ def _bias_objective(denoiser, schedule: NoiseSchedule, reference: Trajectory,
         raise ValueError(f"reference is not a batch: states {np.shape(reference.states)}")
     x_init = reference.states[:, 0]
     n_rows = len(x_init)
-    ts, selected, gammas, prefix = _setup(schedule, reference.timesteps, plan,
-                                          x_init, reference.states, rows=(n_rows,))
+    ts, gammas, prefix = _setup(schedule, reference.timesteps, plan, x_init,
+                                reference.states, rows=(n_rows,))
+    wg = {i: np.full(n_rows, plan.wg[i]) for i in gammas}  # one scale per row
 
     def objective(biases):
         b = np.asarray(biases, dtype=np.float64)
@@ -247,10 +247,9 @@ def _bias_objective(denoiser, schedule: NoiseSchedule, reference: Trajectory,
             raise ConfigError(f"bias must be finite, in a 1-D array, got {biases}")
         tile = np.tile(np.arange(n_rows), b.size)  # batch row -> reference row
         bias = np.repeat(b, n_rows)  # each batch row's bias, for plan.bias
-        wg = {i: (w if np.ndim(w) == 0 else w[tile]) + bias
-              for i, w in plan.wg.items()}
-        traj = _chain(denoiser.take(tile), schedule, x_init[tile], ts, selected,
-                      _extrapolation(wg, gammas), prefix=prefix[tile])
+        applied = {i: w[tile] + bias for i, w in wg.items()}
+        traj = _chain(denoiser.take(tile), schedule, x_init[tile], ts, gammas,
+                      _extrapolation(applied, gammas), prefix=prefix[tile])
         return psnr(reference.final[tile], traj.final).reshape(b.size, n_rows)
 
     return objective
@@ -287,12 +286,12 @@ def calibrate_wg(denoiser, schedule: NoiseSchedule, x_init, timesteps,
     extrapolated because apply-time degeneracy independently falls back
     to a real step. `full` resumes the run as in accelerated_sample.
     """
-    ts, selected, gammas, prefix = _setup(schedule, timesteps, plan, x_init, full)
+    ts, gammas, prefix = _setup(schedule, timesteps, plan, x_init, full)
     n = len(ts) - 1
     n_rows = len(np.atleast_2d(x_init))
-    wg = {i: np.ones(n_rows) for i in sorted(selected)}  # fallbacks: neutral 1.0
-    theta = {i: np.full(n_rows, np.nan) for i in sorted(selected)}
-    eps_r = {i: np.full(n_rows, np.nan) for i in sorted(selected)}
+    wg = {i: np.ones(n_rows) for i in gammas}  # fallbacks: neutral 1.0
+    theta = {i: np.full(n_rows, np.nan) for i in gammas}
+    eps_r = {i: np.full(n_rows, np.nan) for i in gammas}
 
     def shadow(i, x, d_prev, rows):
         t, t_prev = int(ts[i - 1]), int(ts[i])
@@ -306,7 +305,7 @@ def calibrate_wg(denoiser, schedule: NoiseSchedule, x_init, timesteps,
         eps_r[i][rows] = relative_error(x_real, x_star, d_true)
         return x_star
 
-    traj = _chain(denoiser, schedule, x_init, ts, selected, shadow, prefix=prefix)
+    traj = _chain(denoiser, schedule, x_init, ts, gammas, shadow, prefix=prefix)
     traj.nfe = np.full(n_rows, n) if np.ndim(x_init) == 2 else n
     if np.ndim(x_init) == 1:
         moved = [i for i in theta if not np.isnan(theta[i][0])]
@@ -321,8 +320,8 @@ def golden_section_max(f, lo: float, hi: float, tol: float = 1e-6):
     Returns (x_best, evaluations) where evaluations collects every
     (x, f(x)) probed.
     """
-    if hi < lo:
-        raise ValueError(f"empty search interval [{lo}, {hi}]")
+    if not -math.inf < lo <= hi < math.inf:
+        raise ValueError(f"search interval [{lo}, {hi}] must be finite and non-empty")
     evals = []
 
     def ev(x):

@@ -170,8 +170,9 @@ class TestDetectInterval:
         assert detect_interval([0.01] * 7, tau=0.1) == (2, 7)
 
     def test_rejects_nonpositive_tau(self):
-        with pytest.raises(ValueError):
-            detect_interval([0.1], tau=0.0)
+        for tau in (0.0, -0.1, float("nan")):
+            with pytest.raises(ValueError, match="tau must be positive"):
+                detect_interval([0.01, 0.02, 0.5], tau=tau)
 
     def test_rejects_a_batch(self, sched, gmm):
         with pytest.raises(ValueError, match="1-D"):
@@ -427,6 +428,14 @@ class TestAccelerationPlan:
                 plan.validate(40, rows=())
         with pytest.warns(UserWarning, match="r="):
             AccelerationPlan(interval=(6, 10), r=3).validate(40)
+        # r and the bounds: an int or numpy integer, not a bool
+        for r, interval in ((2.5, (13, 39)), (2.0, (13, 39)), (True, (13, 39)),
+                            (2, (13.0, 39)), (2, (13, 39.0)), (2, (np.True_, 39)),
+                            (2, (13, False)), ("2", None)):
+            with pytest.raises(ConfigError, match="must be integers"):
+                AccelerationPlan(interval=interval, r=r).validate(40)
+        plan = AccelerationPlan(interval=(np.int64(13), np.int32(39)), r=np.int64(2))
+        assert plan.validate(40) == tuple(range(13, 40, 2))
 
     def test_missing_wg_entries_rejected(self):
         plan = AccelerationPlan(interval=(13, 39), wg={13: 1.0})
@@ -580,9 +589,10 @@ class TestCalibrateAndApply:
         sel = plan.selected()
         full = sample_full(den, s, x0, ts)
         acc = accelerated_sample(den, s, x0, ts, plan)
-        wg = {i: w + plan.bias for i, w in plan.wg.items()}
-        resumed = _chain(den, s, x0, ts, set(sel),
-                         _extrapolation(wg, _setup(s, ts, plan, x0, None)[2]),
+        _, gammas, _ = _setup(s, ts, plan, x0, None)
+        assert tuple(gammas) == sel
+        applied = {i: np.full(1, plan.wg[i] + plan.bias) for i in gammas}
+        resumed = _chain(den, s, x0, ts, gammas, _extrapolation(applied, gammas),
                          prefix=full.states[:sel[0]])
         assert np.array_equal(resumed.states, acc.states)
         assert resumed.approximated == acc.approximated
@@ -788,6 +798,16 @@ class TestCalibrateAndApply:
         for bad in (np.array([0.0, np.nan]), 0.0, [[0.0]]):
             with pytest.raises(ConfigError, match="bias must be finite"):
                 objective(bad)
+        # the shared wg as one float and as one scale per row: the same bits
+        den, spread = solo(seeds), {i: np.full(len(x0), w) for i, w in shared.items()}
+        full = sample_full(den, sched, x0, ts)
+        for b in biases:
+            one, rows = (accelerated_sample(den, sched, x0, ts, dataclasses.replace(
+                plan, wg=wg, bias=b)) for wg in (shared, spread))
+            assert np.array_equal(one.states, rows.states)
+        one, rows = (_bias_objective(den, sched, full, dataclasses.replace(plan, wg=wg))(
+            np.array(biases)) for wg in (shared, spread))
+        assert np.array_equal(one, rows)
 
     def test_per_row_wg_must_match_rows(self, sched, gmm):
         ts = make_timesteps(1000, 40)
@@ -815,8 +835,12 @@ class TestGoldenSection:
         assert all(0.0 <= p <= 3.0 for p, _ in evals)
 
     def test_rejects_empty_interval(self):
-        with pytest.raises(ValueError):
-            golden_section_max(lambda x: x, 1.0, 0.0)
+        probes = []
+        for lo, hi in ((1.0, 0.0), (np.nan, 1.0), (0.0, np.nan),
+                       (0.0, np.inf), (-np.inf, 0.0), (np.inf, np.inf)):
+            with pytest.raises(ValueError, match="finite and non-empty"):
+                golden_section_max(probes.append, lo, hi)
+        assert probes == []  # refused before the first probe
 
 
 def _stub(biases):
