@@ -2,6 +2,7 @@
 
 Usage: python scripts/bench_record.py PARENT_DIR CHANGE_DIR OUT_JSON [PAIRS [SECONDS]]
        python scripts/bench_record.py --wall-speedup CHECKOUT_DIR
+       python scripts/bench_record.py --counts CHECKOUT_DIR
 
 For every workload named in CHANGE_DIR/BENCHMARK.json and workload seeds
 1..PAIRS (default 10), runs
@@ -24,6 +25,11 @@ calibrate_wg measured on the first seed. Each side has its own
 denoiser object, so neither sees the other's per-t cache. It prints, per
 point, nfe_speedup (the NFE ratio), the ratio of the two minimum times
 and the quartiles of the per-pair ratios full / accelerated.
+
+OUT_JSON also gets each side's denoiser counts, which do not depend on
+the machine, from `--counts`. That mode runs CHECKOUT_DIR's harness once
+on each of COUNT_POINTS (a preset, a mode and a bias search) and prints
+the number of batched epsilon_hat calls and the rows they evaluated.
 """
 
 from __future__ import annotations
@@ -34,6 +40,7 @@ import os
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 
 # (preset, dim, pairs): the three sd2 presets at the benchmark dimension,
@@ -42,6 +49,10 @@ WALL_POINTS = (("sd2-ddim-40", 16, 300), ("sd2-ddim-50", 16, 300),
                ("sd2-ddim-100", 16, 300), ("sd2-ddim-40", 1024, 60))
 WALL_ROUNDS = 2
 WALL_SEEDS = 20
+# (preset, mode, bias search): the bias search in both modes, and the
+# headline report
+COUNT_POINTS = (("fig4-bias", "refine", "grid"), ("fig4-bias", "refine", "binary"),
+                ("sd2-ddim-40", "report", "grid"))
 
 
 def bench(checkout: str, workload: str, seed: int, seconds: float):
@@ -104,9 +115,37 @@ def wall_speedup(checkout: str) -> dict:
     return out
 
 
+def denoiser_counts(checkout: str) -> dict:
+    """point name -> batched epsilon_hat calls and rows evaluated by one
+    run of CHECKOUT's harness (see the module docstring)."""
+    sys.path.insert(0, os.path.join(checkout, "src"))
+    import numpy as np
+    from ltc_accel.harness import PRESETS, run
+    from ltc_accel.model import DiagGmmDenoiser
+
+    rows = []
+    epsilon_hat = DiagGmmDenoiser.epsilon_hat
+
+    def counting(self, x, t):
+        rows.append(len(np.atleast_2d(x)))
+        return epsilon_hat(self, x, t)
+
+    DiagGmmDenoiser.epsilon_hat = counting
+    out = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for preset, mode, search in COUNT_POINTS:
+            name = f"{preset}-{mode}-{search}"
+            rows.clear()
+            run(dataclasses.replace(PRESETS[preset], bias_search=search,
+                                    out=os.path.join(tmp, name)), mode)
+            out[name] = {"calls": len(rows), "rows": sum(rows)}
+    return out
+
+
 def main(argv) -> int:
-    if len(argv) == 3 and argv[1] == "--wall-speedup":
-        json.dump(wall_speedup(os.path.abspath(argv[2])), sys.stdout, indent=1,
+    modes = {"--wall-speedup": wall_speedup, "--counts": denoiser_counts}
+    if len(argv) == 3 and argv[1] in modes:
+        json.dump(modes[argv[1]](os.path.abspath(argv[2])), sys.stdout, indent=1,
                   sort_keys=True)
         return 0
     if len(argv) not in (4, 5, 6):
@@ -146,6 +185,10 @@ def main(argv) -> int:
             record["wall_speedup"][side].append(json.loads(subprocess.run(
                 [sys.executable, os.path.abspath(__file__), "--wall-speedup",
                  sides[side]], capture_output=True, text=True, check=True).stdout))
+    record["denoiser_counts"] = {side: json.loads(subprocess.run(
+        [sys.executable, os.path.abspath(__file__), "--counts", path],
+        capture_output=True, text=True, check=True).stdout)
+        for side, path in sides.items()}
     with open(argv[3], "w", encoding="utf-8") as f:
         json.dump(record, f, indent=1, sort_keys=True)
         f.write("\n")

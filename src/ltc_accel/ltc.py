@@ -142,6 +142,10 @@ class AccelerationPlan:
     def validate(self, n_iterations: int, rows: tuple | None = None) -> tuple[int, ...]:
         """Selected iterations; given `rows`, the states' batch shape, each
         needs a wg, and a per-row wg must have shape `rows`."""
+        if not (self.interval is None or isinstance(self.interval, tuple)
+                and len(self.interval) == 2):
+            raise ConfigError("interval must be None or a tuple of two integers, "
+                              f"got {self.interval!r}")
         if not all(isinstance(v, (int, np.integer)) and not isinstance(v, bool)
                    for v in (self.r, *(self.interval or ()))):
             raise ConfigError(f"r and the interval must be integers, got {self.r!r}, {self.interval!r}")
@@ -315,23 +319,32 @@ def calibrate_wg(denoiser, schedule: NoiseSchedule, x_init, timesteps,
 
 
 def golden_section_max(f, lo: float, hi: float, tol: float = 1e-6):
-    """Golden-section maximization of a unimodal scalar function.
+    """Golden-section maximization of a unimodal scalar function; f maps a
+    1-D array of points to their values.
 
     Returns (x_best, evaluations) where evaluations collects every
-    (x, f(x)) probed.
+    (x, f(x)) probed, in order. f scores each probe not yet scored with
+    the two that can follow it (the next step's own expressions) while
+    the bracket is wider than tol, so the next probe is found scored.
     """
     if not -math.inf < lo <= hi < math.inf:
         raise ValueError(f"search interval [{lo}, {hi}] must be finite and non-empty")
-    evals = []
+    evals, scored = [], {}
+
+    def score(*xs):
+        scored.update(zip(xs, map(float, f(np.array(xs))), strict=True))
 
     def ev(x):
-        y = f(x)
-        evals.append((x, y))
-        return y
+        if x not in scored:
+            score(x, *((d - _INVPHI * (d - a), c + _INVPHI * (b - c))
+                       if b - a > tol else ()))
+        evals.append((x, scored[x]))
+        return scored[x]
 
     a, b = lo, hi
     c = b - _INVPHI * (b - a)
     d = a + _INVPHI * (b - a)
+    score(c, d)
     fc, fd = ev(c), ev(d)
     for _ in range(_GOLDEN_MAX_ITER):
         if b - a <= tol:
@@ -363,12 +376,12 @@ def _search_bias(objective, lo: float, hi: float,
     `objective` maps a 1-D array of B biases to their (B, S) PSNRs. A bias
     scores metrics.aggregate's mean of its S PSNRs, whatever the batch or
     the row order. One call scores the grid, plus zero when [lo, hi] holds
-    it off the grid; golden section then probes one bias per call. Equal
-    scores go to the smallest |bias|.
+    it off the grid; golden section then scores each probe with the two
+    that can follow it. Equal scores go to the smallest |bias|.
     """
     lo, hi = float(lo), float(hi)
-    if hi < lo:
-        raise ValueError(f"empty bias interval [{lo}, {hi}]")
+    if not -math.inf < lo <= hi < math.inf:
+        raise ValueError(f"bias interval [{lo}, {hi}] must be finite and non-empty")
     if mode not in ("grid", "binary"):
         raise ValueError(f"unknown search mode {mode!r}")
     grid = np.linspace(lo, hi, _GRID_POINTS)
@@ -381,7 +394,7 @@ def _search_bias(objective, lo: float, hi: float,
         lo, hi = grid[max(k - 1, 0)], grid[min(k + 1, _GRID_POINTS - 1)]
     if hi > lo:  # on [lo, lo] golden section would only re-probe the grid
         scores.update(golden_section_max(
-            lambda b: aggregate(objective(np.array([b])).T)[0].item(),
+            lambda b: aggregate(objective(b).T)[0],
             float(lo), float(hi), tol=_BIAS_TOL)[1])
     best = max(scores, key=lambda b: (scores[b], -abs(b)))
     return BiasSearchResult(bias=best, psnr=scores[best],

@@ -76,7 +76,8 @@ def test_criterion_1_wg_optimality_oracle():
 
         reach = float(np.linalg.norm(d_true)
                       / (g * np.linalg.norm(d_prev2))) + 1.0
-        gold, _ = golden_section_max(objective, -reach, reach, tol=1e-8)
+        gold, _ = golden_section_max(lambda ws: [objective(w) for w in ws],
+                                     -reach, reach, tol=1e-8)
         worst = max(worst, abs(closed - gold))
     dt = time.perf_counter() - t0
     ok = worst < 1e-6 and dt < 5.0

@@ -394,10 +394,11 @@ def test_refine_call_count_and_grid_psnr(tmp_path, monkeypatch):
     # after their 12 real steps before iteration 13, the first selected one:
     # the calibration seed's 28 remaining steps (28 rows), then the 11 grid
     # biases and zero as one batch of 12 * 2 rows (15 real steps of 24 rows),
-    # 19 golden probes (15 calls of 2 rows each) and the final rows (15 * 2)
-    assert sum(calls) == 80 + 28 + 15 * 24 + 19 * 15 * 2 + 15 * 2
+    # the 19 golden probes as 10 chains of 15 steps (one of 2 biases, 8 of
+    # 3 and one of 1: 27 biases of 2 rows) and the final rows (15 * 2)
+    assert sum(calls) == 80 + 28 + 15 * 24 + 27 * 15 * 2 + 15 * 2
     # Calls: both seeds are one batch, so each step above is one call
-    assert len(calls) == 40 + 28 + 15 + 19 * 15 + 15
+    assert len(calls) == 40 + 28 + 15 + 10 * 15 + 15
     monkeypatch.undo()
 
     # From scratch: every grid bias re-runs both chains on every seed.
@@ -437,12 +438,13 @@ def test_report_call_count(tmp_path, monkeypatch):
     # chain resumes after their 12 real steps before iteration 13. Report
     # adds the calibration of both seeds (28 calls) and the accelerated
     # runs (14 real steps); sample calibrates one seed; ablate-skip adds
-    # the 26-step skipping runs; refine adds the grid chain and 19 golden
-    # probes. Angles mode never calibrates, and with no interval only the
-    # skipping runs cost more than the full runs.
+    # the 26-step skipping runs; refine adds the grid chain and the 10
+    # chains of the 19 golden probes (one of 2 biases, 8 of 3 and one of 1).
+    # Angles mode never calibrates, and with no interval only the skipping
+    # runs cost more than the full runs.
     want = {
         (13, 39): {"angles": (40, 80), "calibrate": (68, 136),
-                   "sample": (82, 136), "refine": (362, 1004),
+                   "sample": (82, 136), "refine": (236, 1228),
                    "ablate-skip": (108, 188), "report": (82, 164)},
         None: {"angles": (40, 80), "calibrate": (40, 80), "sample": (40, 80),
                "refine": (40, 80), "ablate-skip": (80, 160),
@@ -478,8 +480,9 @@ def test_plan_warnings_show_once_per_run(tmp_path, mode):
 
 
 def test_refine_grid_is_one_batch_with_zero_only_in_range(tmp_path, monkeypatch):
-    batches = []
-    make = ltc._bias_objective
+    batches, probes, found = [], [], []
+    make, search, golden_search = (ltc._bias_objective, ltc._search_bias,
+                                   ltc.golden_section_max)
 
     def recording(*args):
         objective = make(*args)
@@ -490,19 +493,35 @@ def test_refine_grid_is_one_batch_with_zero_only_in_range(tmp_path, monkeypatch)
 
         return probe
 
+    def sequential(*args, **kwargs):
+        result = golden_search(*args, **kwargs)
+        probes.extend(b for b, _ in result[1])
+        return result
+
+    def searching(*args, **kwargs):
+        found.append(search(*args, **kwargs))
+        return found[-1]
+
     monkeypatch.setattr(ltc, "_bias_objective", recording)
+    monkeypatch.setattr(ltc, "golden_section_max", sequential)
+    monkeypatch.setattr(ltc, "_search_bias", searching)
     for lo, hi, zero in ((-0.05, 0.10, [0.0]), (0.01, 0.10, []),
                          (-0.10, -0.02, []), (0.0, 0.10, [])):
         batches.clear()
+        probes.clear()
         cfg = replace(preset("fig4-bias"), seeds=(0, 1), bias_lo=lo, bias_hi=hi,
                       out=str(tmp_path / f"{lo}_{hi}"))
         run(cfg, "refine")
         grid = np.linspace(lo, hi, 11).tolist()
         assert batches[0] == grid + zero
-        # golden section probes one bias at a time, never a known one
+        # golden section scores at most 3 biases a call, each once, never a
+        # known one; the result holds the grid call and its sequential probes
         golden = [b for batch in batches[1:] for b in batch]
-        assert all(len(batch) == 1 for batch in batches[1:]) and golden
+        assert all(len(batch) <= 3 for batch in batches[1:]) and golden
+        assert len(set(golden)) == len(golden)
         assert not set(golden) & set(grid + [0.0])
+        assert set(probes) <= set(golden)
+        assert [b for b, _ in found[-1].evaluations] == sorted(batches[0] + probes)
 
 
 def test_bias_score_does_not_depend_on_the_batch(tmp_path, monkeypatch):

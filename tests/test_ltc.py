@@ -1,6 +1,7 @@
 """Transition reuse: formulas, angles, interval detection, calibration."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -32,6 +33,7 @@ from ltc_accel import (
     wg_closed_form,
     write_trace,
 )
+from ltc_accel import ltc
 from ltc_accel.ltc import (
     BIAS_INTERVAL_DEFAULT,
     _bias_objective,
@@ -263,7 +265,7 @@ class TestWgClosedForm:
             w = wg_closed_form(d1, d2, g)
             span = abs(w) + 1.0
             w_search, _ = golden_section_max(
-                lambda u: -float(np.sum((d1 - u * g * d2) ** 2)),
+                lambda us: [-float(np.sum((d1 - u * g * d2) ** 2)) for u in us],
                 w - span, w + span, tol=1e-10)
             assert abs(w - w_search) < 1e-7
 
@@ -436,6 +438,9 @@ class TestAccelerationPlan:
                 AccelerationPlan(interval=interval, r=r).validate(40)
         plan = AccelerationPlan(interval=(np.int64(13), np.int32(39)), r=np.int64(2))
         assert plan.validate(40) == tuple(range(13, 40, 2))
+        for interval in ((1, 2, 3), (13,)):
+            with pytest.raises(ConfigError, match="tuple of two integers"):
+                AccelerationPlan(interval=interval).validate(40)
 
     def test_missing_wg_entries_rejected(self):
         plan = AccelerationPlan(interval=(13, 39), wg={13: 1.0})
@@ -842,6 +847,64 @@ class TestGoldenSection:
                 golden_section_max(probes.append, lo, hi)
         assert probes == []  # refused before the first probe
 
+    @settings(max_examples=300, deadline=None)
+    @given(lo=st.floats(-1e3, 1e3),
+           width=st.sampled_from([0.0, 1e-12]) | st.floats(0.0, 1e3),
+           tol=st.sampled_from([1e-6, 0.0, -1.0]) | st.floats(-1.0, 1.0),
+           levels=st.lists(st.integers(-2, 2), min_size=1, max_size=6),
+           wiggle=st.sampled_from([0.0, 1.0]), freq=st.floats(0.0, 50.0))
+    @example(lo=0.0, width=0.0, tol=-1.0, levels=[0], wiggle=0.0, freq=0.0)
+    @example(lo=0.0, width=1.0, tol=0.0, levels=[1, 0, 1], wiggle=0.0, freq=0.0)
+    def test_look_ahead_probes_as_one_at_a_time(self, lo, width, tol, levels,
+                                                wiggle, freq):
+        hi = lo + width
+
+        def g(x):  # equal steps, ties among them, plus a sine: several peaks
+            k = int((x - lo) / (width or 1.0) * len(levels))
+            return levels[min(max(k, 0), len(levels) - 1)] + wiggle * math.sin(freq * x)
+
+        calls = []
+
+        def f(xs):
+            calls.append(len(xs))
+            return [g(x) for x in xs]
+
+        def bits(pairs):
+            return [(float(x).hex(), float(y).hex()) for x, y in pairs]
+
+        x_best, evals = golden_section_max(f, lo, hi, tol)
+        x_ref, ref = _one_probe_at_a_time(g, lo, hi, tol)
+        assert float(x_best).hex() == float(x_ref).hex()
+        assert bits(evals) == bits(ref)
+        assert max(calls) <= 3 and len(calls) <= math.ceil((len(ref) - 2) / 2) + 1
+
+
+def _one_probe_at_a_time(f, lo, hi, tol):
+    """golden_section_max without its look-ahead: f scores one point a call."""
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    evals = []
+
+    def ev(x):
+        evals.append((x, f(x)))
+        return evals[-1][1]
+
+    a, b = lo, hi
+    c = b - invphi * (b - a)
+    d = a + invphi * (b - a)
+    fc, fd = ev(c), ev(d)
+    for _ in range(200):
+        if b - a <= tol:
+            break
+        if fc >= fd:
+            b, d, fd = d, c, fc
+            c = b - invphi * (b - a)
+            fc = ev(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + invphi * (b - a)
+            fd = ev(d)
+    return 0.5 * (a + b), evals
+
 
 def _stub(biases):
     """Batched concave PSNR stub with its argmax at 0.02, one row."""
@@ -899,24 +962,46 @@ class TestRefineBias:
         assert res.bias == 0.03
         assert calls == [[0.03] * 11]  # the grid alone: no golden section on [lo, lo]
 
-    def test_known_scores_are_never_reevaluated(self):
-        calls = []
+    def test_known_scores_are_never_reevaluated(self, monkeypatch):
+        calls, probes = [], []
+        search = ltc.golden_section_max
 
         def objective(biases):
             calls.append(biases.tolist())
             return _stub(biases)
 
+        def recording(*args, **kwargs):
+            found = search(*args, **kwargs)
+            probes.extend(b for b, _ in found[1])
+            return found
+
+        monkeypatch.setattr(ltc, "golden_section_max", recording)
         res = _search_bias(objective, -0.05, 0.10)
         grid = np.linspace(-0.05, 0.10, 11).tolist()
         assert calls[0] == grid + [0.0]  # the grid and zero in one call
-        # golden section probes one bias at a time, each once, never a
-        # grid point or zero
+        # golden section scores its first 2 probes in one call, then each
+        # probe not yet scored with the 2 that can follow it, and the last
+        # alone: every bias once, never a grid point or zero
         golden = [b for call in calls[1:] for b in call]
-        assert golden and all(len(call) == 1 for call in calls[1:])
+        assert [len(call) for call in calls[1:]] == [2] + [3] * 8 + [1]
         assert len(set(golden)) == len(golden)
         assert not set(golden) & set(calls[0])
+        # the result holds the grid call and the 19 sequential probes
+        assert len(probes) == 19 and set(probes) <= set(golden)
+        assert [b for b, _ in res.evaluations] == sorted(calls[0] + probes)
         assert res.bias == pytest.approx(0.02, abs=1e-4)
-        assert len(res.evaluations) == len(calls[0]) + len(golden)
+
+    def test_non_finite_bounds_rejected_before_any_call(self):
+        calls = []
+
+        def objective(biases):
+            calls.append(biases.tolist())
+            return _ramp(biases)
+
+        for lo, hi in ((np.nan, 0.1), (-0.05, np.inf), (-np.inf, 0.1), (0.0, np.nan)):
+            with pytest.raises(ValueError, match="finite and non-empty"):
+                _search_bias(objective, lo, hi)
+        assert calls == []
 
     def test_invalid_interval_and_mode_rejected(self):
         with pytest.raises(ValueError):
