@@ -3,6 +3,7 @@
 Usage: python scripts/bench_record.py PARENT_DIR CHANGE_DIR OUT_JSON [PAIRS [SECONDS]]
        python scripts/bench_record.py --wall-speedup CHECKOUT_DIR
        python scripts/bench_record.py --counts CHECKOUT_DIR
+       python scripts/bench_record.py --read-trace CHECKOUT_DIR
 
 For every workload named in CHANGE_DIR/BENCHMARK.json and workload seeds
 1..PAIRS (default 10), runs
@@ -28,8 +29,16 @@ and the quartiles of the per-pair ratios full / accelerated.
 
 OUT_JSON also gets each side's denoiser counts, which do not depend on
 the machine, from `--counts`. That mode runs CHECKOUT_DIR's harness once
-on each of COUNT_POINTS (a preset, a mode and a bias search) and prints
-the number of batched epsilon_hat calls and the rows they evaluated.
+on each of COUNT_POINTS (a preset, a mode and a bias search), and once on
+trace-wide's own input and config at workload seed 1, and prints the
+number of batched epsilon_hat calls and the rows they evaluated.
+
+OUT_JSON also gets each side's read_trace timing, from READ_TRACE_ROUNDS
+rounds of `--read-trace`, in alternating order. That mode writes a
+READ_TRACE_SHAPE float32 trace (trace-wide's shape) with CHECKOUT_DIR's
+write_trace, times READ_TRACE_CALLS calls of its read_trace in-process
+after one dropped warm-up call, and prints the median, the quartiles
+and the minimum in ms.
 """
 
 from __future__ import annotations
@@ -53,6 +62,9 @@ WALL_SEEDS = 20
 # headline report
 COUNT_POINTS = (("fig4-bias", "refine", "grid"), ("fig4-bias", "refine", "binary"),
                 ("sd2-ddim-40", "report", "grid"))
+READ_TRACE_SHAPE = (8, 1000, 1024)
+READ_TRACE_CALLS = 150
+READ_TRACE_ROUNDS = 4
 
 
 def bench(checkout: str, workload: str, seed: int, seconds: float):
@@ -118,32 +130,66 @@ def wall_speedup(checkout: str) -> dict:
 def denoiser_counts(checkout: str) -> dict:
     """point name -> batched epsilon_hat calls and rows evaluated by one
     run of CHECKOUT's harness (see the module docstring)."""
-    sys.path.insert(0, os.path.join(checkout, "src"))
+    sys.path[:0] = [os.path.join(checkout, "src"), os.path.join(checkout, "perfbench")]
     import numpy as np
     from ltc_accel.harness import PRESETS, run
-    from ltc_accel.model import DiagGmmDenoiser
+    from ltc_accel.model import DiagGmmDenoiser, RecordedTraceDenoiser
+    from workloads import WORKLOADS, config, record_trace
 
     rows = []
-    epsilon_hat = DiagGmmDenoiser.epsilon_hat
 
-    def counting(self, x, t):
-        rows.append(len(np.atleast_2d(x)))
-        return epsilon_hat(self, x, t)
+    def counting(epsilon_hat):
+        def counted(self, x, t):
+            rows.append(len(np.atleast_2d(x)))
+            return epsilon_hat(self, x, t)
+        return counted
 
-    DiagGmmDenoiser.epsilon_hat = counting
+    for cls in (DiagGmmDenoiser, RecordedTraceDenoiser):
+        cls.epsilon_hat = counting(cls.epsilon_hat)
     out = {}
+
+    def count(name, mode, cfg):
+        rows.clear()
+        run(cfg, mode)
+        out[name] = {"calls": len(rows), "rows": sum(rows)}
+
     with tempfile.TemporaryDirectory() as tmp:
         for preset, mode, search in COUNT_POINTS:
             name = f"{preset}-{mode}-{search}"
-            rows.clear()
-            run(dataclasses.replace(PRESETS[preset], bias_search=search,
-                                    out=os.path.join(tmp, name)), mode)
-            out[name] = {"calls": len(rows), "rows": sum(rows)}
+            count(name, mode, dataclasses.replace(
+                PRESETS[preset], bias_search=search, out=os.path.join(tmp, name)))
+        manifest = os.path.join(tmp, "input", "eps.trace")
+        os.mkdir(os.path.dirname(manifest))
+        record_trace(manifest, 1)
+        trace_wide = WORKLOADS["trace-wide"]
+        count("trace-wide-sample", trace_wide.mode,
+              config(trace_wide, 1, os.path.join(tmp, "trace-wide"), manifest))
     return out
 
 
+def read_trace_ms(checkout: str) -> dict:
+    """Median, quartiles and minimum in ms of CHECKOUT's read_trace on a
+    READ_TRACE_SHAPE trace (see the module docstring)."""
+    sys.path.insert(0, os.path.join(checkout, "src"))
+    import numpy as np
+    from ltc_accel.model import read_trace, write_trace
+
+    with tempfile.TemporaryDirectory() as tmp:
+        manifest = os.path.join(tmp, "eps.trace")
+        write_trace(manifest, np.random.default_rng(0).standard_normal(
+            READ_TRACE_SHAPE, dtype=np.float32))
+        times = []
+        for _ in range(READ_TRACE_CALLS + 1):  # the first call warms up, dropped
+            start = time.perf_counter()
+            read_trace(manifest)
+            times.append(1e3 * (time.perf_counter() - start))
+    return {"calls": READ_TRACE_CALLS, "min_ms": min(times[1:]),
+            **{f"{k}_ms": v for k, v in summary(times[1:]).items()}}
+
+
 def main(argv) -> int:
-    modes = {"--wall-speedup": wall_speedup, "--counts": denoiser_counts}
+    modes = {"--wall-speedup": wall_speedup, "--counts": denoiser_counts,
+             "--read-trace": read_trace_ms}
     if len(argv) == 3 and argv[1] in modes:
         json.dump(modes[argv[1]](os.path.abspath(argv[2])), sys.stdout, indent=1,
                   sort_keys=True)
@@ -178,13 +224,15 @@ def main(argv) -> int:
                 "metrics": {name: summary([r[0][name] for r in rs])
                             for name in rs[0][0]},
             } for side, rs in runs.items()}}
-    record["wall_speedup"] = {side: [] for side in sides}
-    for k in range(WALL_ROUNDS):
-        for side in (sides if k % 2 == 0 else reversed(list(sides))):
-            print(f"wall_speedup round {k + 1} {side}", file=sys.stderr)
-            record["wall_speedup"][side].append(json.loads(subprocess.run(
-                [sys.executable, os.path.abspath(__file__), "--wall-speedup",
-                 sides[side]], capture_output=True, text=True, check=True).stdout))
+    for key, flag, rounds in (("wall_speedup", "--wall-speedup", WALL_ROUNDS),
+                              ("read_trace", "--read-trace", READ_TRACE_ROUNDS)):
+        record[key] = {side: [] for side in sides}
+        for k in range(rounds):
+            for side in (sides if k % 2 == 0 else reversed(list(sides))):
+                print(f"{key} round {k + 1} {side}", file=sys.stderr)
+                record[key][side].append(json.loads(subprocess.run(
+                    [sys.executable, os.path.abspath(__file__), flag, sides[side]],
+                    capture_output=True, text=True, check=True).stdout))
     record["denoiser_counts"] = {side: json.loads(subprocess.run(
         [sys.executable, os.path.abspath(__file__), "--counts", path],
         capture_output=True, text=True, check=True).stdout)

@@ -327,7 +327,7 @@ def golden_section_max(f, lo: float, hi: float, tol: float = 1e-6):
     the two that can follow it (the next step's own expressions) while
     the bracket is wider than tol, so the next probe is found scored.
     """
-    if not -math.inf < lo <= hi < math.inf:
+    if not 0 <= hi - lo < math.inf:  # also refuses a NaN, or a width that overflows
         raise ValueError(f"search interval [{lo}, {hi}] must be finite and non-empty")
     evals, scored = [], {}
 
@@ -380,7 +380,7 @@ def _search_bias(objective, lo: float, hi: float,
     that can follow it. Equal scores go to the smallest |bias|.
     """
     lo, hi = float(lo), float(hi)
-    if not -math.inf < lo <= hi < math.inf:
+    if not 0 <= hi - lo < math.inf:  # also refuses a NaN, or a width that overflows
         raise ValueError(f"bias interval [{lo}, {hi}] must be finite and non-empty")
     if mode not in ("grid", "binary"):
         raise ValueError(f"unknown search mode {mode!r}")

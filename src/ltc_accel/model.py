@@ -21,11 +21,14 @@ subset of a batch's rows. Three families:
   constants of each t are cached, up to _CACHE_BYTES per denoiser.
 * RecordedTraceDenoiser: replays externally dumped epsilon_hat vectors
   keyed by (seed, t), read from a checksummed manifest + raw float32 file.
+  read_trace checks the CRC-32 of the bytes it read, the payload's two
+  halves summed in two threads and combined.
 """
 
 from __future__ import annotations
 
 import os
+import threading
 import zlib
 from dataclasses import dataclass
 
@@ -216,6 +219,47 @@ def write_trace(manifest_path: str, data: np.ndarray) -> TraceManifest:
     return manifest
 
 
+def _crc32_combine(crc1: int, crc2: int, len2: int) -> int:
+    """zlib's crc32_combine: the CRC-32 of a + b from crc32(a), crc32(b)
+    and len(b), crc1 * x^(8 len2) + crc2 modulo the CRC-32 polynomial."""
+    def mul(a, b):  # bit-reflected polynomials: x^0 is bit 31
+        p = 0
+        while a:
+            if a & 0x80000000:
+                p ^= b
+            a, b = (a << 1) & 0xFFFFFFFF, (b >> 1) ^ (0xEDB88320 if b & 1 else 0)
+        return p
+    power = 1 << 31  # x^0, squared per bit of len2 and times x^8 per 1 bit
+    for bit in bin(len2)[2:]:
+        power = mul(power, power)
+        if bit == "1":
+            power = mul(1 << 23, power)
+    return mul(power, crc1) ^ crc2
+
+
+def _crc32(payload) -> int:
+    """zlib.crc32 of payload, its upper half summed by a second thread that
+    runs nothing but zlib (which releases the GIL)."""
+    view = memoryview(payload)
+    half, upper = len(view) // 2, []
+
+    def work():
+        try:
+            upper.append(zlib.crc32(view[half:]))
+        except BaseException as e:  # raised again by the calling thread
+            upper.append(e)
+
+    worker = threading.Thread(target=work)
+    worker.start()
+    try:
+        lower = zlib.crc32(view[:half])
+    finally:
+        worker.join()
+    if isinstance(upper[0], BaseException):
+        raise upper[0]
+    return _crc32_combine(lower, upper[0], len(view) - half)
+
+
 def read_trace(manifest_path: str) -> tuple[TraceManifest, np.ndarray]:
     """Load a trace; length and crc32 must match the manifest exactly."""
     fields = {}
@@ -263,7 +307,7 @@ def read_trace(manifest_path: str) -> tuple[TraceManifest, np.ndarray]:
         raise TraceError(f"cannot hold the {expected} bytes the manifest implies") from None
     if size != expected:
         raise TraceError(f"trace payload is {size} bytes, manifest implies {expected}")
-    crc = f"{zlib.crc32(payload) & 0xFFFFFFFF:08x}"
+    crc = f"{_crc32(payload):08x}"
     if crc != fields["crc32"]:
         raise TraceError(f"checksum mismatch: payload {crc}, manifest {fields['crc32']}")
     arr = np.frombuffer(payload, dtype="<f4").reshape(seeds, steps, dim)

@@ -10,8 +10,10 @@ import multiprocessing.process
 import operator
 import os
 import sys
+import threading
 import tracemalloc
 import warnings
+import zlib
 from dataclasses import replace
 
 import numpy as np
@@ -1001,6 +1003,24 @@ def test_cli_corrupt_trace_exit(tmp_path, capsys):
     assert main(args) == 4
     assert "checksum" in capsys.readouterr().err
     assert not (tmp_path / "o" / "report.csv").exists()
+
+
+def test_cli_checksum_worker_failure_is_one_line(tmp_path, capsys, monkeypatch):
+    # zlib failing off the calling thread, on the payload's upper half: the
+    # CLI reports it as any OSError, one line and no thread traceback
+    args = _trace_cli_args(tmp_path)
+
+    class OffThreadFailure:
+        @staticmethod
+        def crc32(data, value=0):
+            if threading.current_thread() is not threading.main_thread():
+                raise OSError("crc32 failed off the calling thread")
+            return zlib.crc32(data, value)
+
+    monkeypatch.setattr(model, "zlib", OffThreadFailure)
+    assert main(args) == 4
+    assert capsys.readouterr().err == (
+        "ltc: i/o error: crc32 failed off the calling thread\n")
 
 
 @pytest.mark.parametrize("payload,size,implied", [

@@ -842,7 +842,8 @@ class TestGoldenSection:
     def test_rejects_empty_interval(self):
         probes = []
         for lo, hi in ((1.0, 0.0), (np.nan, 1.0), (0.0, np.nan),
-                       (0.0, np.inf), (-np.inf, 0.0), (np.inf, np.inf)):
+                       (0.0, np.inf), (-np.inf, 0.0), (np.inf, np.inf),
+                       (-1e308, 1e308)):  # finite bounds, a width that overflows
             with pytest.raises(ValueError, match="finite and non-empty"):
                 golden_section_max(probes.append, lo, hi)
         assert probes == []  # refused before the first probe
@@ -998,7 +999,8 @@ class TestRefineBias:
             calls.append(biases.tolist())
             return _ramp(biases)
 
-        for lo, hi in ((np.nan, 0.1), (-0.05, np.inf), (-np.inf, 0.1), (0.0, np.nan)):
+        for lo, hi in ((np.nan, 0.1), (-0.05, np.inf), (-np.inf, 0.1), (0.0, np.nan),
+                       (-1e308, 1e308)):  # finite bounds, a width that overflows
             with pytest.raises(ValueError, match="finite and non-empty"):
                 _search_bias(objective, lo, hi)
         assert calls == []

@@ -1,14 +1,20 @@
 """Analytic denoisers: exact inversion, scores, and trace replay."""
 
+import threading
+import zlib
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ltc_accel import (ConfigError, NumericError, TraceError, benchmark_gmm,
                        build_linear_beta)
+from ltc_accel import model
 from ltc_accel.model import (
     _CACHE_BYTES,
+    _crc32,
+    _crc32_combine,
     DiagGmmDenoiser,
     PointMassDenoiser,
     RecordedTraceDenoiser,
@@ -175,6 +181,13 @@ class TestDiagGmm:
             DiagGmmDenoiser(w, means, var, sched)
 
 
+# bytes of any short length, or pseudo-random bytes beyond 5 KiB, the
+# size from which zlib.crc32 releases the GIL
+_checksummed = st.binary(max_size=600) | st.builds(
+    lambda n, seed: np.random.default_rng(seed).bytes(n),
+    st.integers(5 << 10, 40 << 10), st.integers(0, 2**32 - 1))
+
+
 class TestTraceIO:
     def test_round_trip_is_bit_exact(self, tmp_path):
         rng = np.random.default_rng(0)
@@ -201,14 +214,56 @@ class TestTraceIO:
             read_trace(path)
 
     def test_corrupted_payload_fails_checksum(self, tmp_path):
+        # a flipped byte at either end of the payload or on either side of
+        # the split between its halves, in 48 bytes and in 12 KB
         path = str(tmp_path / "c.trace")
-        write_trace(path, np.ones((2, 3, 2), dtype=np.float32))
         data_file = tmp_path / "c.f32"
-        raw = bytearray(data_file.read_bytes())
-        raw[5] ^= 0xFF
-        data_file.write_bytes(bytes(raw))
-        with pytest.raises(TraceError, match="checksum"):
+        for shape in ((2, 3, 2), (2, 300, 5)):
+            write_trace(path, np.ones(shape, dtype=np.float32))
+            good = data_file.read_bytes()
+            half = len(good) // 2
+            for at in (0, 5, half - 1, half, len(good) - 1):
+                raw = bytearray(good)
+                raw[at] ^= 0xFF
+                data_file.write_bytes(bytes(raw))
+                with pytest.raises(TraceError, match="checksum"):
+                    read_trace(path)
+
+    def test_checksum_worker_failure_reaches_the_caller(self, tmp_path, monkeypatch):
+        # zlib failing on the upper half, off the calling thread: read_trace
+        # raises that very exception, threading.excepthook stays silent and
+        # no thread outlives the call
+        path = str(tmp_path / "w.trace")
+        write_trace(path, np.ones((2, 300, 5), dtype=np.float32))
+        boom = RuntimeError("crc32 failed off the calling thread")
+
+        class OffThreadFailure:
+            @staticmethod
+            def crc32(data, value=0):
+                if threading.current_thread() is not threading.main_thread():
+                    raise boom
+                return zlib.crc32(data, value)
+
+        hooked = []
+        monkeypatch.setattr(threading, "excepthook", hooked.append)
+        monkeypatch.setattr(model, "zlib", OffThreadFailure)
+        threads = threading.active_count()
+        with pytest.raises(RuntimeError) as caught:
             read_trace(path)
+        assert caught.value is boom
+        assert hooked == [] and threading.active_count() == threads
+
+    @settings(max_examples=300, deadline=None)
+    @given(a=_checksummed, b=_checksummed)
+    @example(a=b"", b=b"")
+    @example(a=b"", b=b"\x01")
+    @example(a=b"\xff", b=b"")
+    @example(a=b"\x00" * 5121, b=bytes(range(256)) * 21)
+    def test_split_checksum_equals_zlib(self, a, b):
+        # the CRC-32 of a + b from the CRC-32s of its parts, and the
+        # two-thread checksum, both equal zlib's over the whole
+        assert _crc32_combine(zlib.crc32(a), zlib.crc32(b), len(b)) == zlib.crc32(a + b)
+        assert _crc32(a + b) == zlib.crc32(a + b)
 
     @pytest.mark.parametrize(
         "mutate",
