@@ -4,6 +4,7 @@ Usage: python scripts/bench_record.py PARENT_DIR CHANGE_DIR OUT_JSON [PAIRS [SEC
        python scripts/bench_record.py --wall-speedup CHECKOUT_DIR
        python scripts/bench_record.py --counts CHECKOUT_DIR
        python scripts/bench_record.py --read-trace CHECKOUT_DIR
+       python scripts/bench_record.py --epsilon-hat CHECKOUT_DIR
 
 For every workload named in CHANGE_DIR/BENCHMARK.json and workload seeds
 1..PAIRS (default 10), runs
@@ -39,6 +40,15 @@ READ_TRACE_SHAPE float32 trace (trace-wide's shape) with CHECKOUT_DIR's
 write_trace, times READ_TRACE_CALLS calls of its read_trace in-process
 after one dropped warm-up call, and prints the median, the quartiles
 and the minimum in ms.
+
+OUT_JSON also gets each side's epsilon_hat timing, from EPS_ROUNDS
+rounds of `--epsilon-hat`, in alternating order. That mode imports
+CHECKOUT_DIR's src/ in-process and, at each of EPS_POINTS (an (S, d)
+batch of benchmark-mixture states: S = 1, 10 and 20 at d = 16, and 8
+rows at d = 1024; the mixture has k = 3 components), times EPS_CALLS
+calls of epsilon_hat that cycle over the t's of the sd2-ddim-40 grid,
+as a run does, after one dropped warm-up pass over the grid. It prints
+the median, the quartiles and the minimum in us per call.
 """
 
 from __future__ import annotations
@@ -65,6 +75,10 @@ COUNT_POINTS = (("fig4-bias", "refine", "grid"), ("fig4-bias", "refine", "binary
 READ_TRACE_SHAPE = (8, 1000, 1024)
 READ_TRACE_CALLS = 150
 READ_TRACE_ROUNDS = 4
+# (rows, dim): the batches a run calls on the benchmark mixture
+EPS_POINTS = ((1, 16), (10, 16), (20, 16), (8, 1024))
+EPS_CALLS = 2000
+EPS_ROUNDS = 4
 
 
 def bench(checkout: str, workload: str, seed: int, seconds: float):
@@ -187,9 +201,37 @@ def read_trace_ms(checkout: str) -> dict:
             **{f"{k}_ms": v for k, v in summary(times[1:]).items()}}
 
 
+def epsilon_hat_us(checkout: str) -> dict:
+    """point name -> median, quartiles and minimum in us per call of
+    CHECKOUT's epsilon_hat (see the module docstring)."""
+    sys.path.insert(0, os.path.join(checkout, "src"))
+    import numpy as np
+    from ltc_accel.harness import PRESETS, benchmark_gmm
+    from ltc_accel.sampler import initial_noise, make_timesteps
+    from ltc_accel.schedule import build_linear_beta
+
+    cfg = PRESETS["sd2-ddim-40"]
+    schedule = build_linear_beta(cfg.t_train, cfg.beta_start, cfg.beta_end)
+    ts = [int(t) for t in make_timesteps(cfg.t_train, cfg.steps)[:-1]]
+    out = {}
+    for rows, dim in EPS_POINTS:
+        den = benchmark_gmm(schedule, dim)
+        x = np.stack([initial_noise(dim, seed) for seed in range(rows)])
+        times = []
+        for k in range(len(ts) + EPS_CALLS):  # the first pass warms up, dropped
+            t = ts[k % len(ts)]
+            start = time.perf_counter()
+            den.epsilon_hat(x, t)
+            times.append(1e6 * (time.perf_counter() - start))
+        kept = times[len(ts):]
+        out[f"S{rows}-d{dim}"] = {"calls": EPS_CALLS, "min_us": min(kept),
+                                  **{f"{k}_us": v for k, v in summary(kept).items()}}
+    return out
+
+
 def main(argv) -> int:
     modes = {"--wall-speedup": wall_speedup, "--counts": denoiser_counts,
-             "--read-trace": read_trace_ms}
+             "--read-trace": read_trace_ms, "--epsilon-hat": epsilon_hat_us}
     if len(argv) == 3 and argv[1] in modes:
         json.dump(modes[argv[1]](os.path.abspath(argv[2])), sys.stdout, indent=1,
                   sort_keys=True)
@@ -225,7 +267,8 @@ def main(argv) -> int:
                             for name in rs[0][0]},
             } for side, rs in runs.items()}}
     for key, flag, rounds in (("wall_speedup", "--wall-speedup", WALL_ROUNDS),
-                              ("read_trace", "--read-trace", READ_TRACE_ROUNDS)):
+                              ("read_trace", "--read-trace", READ_TRACE_ROUNDS),
+                              ("epsilon_hat", "--epsilon-hat", EPS_ROUNDS)):
         record[key] = {side: [] for side in sides}
         for k in range(rounds):
             for side in (sides if k % 2 == 0 else reversed(list(sides))):

@@ -68,7 +68,7 @@ def main(argv=None) -> int:
     try:
         cfg = resolve_config(args)
         report = run(cfg, args.mode)
-    except ConfigError as e:
+    except (ConfigError, MemoryError) as e:  # MemoryError: sizes too large to hold
         print(f"ltc: configuration error: {e}", file=sys.stderr)
         return 2
     except NumericError as e:

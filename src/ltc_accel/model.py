@@ -15,10 +15,11 @@ subset of a batch's rows. Three families:
   alpha_bar_t * sigma_k^2 + (1 - alpha_bar_t), and
   epsilon_hat = -sqrt(1 - alpha_bar_t) * grad log p_t(x). Component
   responsibilities go through log-sum-exp so far-field states cannot
-  overflow. In epsilon_hat, a state so far out that every log term
-  underflows to -inf (|x| near 1e160) gives all responsibility to its
-  nearest component; numpy warns about the overflow on the way. The
-  constants of each t are cached, up to _CACHE_BYTES per denoiser.
+  overflow. In score, and so in epsilon_hat, a state so far out that
+  every log term underflows to -inf (|x| near 1e160) gives all
+  responsibility to its nearest component; numpy warns about the
+  overflow on the way. The constants of each t are cached, up to
+  _CACHE_BYTES per denoiser.
 * RecordedTraceDenoiser: replays externally dumped epsilon_hat vectors
   keyed by (seed, t), read from a checksummed manifest + raw float32 file.
   read_trace checks the CRC-32 of the bytes it read, the payload's two
@@ -145,34 +146,27 @@ class DiagGmmDenoiser:
         return float(out) if x.ndim == 1 else out
 
     def score(self, x, t: int) -> np.ndarray:
-        """grad_x log p_t(x), responsibilities via log-sum-exp."""
+        """grad_x log p_t(x), responsibilities via log-sum-exp; a row whose
+        log terms all underflow to -inf takes its nearest component's."""
         x = _check_state(x, self.dim)
         _check_t(t, self.schedule.t_train)
         r, v, logt = self._log_terms(x, t)
         resp = np.exp(logt - _logsumexp(logt)[..., None])
-        return np.add.reduce(resp[..., None] * r / v, axis=-2)
+        out = np.add.reduce(resp[..., None] * r / v, axis=-2)
+        if not np.isfinite(out).all():
+            far = np.all(np.atleast_2d(logt) == -np.inf, axis=-1)
+            res = r.reshape((-1,) + v.shape)[far]
+            # nearest by a residual scaled to stay finite
+            scaled = res / np.max(np.abs(res), axis=(1, 2), keepdims=True)
+            k = np.argmin(np.sum(scaled ** 2 / v, axis=-1), axis=-1)
+            np.atleast_2d(out)[far] = res[np.arange(len(k)), k] / v[k]
+            if not np.isfinite(out).all():
+                raise NumericError("score produced non-finite values")
+        return out
 
     def epsilon_hat(self, x, t: int) -> np.ndarray:
         score = self.score(x, t)  # checks t before the schedule is indexed
-        out = -self.schedule.sqrt_one_minus_alpha_bar[t] * score
-        if not np.isfinite(out).all():
-            out = self._far_field(np.asarray(x, dtype=np.float64), t, out)
-            if not np.isfinite(out).all():
-                raise NumericError("epsilon_hat produced non-finite values")
-        return out
-
-    def _far_field(self, x: np.ndarray, t: int, out: np.ndarray) -> np.ndarray:
-        """out with the rows whose log terms are all -inf recomputed from the
-        nearest component, chosen by a residual scaled to stay finite."""
-        m, v = self._constants(t)[:2]
-        far = np.all(np.atleast_2d(self._log_terms(x, t)[2]) == -np.inf, axis=-1)
-        res = np.atleast_2d(x)[far][:, None, :] - m
-        scaled = res / np.max(np.abs(res), axis=(1, 2), keepdims=True)
-        k = np.argmin(np.sum(scaled ** 2 / v, axis=-1), axis=-1)
-        # the score's own arithmetic with one-hot responsibilities
-        np.atleast_2d(out)[far] = (self.schedule.sqrt_one_minus_alpha_bar[t]
-                                   * (res[np.arange(len(k)), k] / v[k]))
-        return out
+        return -self.schedule.sqrt_one_minus_alpha_bar[t] * score
 
     def take(self, rows) -> "DiagGmmDenoiser":
         return self
@@ -209,13 +203,8 @@ def write_trace(manifest_path: str, data: np.ndarray) -> TraceManifest:
     )
     with open(os.path.join(os.path.dirname(manifest_path) or ".", data_name), "wb") as f:
         f.write(payload)
-    with open(manifest_path, "w", encoding="ascii") as f:
-        f.write(f"dim={manifest.dim}\n")
-        f.write(f"steps={manifest.steps}\n")
-        f.write(f"seeds={manifest.seeds}\n")
-        f.write(f"data={manifest.data}\n")
-        f.write("endian=little\n")
-        f.write(f"crc32={manifest.crc32}\n")
+    with open(manifest_path, "w", encoding="ascii") as f:  # endian: always little
+        f.writelines(f"{k}={getattr(manifest, k, 'little')}\n" for k in _MANIFEST_KEYS)
     return manifest
 
 
@@ -325,6 +314,9 @@ class RecordedTraceDenoiser:
         if arr.ndim != 3:
             raise TraceError(f"trace data must have shape (seeds, steps, dim), got {arr.shape}")
         rows = np.atleast_1d(np.asarray(seed))  # any int size; cast once in range
+        if rows.dtype.kind not in "iu" and not all(  # object: ints beyond int64
+                isinstance(s, (int, np.integer)) and not isinstance(s, bool) for s in rows.flat):
+            raise TraceError(f"trace seeds must be integers, got {seed!r}")
         if np.any((rows < 0) | (rows >= arr.shape[0])):
             raise TraceError(f"trace holds seeds 0..{arr.shape[0] - 1}, got {seed}")
         self._data = arr

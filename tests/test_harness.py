@@ -882,6 +882,22 @@ def test_cli_config_that_is_not_utf8_exit(tmp_path, capsys):
     assert "cannot read config" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("section", [
+    "[schedule]\nt_train = 10000000000000000",   # 71 PiB of betas
+    "[denoiser]\ndim = 10000000000000000",       # 213 PiB of mixture means
+], ids=["t_train", "dim"])
+def test_cli_sizes_that_cannot_be_allocated_exit_2(tmp_path, capsys, section):
+    # 1e16 float64 entries exceed any address space, so the allocation
+    # fails at once: one line, no traceback, and no output directory
+    ini = write_ini(tmp_path / "m.ini", section + "\n")
+    assert main(["sample", "--config", ini, "--seed-set", "0",
+                 "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("ltc: configuration error: ")
+    assert err.count("\n") == 1
+    assert not (tmp_path / "o").exists()
+
+
 def test_cli_missing_out_exit(monkeypatch, capsys):
     monkeypatch.delenv("LTC_OUT", raising=False)
     assert main(["sample", "--seed-set", "0"]) == 2

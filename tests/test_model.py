@@ -156,12 +156,20 @@ class TestDiagGmm:
             for x in (1e160, -1e160, 1e300, -1e300):
                 assert np.array_equal(den.epsilon_hat([x], 500),
                                       c * ((x - m[1]) / v[1]))
+                assert np.array_equal(den.score([x], 500), (m[1] - x) / v[1])
             out = den.epsilon_hat([[1e160], [0.3], [-1e300]], 500)
-            with pytest.raises(NumericError):  # the nearest score overflows
-                den.epsilon_hat([-1.7e308], 500)
+            score = den.score([[1e160], [0.3], [-1e300]], 500)
+            for f in (den.epsilon_hat, den.score):
+                with pytest.raises(NumericError):  # the nearest score overflows
+                    f([-1.7e308], 500)
+                with pytest.raises(NumericError):  # in a batch too
+                    f([[0.3], [-1.7e308]], 500)
         assert np.array_equal(out[1], den.epsilon_hat([0.3], 500))
         assert np.array_equal(out[[0, 2], 0], c * ((np.array([1e160, -1e300])
                                                     - m[1, 0]) / v[1, 0]))
+        assert np.array_equal(score[1], den.score([0.3], 500))
+        assert np.array_equal(score[[0, 2], 0], (m[1, 0] - np.array([1e160, -1e300]))
+                              / v[1, 0])
 
     @pytest.mark.parametrize(
         "w,means,var",
@@ -194,6 +202,9 @@ class TestTraceIO:
         data = rng.normal(size=(3, 5, 4)).astype(np.float32)
         path = str(tmp_path / "dump.trace")
         manifest = write_trace(path, data)
+        crc = zlib.crc32(data.astype("<f4").tobytes())
+        assert (tmp_path / "dump.trace").read_text(encoding="ascii") == (
+            f"dim=4\nsteps=5\nseeds=3\ndata=dump.f32\nendian=little\ncrc32={crc:08x}\n")
         back_manifest, back = read_trace(path)
         assert back_manifest == manifest
         assert back.dtype == np.float32
@@ -344,6 +355,21 @@ class TestRecordedTraceDenoiser:
         with pytest.raises(TraceError, match=r"trace holds seeds 0\.\.2, got \[0, 3\]"):
             RecordedTraceDenoiser(data, [0, 3])
 
+    def test_seeds_must_be_integers(self):
+        # a float or a bool is refused, not truncated to a row; numpy
+        # integers serve, and Python ints beyond int64 meet the range check
+        data = np.arange(3 * 4 * 2, dtype=np.float32).reshape(3, 4, 2)
+        for seed in (1.5, 1.0, True, np.bool_(False), [0, 2.9], [True],
+                     np.array([0.0, 2.0]), "1"):
+            with pytest.raises(TraceError, match="trace seeds must be integers"):
+                RecordedTraceDenoiser(data, seed)
+        for seed in (np.int32(1), np.array([2, 0], np.uint8), [np.int64(2), 1]):
+            den = RecordedTraceDenoiser(data, seed)
+            assert np.array_equal(den.take(slice(None))._rows, np.atleast_1d(seed))
+        for seed in (2**70, [0, 2**70], [np.int64(1), -2**70]):
+            with pytest.raises(TraceError, match=r"trace holds seeds 0\.\.2"):
+                RecordedTraceDenoiser(data, seed)
+
 
 _BATCH_DIM = 6
 
@@ -411,7 +437,15 @@ def _ref_score(den, x, t):
     m, v = _ref_marginal(den, t)
     logt = _ref_log_terms(den, x, m, v)
     r = np.exp(logt - _ref_logsumexp(logt)[..., None])
-    return np.sum(r[..., None] * (m - x[..., None, :]) / v, axis=-2)
+    out = np.sum(r[..., None] * (m - x[..., None, :]) / v, axis=-2)
+    # rows whose log terms are all -inf: the nearest component's score,
+    # from the residual x - m that _ref_epsilon_hat's far field uses
+    far = np.all(np.atleast_2d(logt) == -np.inf, axis=-1)
+    res = np.atleast_2d(x)[far][:, None, :] - m
+    scaled = res / np.max(np.abs(res), axis=(1, 2), keepdims=True)
+    k = np.argmin(np.sum(scaled ** 2 / v, axis=-1), axis=-1)
+    np.atleast_2d(out)[far] = -(res[np.arange(len(k)), k] / v[k])
+    return out
 
 
 def _ref_epsilon_hat(den, x, t):
@@ -457,12 +491,39 @@ def test_gmm_path_matches_the_uncached_formulas_bit_for_bit(sched, gen, k, d, ts
                 want = _ref_epsilon_hat(den, state, t)
                 if np.all(np.isfinite(want)):
                     assert _same_bits(den.epsilon_hat(state, t), want)
+                    assert _same_bits(den.score(state, t), _ref_score(den, state, t))
                 else:  # the nearest score overflows
                     with pytest.raises(NumericError):
                         den.epsilon_hat(state, t)
-                assert _same_bits(den.score(state, t), _ref_score(den, state, t))
+                    with pytest.raises(NumericError):
+                        den.score(state, t)
                 assert _same_bits(den.log_density(state, t),
                                   _ref_log_density(den, state, t))
+
+
+@pytest.mark.parametrize("scale", [*_SCALES, 1e307, 1.7e308])
+def test_epsilon_hat_is_the_scaled_score_at_every_scale(sched, scale):
+    # one path: epsilon_hat has the bits of -c * score, and both raise on
+    # the same states, from the origin through the tie regime to the far
+    # field and the overflow of the nearest score
+    rng = np.random.default_rng(17)
+    c = sched.sqrt_one_minus_alpha_bar
+    for k, d in ((1, 1), (2, 1), (2, 3), (4, 5)):
+        means = rng.normal(size=(k, d))
+        means[-1] = -means[0]
+        den = DiagGmmDenoiser(np.full(k, 1.0 / k), means,
+                              rng.choice([0.0, 0.01, 0.5, 2.0], size=(k, d)), sched)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            x = rng.standard_normal((5, d)) * scale
+            for t in (1, 37, 500, 1000):
+                for state in (x, x[0], -x[1]):
+                    try:
+                        eps = den.epsilon_hat(state, t)
+                    except NumericError:
+                        with pytest.raises(NumericError):
+                            den.score(state, t)
+                        continue
+                    assert _same_bits(eps, -c[t] * den.score(state, t))
 
 
 def test_per_t_constants_stay_within_their_bound(sched):
