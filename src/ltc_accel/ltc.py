@@ -157,9 +157,16 @@ class AccelerationPlan:
                           "only r=2 is validated")
         if not np.isfinite(self.bias):
             raise ConfigError(f"bias must be finite, got {self.bias}")
-        bad = sorted(i for i, w in (self.wg or {}).items()
-                     if not np.all(np.isfinite(w)) or rows is not None
-                     and np.ndim(w) and np.shape(w) != rows)
+        if self.phi_mode not in list(PhiMode):
+            raise ConfigError(f"unknown phi_mode {self.phi_mode!r}")
+        try:  # one pass when the entries stack; otherwise the scan below decides
+            w = np.array(list((self.wg or {}).values()))
+            ok = np.isfinite(w).all() and (rows is None or w.ndim < 2 or w.shape[1:] == rows)
+        except (TypeError, ValueError):
+            ok = False
+        bad = [] if ok else sorted(i for i, w in (self.wg or {}).items()
+                                   if not np.all(np.isfinite(w)) or rows is not None
+                                   and np.ndim(w) and np.shape(w) != rows)
         if bad:
             raise ConfigError("wg must be finite, and a per-row wg must have one "
                               f"scale per state row; bad at iterations {bad}")
@@ -190,9 +197,9 @@ def _setup(schedule: NoiseSchedule, timesteps, plan: AccelerationPlan, x_init,
     `full` before the first of them, `full` checked to hold all n + 1 states
     of a full run from x_init; None when there is no `full`."""
     ts = check_timesteps(timesteps, schedule.t_train)
-    gammas = {i: gamma(*(phi(schedule, int(ts[j]), plan.phi_mode)
-                         for j in (i, i - 1, i - 2)))
-              for i in plan.validate(len(ts) - 1, rows)}
+    sel = plan.validate(len(ts) - 1, rows)
+    j = np.add.outer((0, -1, -2), np.array(sel, dtype=np.int64))  # i, i - 1, i - 2
+    gammas = dict(zip(sel, gamma(*phi(schedule, ts[j], plan.phi_mode)).tolist()))
     if full is None:
         return ts, gammas, None
     full = np.asarray(full, dtype=np.float64)
@@ -218,15 +225,23 @@ def accelerated_sample(denoiser, schedule: NoiseSchedule, x_init, timesteps,
     """
     ts, gammas, prefix = _setup(schedule, timesteps, plan, x_init, full,
                                 rows=np.shape(x_init)[:-1])
-    n_rows = len(np.atleast_2d(x_init))
-    applied = {i: np.full(n_rows, plan.wg[i] + plan.bias) for i in gammas}
+    wg, g = _wg_rows(plan, gammas, len(np.atleast_2d(x_init)))
     return _chain(denoiser, schedule, x_init, ts, gammas,
-                  _extrapolation(applied, gammas), prefix=prefix)
+                  _extrapolation(gammas, (wg + plan.bias) * g), prefix=prefix)
 
 
-def _extrapolation(applied: dict, gammas: dict):
-    """_chain's reuse hook: x + applied[i] * gammas[i] * d_prev, one scale per row."""
-    return lambda i, x, d_prev, rows: approx_step(x, d_prev, applied[i][rows], gammas[i])
+def _wg_rows(plan: AccelerationPlan, gammas: dict, n_rows: int):
+    """plan.wg as (n_sel, n_rows), a row per selected iteration; gammas as (n_sel, 1)."""
+    wg = np.empty((len(gammas), n_rows))
+    for k, i in enumerate(gammas):
+        wg[k] = plan.wg[i]
+    return wg, np.array(list(gammas.values()))[:, None]
+
+
+def _extrapolation(gammas: dict, coef: np.ndarray):
+    """_chain's reuse hook x + coef * d_prev, coef the (n_sel, S) (wg + bias) * gamma."""
+    coef = dict(zip(gammas, coef[..., None]))
+    return lambda i, x, d_prev, rows: x + coef[i][rows] * d_prev
 
 
 def _bias_objective(denoiser, schedule: NoiseSchedule, reference: Trajectory,
@@ -243,7 +258,7 @@ def _bias_objective(denoiser, schedule: NoiseSchedule, reference: Trajectory,
     n_rows = len(x_init)
     ts, gammas, prefix = _setup(schedule, reference.timesteps, plan, x_init,
                                 reference.states, rows=(n_rows,))
-    wg = {i: np.full(n_rows, plan.wg[i]) for i in gammas}  # one scale per row
+    wg, g = _wg_rows(plan, gammas, n_rows)
 
     def objective(biases):
         b = np.asarray(biases, dtype=np.float64)
@@ -251,9 +266,8 @@ def _bias_objective(denoiser, schedule: NoiseSchedule, reference: Trajectory,
             raise ConfigError(f"bias must be finite, in a 1-D array, got {biases}")
         tile = np.tile(np.arange(n_rows), b.size)  # batch row -> reference row
         bias = np.repeat(b, n_rows)  # each batch row's bias, for plan.bias
-        applied = {i: w[tile] + bias for i, w in wg.items()}
         traj = _chain(denoiser.take(tile), schedule, x_init[tile], ts, gammas,
-                      _extrapolation(applied, gammas), prefix=prefix[tile])
+                      _extrapolation(gammas, (wg[:, tile] + bias) * g), prefix=prefix[tile])
         return psnr(reference.final[tile], traj.final).reshape(b.size, n_rows)
 
     return objective
@@ -293,24 +307,27 @@ def calibrate_wg(denoiser, schedule: NoiseSchedule, x_init, timesteps,
     ts, gammas, prefix = _setup(schedule, timesteps, plan, x_init, full)
     n = len(ts) - 1
     n_rows = len(np.atleast_2d(x_init))
-    wg = {i: np.ones(n_rows) for i in gammas}  # fallbacks: neutral 1.0
-    theta = {i: np.full(n_rows, np.nan) for i in gammas}
-    eps_r = {i: np.full(n_rows, np.nan) for i in gammas}
+    wg = dict(zip(gammas, np.ones((len(gammas), n_rows))))  # fallbacks: neutral 1.0
+    slot = {i: k for k, i in enumerate(gammas)}
+    # d_true, d_prev and x_real - x* by selected iteration and row; NaN on fallbacks
+    trues, prevs, misses = np.full((3, len(gammas), n_rows, *np.shape(x_init)[-1:]), np.nan)
 
     def shadow(i, x, d_prev, rows):
         t, t_prev = int(ts[i - 1]), int(ts[i])
-        x_real = ddim_step(x, denoiser.take(rows).epsilon_hat(x, t),
-                           schedule, t, t_prev)
+        den = denoiser if isinstance(rows, slice) else denoiser.take(rows)
+        x_real = ddim_step(x, den.epsilon_hat(x, t), schedule, t, t_prev)
         d_true = x_real - x
         w = wg_closed_form(d_true, d_prev, gammas[i])
         x_star = approx_step(x, d_prev, w, gammas[i])
-        # a zero true displacement has theta = pi and eps_r = 0
-        wg[i][rows], theta[i][rows] = w, angle(d_true, d_prev)
-        eps_r[i][rows] = relative_error(x_real, x_star, d_true)
+        wg[i][rows], trues[slot[i], rows], prevs[slot[i], rows] = w, d_true, d_prev
+        misses[slot[i], rows] = x_real - x_star
         return x_star
 
     traj = _chain(denoiser, schedule, x_init, ts, gammas, shadow, prefix=prefix)
     traj.nfe = np.full(n_rows, n) if np.ndim(x_init) == 2 else n
+    # a zero true displacement has theta = pi and eps_r = 0
+    theta = dict(zip(gammas, angle(trues, prevs)))
+    eps_r = dict(zip(gammas, relative_error(misses, 0.0, trues)))
     if np.ndim(x_init) == 1:
         moved = [i for i in theta if not np.isnan(theta[i][0])]
         wg = {i: float(w[0]) for i, w in wg.items()}

@@ -9,7 +9,6 @@ descriptor and compared byte for byte; its sha256 is that of those bytes.
 
 from __future__ import annotations
 
-import csv
 import errno
 import hashlib
 import os
@@ -151,26 +150,6 @@ def write_csv(path: str, schema: str, columns) -> str:
     text = "\r\n".join([",".join(header), *lines]) + "\r\n"
     back = _write_verified(path, text.encode("ascii"))
     return hashlib.sha256(back).hexdigest()
-
-
-def read_csv(path: str, schema: str | None = None):
-    """Parse a CSV back; header must match its schema, cells must be numeric."""
-    with open(path, "r", encoding="ascii", newline="") as f:
-        reader = csv.reader(f)
-        try:
-            header = tuple(next(reader))
-        except StopIteration:
-            raise NumericError(f"{path} is empty") from None
-        if schema is not None and header != SCHEMAS[schema]:
-            raise NumericError(
-                f"{path} header {header} does not match schema {SCHEMAS[schema]}"
-            )
-        rows = []
-        for row in reader:
-            if len(row) != len(header):
-                raise NumericError(f"{path} row width {len(row)} != {len(header)}")
-            rows.append(tuple(float(c) for c in row))
-    return header, rows
 
 
 @dataclass

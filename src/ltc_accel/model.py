@@ -314,8 +314,9 @@ class RecordedTraceDenoiser:
         if arr.ndim != 3:
             raise TraceError(f"trace data must have shape (seeds, steps, dim), got {arr.shape}")
         rows = np.atleast_1d(np.asarray(seed))  # any int size; cast once in range
-        if rows.dtype.kind not in "iu" and not all(  # object: ints beyond int64
-                isinstance(s, (int, np.integer)) and not isinstance(s, bool) for s in rows.flat):
+        given = seed if isinstance(seed, np.ndarray) else np.array(seed, dtype=object)
+        if given.dtype.kind not in "iu" and not all(  # as given: [0, True] is int64
+                isinstance(s, (int, np.integer)) and not isinstance(s, bool) for s in given.flat):
             raise TraceError(f"trace seeds must be integers, got {seed!r}")
         if np.any((rows < 0) | (rows >= arr.shape[0])):
             raise TraceError(f"trace holds seeds 0..{arr.shape[0] - 1}, got {seed}")

@@ -90,8 +90,13 @@ def ddim_step(x, eps, schedule: NoiseSchedule, t: int, t_prev: int) -> np.ndarra
     if x.shape != eps.shape or x.ndim not in (1, 2):
         raise ValueError(f"state/noise shape mismatch: {x.shape} vs {eps.shape}")
     s = schedule
-    x0 = (x - s.sqrt_one_minus_alpha_bar[t] * eps) / s.sqrt_alpha_bar[t]
-    out = s.sqrt_alpha_bar[t_prev] * x0 + s.sqrt_one_minus_alpha_bar[t_prev] * eps
+    # x0 = (x - s.sqrt_one_minus_alpha_bar[t] * eps) / s.sqrt_alpha_bar[t], then
+    # s.sqrt_alpha_bar[t_prev] * x0 + s.sqrt_one_minus_alpha_bar[t_prev] * eps
+    out = np.multiply(s.sqrt_one_minus_alpha_bar[t], eps)
+    np.subtract(x, out, out=out)
+    np.divide(out, s.sqrt_alpha_bar[t], out=out)
+    np.multiply(s.sqrt_alpha_bar[t_prev], out, out=out)
+    out += s.sqrt_one_minus_alpha_bar[t_prev] * eps
     if not np.isfinite(out).all():
         raise NumericError(f"ddim_step produced non-finite state at t={t}")
     return out
@@ -174,11 +179,11 @@ def sample_skipping(denoiser, schedule: NoiseSchedule, x_init, timesteps,
     """
     ts = check_timesteps(timesteps, schedule.t_train)
     n = len(ts) - 1
-    positions = sorted({int(p) for p in skipped})
+    positions = set(skipped)
     for p in positions:
-        if not 1 <= p <= n - 1:
+        if isinstance(p, bool) or not isinstance(p, (int, np.integer)) or not 1 <= p <= n - 1:
             raise ValueError(
-                f"only interior grid positions 1..{n - 1} can be skipped, got {p}"
+                f"only interior grid positions 1..{n - 1} can be skipped, got {p!r}"
             )
-    keep = [j for j in range(n + 1) if j not in set(positions)]
+    keep = [j for j in range(n + 1) if j not in positions]
     return sample_full(denoiser, schedule, x_init, ts[keep])

@@ -102,35 +102,36 @@ def build_linear_beta(t_train: int, beta_start: float = 1e-4,
     return NoiseSchedule(t_train=t_train, alpha_bar=alpha_bar)
 
 
-def phi(schedule: NoiseSchedule, t: int,
-        mode: PhiMode = PhiMode.SQRT_SNR) -> float:
-    """Progress coordinate at timestep t. Undefined at t = 0."""
-    if not 1 <= t <= schedule.t_train:
+def phi(schedule: NoiseSchedule, t, mode: PhiMode = PhiMode.SQRT_SNR):
+    """Progress coordinate at t, a float, or an array for an integer array t. Undefined at t = 0."""
+    ts = np.asarray(t)
+    if not ((1 <= ts) & (ts <= schedule.t_train)).all():
         raise IndexError(
             f"phi is defined for 1 <= t <= {schedule.t_train}, got t={t}"
         )
     mode = PhiMode(mode)
     table = schedule.sqrt_snr if mode is PhiMode.SQRT_SNR else schedule.snr
-    return float(table[t])
+    return table[ts] if ts.ndim else float(table[t])
 
 
-def gamma(phi_t: float, phi_t1: float, phi_t2: float) -> float:
-    """Step-size ratio (phi_t - phi_t1) / (phi_t1 - phi_t2).
+def gamma(phi_t, phi_t1, phi_t2):
+    """Step-size ratio (phi_t - phi_t1) / (phi_t1 - phi_t2), elementwise.
 
     phi_t belongs to the step being taken (smallest timestep, largest phi),
     phi_t1 and phi_t2 to the two preceding grid points.
     """
-    den = phi_t1 - phi_t2
-    if not den > 0.0:
+    den = np.subtract(phi_t1, phi_t2)
+    if not (den > 0.0).all():
         raise NumericError(
             f"phi must strictly decrease in t: phi_t1={phi_t1}, phi_t2={phi_t2}"
         )
-    num = phi_t - phi_t1
-    if not num > 0.0:
+    num = np.subtract(phi_t, phi_t1)
+    if not (num > 0.0).all():
         raise NumericError(
             f"phi must strictly decrease in t: phi_t={phi_t}, phi_t1={phi_t1}"
         )
-    out = num / den
-    if not np.isfinite(out):
+    with np.errstate(over="ignore"):  # an overflow is refused just below
+        out = num / den
+    if not np.isfinite(out).all():
         raise NumericError(f"gamma overflowed: {num} / {den}")
     return out

@@ -1,10 +1,14 @@
 """Prints the acceptance verdict table after the test run, and provides
-a call-counting denoiser wrapper."""
+a call-counting denoiser wrapper and a CSV reader for emitted files."""
 
+import csv
 import sys
 
 import numpy as np
 import pytest
+
+from ltc_accel.errors import NumericError
+from ltc_accel.metrics import SCHEMAS
 
 
 class CountingDenoiser:
@@ -21,6 +25,26 @@ class CountingDenoiser:
     def epsilon_hat(self, x, t):
         self.calls.append((t, len(np.atleast_2d(x))))
         return self.inner.epsilon_hat(x, t)
+
+
+def read_csv(path: str, schema: str | None = None):
+    """Parse a CSV back; header must match its schema, cells must be numeric."""
+    with open(path, "r", encoding="ascii", newline="") as f:
+        reader = csv.reader(f)
+        try:
+            header = tuple(next(reader))
+        except StopIteration:
+            raise NumericError(f"{path} is empty") from None
+        if schema is not None and header != SCHEMAS[schema]:
+            raise NumericError(
+                f"{path} header {header} does not match schema {SCHEMAS[schema]}"
+            )
+        rows = []
+        for row in reader:
+            if len(row) != len(header):
+                raise NumericError(f"{path} row width {len(row)} != {len(header)}")
+            rows.append(tuple(float(c) for c in row))
+    return header, rows
 
 
 @pytest.fixture(scope="session")

@@ -40,7 +40,8 @@ from ltc_accel import (
     write_trace,
 )
 from ltc_accel.ltc import _search_bias
-from ltc_accel.metrics import read_csv
+
+from conftest import read_csv
 
 VERDICTS = {}
 

@@ -46,7 +46,8 @@ from ltc_accel import (
 from ltc_accel import harness, ltc, model
 from ltc_accel.cli import main
 from ltc_accel.harness import PRESETS
-from ltc_accel.metrics import read_csv
+
+from conftest import read_csv
 
 
 def write_ini(path, text):

@@ -430,6 +430,10 @@ class TestAccelerationPlan:
                 plan.validate(40, rows=())
         with pytest.warns(UserWarning, match="r="):
             AccelerationPlan(interval=(6, 10), r=3).validate(40)
+        for mode in ("bogus", None, 1):  # a plan fault, before any gamma is formed
+            with pytest.raises(ConfigError, match="unknown phi_mode"):
+                AccelerationPlan(interval=None, phi_mode=mode).validate(40)
+        assert AccelerationPlan(interval=(2, 4), phi_mode="snr").validate(40) == (3,)
         # r and the bounds: an int or numpy integer, not a bool
         for r, interval in ((2.5, (13, 39)), (2.0, (13, 39)), (True, (13, 39)),
                             (2, (13.0, 39)), (2, (13, 39.0)), (2, (np.True_, 39)),
@@ -441,6 +445,31 @@ class TestAccelerationPlan:
         for interval in ((1, 2, 3), (13,)):
             with pytest.raises(ConfigError, match="tuple of two integers"):
                 AccelerationPlan(interval=interval).validate(40)
+
+    def test_one_bad_wg_entry_among_40_is_named(self):
+        # all entries are checked in one array pass; a failure is then named
+        # entry by entry, with the verdict of a scan over every entry
+        plan = AccelerationPlan(interval=(3, 83))  # 41 selected iterations
+        sel = plan.selected()
+        message = (r"wg must be finite, and a per-row wg must have one scale per "
+                   r"state row; bad at iterations \[41\]$")
+        for good, bad, rows in ((1.0, np.nan, None), (1.0, -np.inf, ()),
+                                (np.ones(3), np.array([1.0, np.nan, 1.0]), (3,)),
+                                (np.ones(3), np.ones(4), (3,)),
+                                (np.ones(3), np.ones((3, 1)), (3,)),
+                                (np.ones(3), np.inf, (3,)), (1.0, np.ones(3), ())):
+            wg = {**dict.fromkeys(sel, good), 41: bad}
+            with pytest.raises(ConfigError, match=message):
+                dataclasses.replace(plan, wg=wg).validate(84, rows=rows)
+        # entries that stack into one array of the wrong row count
+        every = ", ".join(map(str, sel))
+        with pytest.raises(ConfigError, match=rf"bad at iterations \[{every}\]$"):
+            dataclasses.replace(plan, wg=dict.fromkeys(sel, np.ones(4))).validate(84, rows=(3,))
+        # entries that do not stack into one array are scanned: a scalar
+        # serves every row beside per-row arrays
+        mixed = {**dict.fromkeys(sel, np.ones(3)), 41: 0.5}
+        assert dataclasses.replace(plan, wg=mixed).validate(84, rows=(3,)) == sel
+        assert dataclasses.replace(plan, wg=mixed).validate(84) == sel
 
     def test_missing_wg_entries_rejected(self):
         plan = AccelerationPlan(interval=(13, 39), wg={13: 1.0})
@@ -596,8 +625,8 @@ class TestCalibrateAndApply:
         acc = accelerated_sample(den, s, x0, ts, plan)
         _, gammas, _ = _setup(s, ts, plan, x0, None)
         assert tuple(gammas) == sel
-        applied = {i: np.full(1, plan.wg[i] + plan.bias) for i in gammas}
-        resumed = _chain(den, s, x0, ts, gammas, _extrapolation(applied, gammas),
+        coef = np.array([[(plan.wg[i] + plan.bias) * g] for i, g in gammas.items()])
+        resumed = _chain(den, s, x0, ts, gammas, _extrapolation(gammas, coef),
                          prefix=full.states[:sel[0]])
         assert np.array_equal(resumed.states, acc.states)
         assert resumed.approximated == acc.approximated
@@ -609,6 +638,36 @@ class TestCalibrateAndApply:
             objective = _bias_objective(den, s, sample_full(den, s, x0[None], ts),
                                         dataclasses.replace(plan, bias=0.0))
             assert objective([bias])[0] == psnr(full.final, acc.final)
+
+    @pytest.mark.parametrize("kind", ["gmm", "stall"])
+    def test_diagnostics_equal_per_iteration_recomputation(self, sched, gmm,
+                                                           recorded_data, kind):
+        # theta and eps_r come from one angle and one relative_error call
+        # after the chain; recompute them iteration by iteration from the
+        # trajectory, over the rows each shadow step saw. Rows that fell
+        # back stay NaN ("stall": row 0 up to iteration 49 and from 89 on).
+        solo, seeds, x0 = _kind_batch(kind, [0, 3], sched, gmm, recorded_data)
+        den, ts = solo(seeds), make_timesteps(1000, 100)
+        plan = AccelerationPlan(interval=(21, 99))
+        cal = calibrate_wg(den, sched, x0, ts, plan)
+        _, gammas, _ = _setup(sched, ts, plan, x0, None)
+        states, fell = cal.trajectory.states, set(cal.trajectory.fallbacks)
+        assert bool(fell) == (kind == "stall")
+        assert sorted(cal.theta) == sorted(cal.eps_r) == list(plan.selected())
+        for i in plan.selected():
+            moved = np.array([r for r in range(len(seeds)) if (r, i) not in fell])
+            lost = [r for r in range(len(seeds)) if (r, i) in fell]
+            assert np.isnan(cal.theta[i][lost]).all() and np.isnan(cal.eps_r[i][lost]).all()
+            assert (cal.wg[i][lost] == 1.0).all()
+            t, t_prev = int(ts[i - 1]), int(ts[i])
+            x = states[moved, i - 1]
+            x_real = ddim_step(x, den.take(moved).epsilon_hat(x, t), sched, t, t_prev)
+            d_true, d_prev = x_real - x, x - states[moved, i - 2]
+            x_star = approx_step(x, d_prev, cal.wg[i][moved], gammas[i])
+            assert np.array_equal(x_star, states[moved, i])  # the chain went on from x*
+            assert np.array_equal(cal.theta[i][moved], angle(d_true, d_prev))
+            assert np.array_equal(cal.eps_r[i][moved],
+                                  relative_error(x_real, x_star, d_true))
 
     @pytest.mark.parametrize("kind", ["gmm", "stall"])
     def test_batch_bookkeeping_is_pinned(self, sched, gmm, recorded_data, kind):

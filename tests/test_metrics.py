@@ -10,7 +10,9 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from ltc_accel import NumericError, aggregate, end_error, nfe_speedup, psnr
-from ltc_accel.metrics import SCHEMAS, read_csv, write_csv
+from ltc_accel.metrics import SCHEMAS, write_csv
+
+from conftest import read_csv
 
 # Hand value: reference peak 1, mse = 0.005 -> 10 * log10(200)
 PSNR_GOLDEN = 23.010299956639813

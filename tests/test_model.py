@@ -359,8 +359,9 @@ class TestRecordedTraceDenoiser:
         # a float or a bool is refused, not truncated to a row; numpy
         # integers serve, and Python ints beyond int64 meet the range check
         data = np.arange(3 * 4 * 2, dtype=np.float32).reshape(3, 4, 2)
+        # [0, True] is int64 to numpy; its elements are checked as given
         for seed in (1.5, 1.0, True, np.bool_(False), [0, 2.9], [True],
-                     np.array([0.0, 2.0]), "1"):
+                     np.array([0.0, 2.0]), "1", [0, True], (np.True_, 1)):
             with pytest.raises(TraceError, match="trace seeds must be integers"):
                 RecordedTraceDenoiser(data, seed)
         for seed in (np.int32(1), np.array([2, 0], np.uint8), [np.int64(2), 1]):

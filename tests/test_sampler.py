@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from ltc_accel import ConfigError, NoiseSchedule, NumericError, build_linear_beta
 from ltc_accel.model import DiagGmmDenoiser, PointMassDenoiser
@@ -43,6 +46,31 @@ def test_ddim_step_golden_value():
     s = NoiseSchedule.from_alpha_bar([1.0, 0.9, 0.5])
     out = ddim_step(np.array([1.0]), np.array([0.2]), s, t=2, t_prev=1)
     assert out[0] == pytest.approx(DDIM_GOLDEN_OUT, rel=1e-15)
+
+
+def _ddim_step_oracle(x, eps, s, t, t_prev):
+    # the two-line expression ddim_step evaluates in one buffer
+    x0 = (x - s.sqrt_one_minus_alpha_bar[t] * eps) / s.sqrt_alpha_bar[t]
+    return s.sqrt_alpha_bar[t_prev] * x0 + s.sqrt_one_minus_alpha_bar[t_prev] * eps
+
+
+@st.composite
+def _states_and_noise(draw):
+    shape = draw(array_shapes(min_dims=1, max_dims=2, max_side=24))
+    values = st.floats(-1e6, 1e6)
+    return draw(arrays(np.float64, shape, elements=values)), draw(
+        arrays(np.float64, shape, elements=values))
+
+
+@settings(max_examples=200, deadline=None)
+@given(pair=_states_and_noise(), t=st.integers(1, 1000), drop=st.integers(1, 1000))
+def test_ddim_step_is_bit_exact_to_the_expression(sched, pair, t, drop):
+    x, eps = pair
+    t_prev = max(t - drop, 0)
+    out = ddim_step(x, eps, sched, t, t_prev)
+    want = _ddim_step_oracle(x, eps, sched, t, t_prev)
+    assert out.shape == want.shape
+    assert out.tobytes() == want.tobytes()  # every bit, the sign of zero too
 
 
 def test_ddim_step_zero_noise_scales_state(sched):
@@ -142,8 +170,9 @@ def test_skipping_odd_positions_gives_golden_nfe(sched, gmm):
 
 
 def test_skipping_endpoints_is_rejected(sched, gmm):
+    # a position that is not an integer is refused, not truncated to one
     ts = make_timesteps(1000, 10)
-    for bad in ({0}, {10}, {0, 3}):
+    for bad in ({0}, {10}, {0, 3}, {2.7}, {2.0}, {True}, {3, np.float64(4.0)}):
         with pytest.raises(ValueError):
             sample_skipping(gmm, sched, initial_noise(2, 1), ts, bad)
 

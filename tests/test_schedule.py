@@ -14,6 +14,9 @@ from ltc_accel import (
     gamma,
     phi,
 )
+from ltc_accel.harness import PRESETS
+from ltc_accel.ltc import AccelerationPlan, _setup
+from ltc_accel.sampler import make_timesteps
 
 # Independent product loop over the same beta ramp, frozen before the
 # module was written.
@@ -124,6 +127,37 @@ def test_gamma_rejects_non_decreasing_phi():
         gamma(2.0, 2.0, 1.0)
     with pytest.raises(NumericError, match="phi must strictly decrease in t: phi_t="):
         gamma(1.5, 2.0, 1.0)
+
+
+@pytest.mark.parametrize("mode", list(PhiMode))
+@pytest.mark.parametrize("name", sorted(PRESETS))
+def test_array_gamma_equals_scalar_calls_on_preset_grids(name, mode):
+    # one array lookup of phi and one array gamma give the bits of the
+    # scalar calls, at every iteration that has two prior grid points
+    cfg = PRESETS[name]
+    s = build_linear_beta(cfg.t_train, cfg.beta_start, cfg.beta_end)
+    ts = make_timesteps(cfg.t_train, cfg.steps)
+    its = np.arange(2, cfg.steps)  # the final iteration's target t = 0 has no phi
+    scalar = [gamma(*(phi(s, int(ts[j]), mode) for j in (i, i - 1, i - 2)))
+              for i in its]
+    looked_up = phi(s, ts[np.stack((its, its - 1, its - 2))], mode)
+    assert looked_up.shape == (3, its.size)
+    assert gamma(*looked_up).tolist() == scalar
+    plan = AccelerationPlan(interval=cfg.interval, r=cfg.r, phi_mode=mode)
+    _, gammas, _ = _setup(s, ts, plan, None, None)
+    assert gammas == {i: scalar[i - 2] for i in plan.selected()}
+
+
+def test_gamma_checks_every_entry_of_an_array():
+    # one bad entry among good ones fails the whole array, as a scalar would
+    with pytest.raises(NumericError, match="phi must strictly decrease in t: phi_t1="):
+        gamma(np.array([4.0, 3.0]), np.array([3.0, 2.0]), np.array([2.0, 2.0]))
+    with pytest.raises(NumericError, match="phi must strictly decrease in t: phi_t="):
+        gamma(np.array([4.0, 2.0]), np.array([3.0, 2.0]), np.array([2.0, 1.0]))
+    with pytest.raises(NumericError, match="gamma overflowed"):
+        gamma(np.array([1e308, 3.0]), np.array([1.0, 2.0]), np.array([1.0 - 1e-16, 1.0]))
+    with pytest.raises(IndexError):
+        phi(build_linear_beta(40), np.array([[1, 2], [40, 41]]))
 
 
 @given(
