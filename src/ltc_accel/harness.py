@@ -5,12 +5,11 @@ rejected, seeds are always explicit, and reruns of the same config write
 byte-identical files. Each config field declares its INI key, and a
 config is checked when it is built or replaced. A run is one in-process
 pass over one (S, d) batch whose rows are the seeds in sorted order: it
-reads a trace once and makes one batched call each for the full runs,
-the calibration and the accelerated runs. The calibration and the
-accelerated runs resume from the full runs after the bias-independent
-prefix (the real steps before the first selected iteration), and the
-bias grid with its zero probe is one chain. `--jobs` is accepted but has
-no effect, so it stays out of the manifest.
+reads a trace once, and each step of a chain is one batched call. The
+full runs carry the calibration's rows from the first selected iteration
+on; the accelerated runs resume from them after the real steps before
+it, and the bias grid with its zero probe is one chain. `--jobs` is
+accepted but has no effect, so it stays out of the manifest.
 
 Modes
 -----
@@ -340,7 +339,6 @@ def run(cfg: ExperimentConfig, mode: str) -> RunReport:
     den = build_denoiser(cfg, schedule, seeds)
     os.makedirs(out_dir, exist_ok=True)
     x0 = np.stack([initial_noise(den.dim, seed) for seed in seeds])
-    full = sample_full(den, schedule, x0, ts)
     cal_row = seeds.index(cfg.seeds[0] if cfg.calibration_seed == -1
                           else cfg.calibration_seed)
 
@@ -348,9 +346,13 @@ def run(cfg: ExperimentConfig, mode: str) -> RunReport:
     table = mode in ("calibrate", "report")
     accel = mode in ("sample", "refine", "ablate-skip", "report")
     refine = mode == "refine" or cfg.bias == "refine"
+    calibrated = table or accel or refine
     files: dict = {}
     result_lines: dict = {}
-    if cfg.interval == "auto":
+    # The full runs ride in the calibration's calls unless the plan needs them first.
+    auto = cfg.interval == "auto"
+    full = sample_full(den, schedule, x0, ts) if auto or not calibrated else None
+    if auto:
         base = _base_plan(cfg, detect_interval(angle_trace(full.row(cal_row)), cfg.tau), n)
         result_lines["interval"] = ("none" if base.interval is None else
                                     "{},{}".format(*base.interval))
@@ -358,16 +360,17 @@ def run(cfg: ExperimentConfig, mode: str) -> RunReport:
     def emit(name: str, schema: str, *columns) -> None:
         files[name] = write_csv(os.path.join(out_dir, name), schema, columns)
 
-    # Every later chain resumes from the full runs after the real steps they
-    # share, so an empty plan's calibration and accelerated runs make no
-    # denoiser call.
-    if table or accel or refine:
+    # Every later chain shares the full runs' real steps before the first selected
+    # iteration, so an empty plan adds no call to the full runs' own.
+    if calibrated:
         # Every row when each needs its own wg, else the calibration seed's
         # alone; calibrate_wg ignores the base plan's wg and bias.
         cal_rows = (list(range(len(seeds))) if table or cfg.per_seed_wg
                     else [cal_row])
-        cal = calibrate_wg(den.take(cal_rows), schedule, x0[cal_rows], ts, base,
-                           full=full.states[cal_rows])
+        cal = (calibrate_wg(den, schedule, x0, ts, base, rows=cal_rows) if full is None
+               else calibrate_wg(den.take(cal_rows), schedule, x0[cal_rows], ts, base,
+                                 full=full.states[cal_rows]))
+        full = cal.full if full is None else full
         k = cal_rows.index(cal_row)
         plan = replace(base, wg=cal.wg if cfg.per_seed_wg else
                        {i: float(w[k]) for i, w in cal.wg.items()})

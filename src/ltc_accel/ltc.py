@@ -36,7 +36,7 @@ import numpy as np
 
 from .errors import ConfigError, NumericError
 from .metrics import aggregate, psnr
-from .sampler import Trajectory, _chain, check_timesteps, ddim_step
+from .sampler import Trajectory, _chain, check_timesteps, sample_full
 from .schedule import NoiseSchedule, PhiMode, gamma, phi
 
 BIAS_INTERVAL_DEFAULT = (-0.05, 0.10)
@@ -241,7 +241,7 @@ def _wg_rows(plan: AccelerationPlan, gammas: dict, n_rows: int):
 def _extrapolation(gammas: dict, coef: np.ndarray):
     """_chain's reuse hook x + coef * d_prev, coef the (n_sel, S) (wg + bias) * gamma."""
     coef = dict(zip(gammas, coef[..., None]))
-    return lambda i, x, d_prev, rows: x + coef[i][rows] * d_prev
+    return lambda i, x, d_prev, rows, x_real: x + coef[i][rows] * d_prev
 
 
 def _bias_objective(denoiser, schedule: NoiseSchedule, reference: Trajectory,
@@ -284,17 +284,19 @@ class CalibrationResult:
     the approximated state, so later measurements see accumulated drift,
     matching deployment. nfe covers every iteration: calibration pays the
     full run it measures. For a batch each value is an (S,) array over the
-    rows, and theta and eps_r are NaN on a row that fell back.
+    calibrated rows, and theta and eps_r are NaN on a row that fell back.
+    full holds the batch's full runs when they rode in the same calls.
     """
 
     wg: dict
     theta: dict
     eps_r: dict
     trajectory: Trajectory
+    full: Trajectory | None = None
 
 
 def calibrate_wg(denoiser, schedule: NoiseSchedule, x_init, timesteps,
-                 plan: AccelerationPlan, full=None) -> CalibrationResult:
+                 plan: AccelerationPlan, full=None, rows=None) -> CalibrationResult:
     """Measure per-iteration scales with shadow real steps.
 
     At every selected iteration the real next state is computed, the
@@ -303,19 +305,25 @@ def calibrate_wg(denoiser, schedule: NoiseSchedule, x_init, timesteps,
     step and records the neutral scale 1.0; the value is never
     extrapolated because apply-time degeneracy independently falls back
     to a real step. `full` resumes the run as in accelerated_sample.
+
+    Given `rows` instead, those rows of the (S, d) batch x_init ride in its full
+    runs' calls (after one sample_full of the grid's head), returned as `full`.
     """
     ts, gammas, prefix = _setup(schedule, timesteps, plan, x_init, full)
-    n = len(ts) - 1
-    n_rows = len(np.atleast_2d(x_init))
+    n, lead = len(ts) - 1, 0
+    if rows is not None:
+        if full is not None or np.ndim(x_init) != 2:
+            raise ValueError("rows need an (S, d) x_init and no full")
+        lead, take = len(x_init), np.r_[:len(x_init), rows].astype(np.int64)
+        head = sample_full(denoiser, schedule, x_init, ts[:min(gammas, default=n + 1)])
+        denoiser, x_init, prefix = denoiser.take(take), x_init[take], head.states[take]
+    n_rows = len(np.atleast_2d(x_init)) - lead
     wg = dict(zip(gammas, np.ones((len(gammas), n_rows))))  # fallbacks: neutral 1.0
     slot = {i: k for k, i in enumerate(gammas)}
     # d_true, d_prev and x_real - x* by selected iteration and row; NaN on fallbacks
     trues, prevs, misses = np.full((3, len(gammas), n_rows, *np.shape(x_init)[-1:]), np.nan)
 
-    def shadow(i, x, d_prev, rows):
-        t, t_prev = int(ts[i - 1]), int(ts[i])
-        den = denoiser if isinstance(rows, slice) else denoiser.take(rows)
-        x_real = ddim_step(x, den.epsilon_hat(x, t), schedule, t, t_prev)
+    def shadow(i, x, d_prev, rows, x_real):
         d_true = x_real - x
         w = wg_closed_form(d_true, d_prev, gammas[i])
         x_star = approx_step(x, d_prev, w, gammas[i])
@@ -323,8 +331,12 @@ def calibrate_wg(denoiser, schedule: NoiseSchedule, x_init, timesteps,
         misses[slot[i], rows] = x_real - x_star
         return x_star
 
-    traj = _chain(denoiser, schedule, x_init, ts, gammas, shadow, prefix=prefix)
-    traj.nfe = np.full(n_rows, n) if np.ndim(x_init) == 2 else n
+    traj = _chain(denoiser, schedule, x_init, ts, gammas, shadow, prefix=prefix,
+                  shadow=True, full_rows=lead)
+    traj.nfe = np.full(len(traj.nfe), n) if np.ndim(x_init) == 2 else n
+    if lead:
+        full = Trajectory(ts, traj.states[:lead], traj.nfe[:lead], traj.kind[:lead])
+        traj = Trajectory(ts, traj.states[lead:], traj.nfe[lead:], traj.kind[lead:])
     # a zero true displacement has theta = pi and eps_r = 0
     theta = dict(zip(gammas, angle(trues, prevs)))
     eps_r = dict(zip(gammas, relative_error(misses, 0.0, trues)))
@@ -332,7 +344,7 @@ def calibrate_wg(denoiser, schedule: NoiseSchedule, x_init, timesteps,
         moved = [i for i in theta if not np.isnan(theta[i][0])]
         wg = {i: float(w[0]) for i, w in wg.items()}
         theta, eps_r = ({i: float(d[i][0]) for i in moved} for d in (theta, eps_r))
-    return CalibrationResult(wg=wg, theta=theta, eps_r=eps_r, trajectory=traj)
+    return CalibrationResult(wg, theta, eps_r, traj, full if lead else None)
 
 
 def golden_section_max(f, lo: float, hi: float, tol: float = 1e-6):

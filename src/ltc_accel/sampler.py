@@ -27,13 +27,16 @@ log = logging.getLogger(__name__)
 @dataclass
 class Trajectory:
     """States for one run, ordered from t = T down to t = 0. A batched run
-    holds (S, n + 1, d) states, (S,) nfe and (row, iteration) pairs."""
+    holds (S, n + 1, d) states, (S,) nfe and (S, n + 1) kinds."""
 
     timesteps: np.ndarray                    # (n + 1,) descending ints
     states: np.ndarray                       # (n + 1, d), or (S, n + 1, d)
     nfe: int = 0
-    approximated: tuple = ()                 # approximated iterations; (row, iteration) in a batch
-    fallbacks: tuple = ()                    # selected iterations that took real steps, likewise
+    kind: np.ndarray = None                  # int8 per state: 0 real, 1 approximated, 2 fallback
+
+    def __post_init__(self) -> None:
+        if self.kind is None:
+            self.kind = np.zeros(np.shape(self.states)[:-1], np.int8)
 
     @property
     def iterations(self) -> int:
@@ -43,11 +46,17 @@ class Trajectory:
     def final(self) -> np.ndarray:
         return self.states[..., -1, :]
 
+    def _pairs(self, k: int) -> tuple:  # iterations of kind k; (row, iteration) in a batch
+        found = [a.tolist() for a in np.nonzero(self.kind.T == k)[::-1]]  # iteration-major
+        return tuple(zip(*found)) if len(found) == 2 else tuple(found[0])
+
+    approximated = property(lambda self: self._pairs(1))
+    fallbacks = property(lambda self: self._pairs(2))  # selected, yet real steps
+
     def row(self, j: int) -> "Trajectory":
         """Row j of a batched run as a run of its own."""
         return Trajectory(self.timesteps, self.states[j], int(self.nfe[j]),
-                          tuple(i for r, i in self.approximated if r == j),
-                          tuple(i for r, i in self.fallbacks if r == j))
+                          self.kind[j])
 
 
 def make_timesteps(t_train: int, n_steps: int) -> np.ndarray:
@@ -108,17 +117,19 @@ def initial_noise(dim: int, seed: int) -> np.ndarray:
 
 
 def _chain(denoiser, schedule: NoiseSchedule, x_init, ts: np.ndarray,
-           selected=(), reuse=None, prefix=None) -> Trajectory:
+           selected=(), reuse=None, prefix=None, shadow=False,
+           full_rows=0) -> Trajectory:
     """The one sampling loop behind full, accelerated and calibration runs.
 
     `ts` is an already checked grid; x_init is a (d,) state or an (S, d)
-    batch, carried as (S, d) into one (S, n + 1, d) buffer. At a selected
-    iteration, each row calls `reuse(i, x, d_prev, rows)` (for its states,
-    previous displacements and row indices, or slice(None) when all rows
-    move) for the next state instead of taking a real step, unless its
-    previous displacement d_prev is exactly zero: then that row falls back
-    to a real step (logged, listed in `fallbacks`, counted in nfe). Only
-    rows taking a real step reach the denoiser.
+    batch, carried as (S, d) into one (S, n + 1, d) buffer. Its first
+    `full_rows` rows take real steps only; at a selected iteration each
+    other (lane) row gets its next state from `reuse(i, x, d_prev, rows,
+    x_real)` (lane row indices, or slice(None) for the whole lane) unless
+    its d_prev is exactly zero: then it falls back to a real step (logged
+    by lane row, kind 2, counted in nfe). Only rows taking a real step
+    reach the denoiser; with `shadow` every row takes it in the one call,
+    and x_real holds the reused rows' real next states, else None.
 
     `prefix` resumes a run: states 0..k-1 of a run from x_init that took
     only real steps (no selected iteration below k). The loop starts at
@@ -132,34 +143,33 @@ def _chain(denoiser, schedule: NoiseSchedule, x_init, ts: np.ndarray,
     k = prefix.shape[-2]
     states = np.empty((S, n + 1, x0.shape[-1]))
     states[:, :k] = prefix.reshape(S, k, -1)
-    nfe = np.full(S, n)
-    approximated = []
-    fallbacks = []
+    kind = np.zeros((S, n + 1), np.int8)
+    lane, lane_kind = states[full_rows:], kind[full_rows:]  # the rows that follow the plan
     for i in range(k, n + 1):
         x = states[:, i - 1]
         real = slice(None)
         if i in selected:
-            d_prev = x - states[:, i - 2]
+            d_prev = lane[:, i - 1] - lane[:, i - 2]
             moving = np.vecdot(d_prev, d_prev) != 0.0  # exact: terms >= 0
+            lane_kind[:, i] = moving
             rows = moving.nonzero()[0]
-            sel = slice(None) if len(rows) == S else rows  # a slice indexes faster
-            if len(rows):
-                states[sel, i] = reuse(i, x[sel], d_prev[sel], sel)
-                nfe[sel] -= 1
-                approximated += zip(rows.tolist(), [i] * len(rows))
-            if len(rows) == S:
-                continue
-            real = (~moving).nonzero()[0]
-            log.warning("iteration %d: zero previous displacement, real step "
-                        "taken (rows %s)", i, real.tolist())
-            fallbacks += zip(real.tolist(), [i] * len(real))
+            sel = slice(None) if len(rows) == len(moving) else rows  # a slice indexes faster
+            if sel is rows:
+                still = (~moving).nonzero()[0]
+                log.warning("iteration %d: zero previous displacement, real step "
+                            "taken (rows %s)", i, still.tolist())
+                lane_kind[still, i] = 2
+            if not shadow:
+                real = np.flatnonzero(kind[:, i] != 1) if sel is rows else np.arange(full_rows)
         t, t_prev = int(ts[i - 1]), int(ts[i])
-        den = denoiser if isinstance(real, slice) else denoiser.take(real)
-        states[real, i] = ddim_step(x[real], den.epsilon_hat(x[real], t),
-                                    schedule, t, t_prev)
-    traj = Trajectory(timesteps=ts, states=states, nfe=nfe,
-                      approximated=tuple(approximated),
-                      fallbacks=tuple(fallbacks))
+        if isinstance(real, slice) or len(real):
+            den = denoiser if isinstance(real, slice) else denoiser.take(real)
+            states[real, i] = ddim_step(x[real], den.epsilon_hat(x[real], t),
+                                        schedule, t, t_prev)
+        if i in selected and len(rows):
+            lane[sel, i] = reuse(i, lane[sel, i - 1], d_prev[sel], sel,
+                                 lane[sel, i] if shadow else None)
+    traj = Trajectory(ts, states, n - np.count_nonzero(kind == 1, axis=1), kind)
     return traj if x0.ndim == 2 else traj.row(0)
 
 

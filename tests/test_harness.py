@@ -393,15 +393,16 @@ def test_refine_call_count_and_grid_psnr(tmp_path, monkeypatch):
     monkeypatch.setattr(DiagGmmDenoiser, "epsilon_hat", counting)
     cfg = replace(preset("fig4-bias"), seeds=(0, 1), out=str(tmp_path))
     run(cfg, "refine")
-    # Every chain after the 2 reference runs (40 calls, 80 rows) resumes
-    # after their 12 real steps before iteration 13, the first selected one:
-    # the calibration seed's 28 remaining steps (28 rows), then the 11 grid
+    # The 2 reference runs (40 steps, 80 rows) carry the calibration seed's
+    # 28 steps from iteration 13, the first selected one (28 rows). Every
+    # later chain resumes after the 12 real steps before it: the 11 grid
     # biases and zero as one batch of 12 * 2 rows (15 real steps of 24 rows),
     # the 19 golden probes as 10 chains of 15 steps (one of 2 biases, 8 of
     # 3 and one of 1: 27 biases of 2 rows) and the final rows (15 * 2)
     assert sum(calls) == 80 + 28 + 15 * 24 + 27 * 15 * 2 + 15 * 2
-    # Calls: both seeds are one batch, so each step above is one call
-    assert len(calls) == 40 + 28 + 15 + 10 * 15 + 15
+    # Calls: each step above is one call, the reference runs' with the
+    # calibration's rows in it
+    assert len(calls) == 40 + 15 + 10 * 15 + 15
     monkeypatch.undo()
 
     # From scratch: every grid bias re-runs both chains on every seed.
@@ -437,18 +438,19 @@ def test_report_call_count(tmp_path, monkeypatch):
         return epsilon_hat(self, x, t)
 
     monkeypatch.setattr(DiagGmmDenoiser, "epsilon_hat", counting)
-    # Every mode pays the 2 full runs (40 calls, 80 rows), and every later
-    # chain resumes after their 12 real steps before iteration 13. Report
-    # adds the calibration of both seeds (28 calls) and the accelerated
-    # runs (14 real steps); sample calibrates one seed; ablate-skip adds
+    # Every mode pays the 2 full runs (40 calls, 80 rows). From iteration
+    # 13, the first selected one, the calibration's rows ride in their
+    # calls: both seeds in report (28 steps of 2 more rows), one seed in
+    # sample. Every later chain resumes after the 12 real steps before
+    # iteration 13: the accelerated runs (14 real steps); ablate-skip adds
     # the 26-step skipping runs; refine adds the grid chain and the 10
     # chains of the 19 golden probes (one of 2 biases, 8 of 3 and one of 1).
     # Angles mode never calibrates, and with no interval only the skipping
     # runs cost more than the full runs.
     want = {
-        (13, 39): {"angles": (40, 80), "calibrate": (68, 136),
-                   "sample": (82, 136), "refine": (236, 1228),
-                   "ablate-skip": (108, 188), "report": (82, 164)},
+        (13, 39): {"angles": (40, 80), "calibrate": (40, 136),
+                   "sample": (54, 136), "refine": (208, 1228),
+                   "ablate-skip": (80, 188), "report": (54, 164)},
         None: {"angles": (40, 80), "calibrate": (40, 80), "sample": (40, 80),
                "refine": (40, 80), "ablate-skip": (80, 160),
                "report": (40, 80)},

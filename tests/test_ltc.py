@@ -1,6 +1,8 @@
 """Transition reuse: formulas, angles, interval detection, calibration."""
 
+import contextlib
 import dataclasses
+import logging
 import math
 
 import numpy as np
@@ -509,6 +511,18 @@ def _kind_batch(kind, seeds, sched, gmm, recorded_data):
     return solo, seeds, x0
 
 
+@contextlib.contextmanager
+def _sampler_log():
+    """The messages the sampler logs inside the block."""
+    seen, handler, log = [], logging.Handler(), logging.getLogger("ltc_accel.sampler")
+    handler.emit = lambda record: seen.append(record.getMessage())
+    log.addHandler(handler)
+    try:
+        yield seen
+    finally:
+        log.removeHandler(handler)
+
+
 class TestCalibrateAndApply:
     def test_error_identity_on_benchmark(self, sched, gmm):
         ts = make_timesteps(1000, 40)
@@ -690,6 +704,27 @@ class TestCalibrateAndApply:
             assert traj.fallbacks == fallbacks
             assert traj.nfe.tolist() == nfe
 
+    def test_step_kinds_are_one_int8_array(self, sched, gmm, recorded_data):
+        # 0 real, 1 approximated, 2 fallback, one per state; the pairs, the
+        # rows and nfe are read off it
+        solo, seeds, x0 = _kind_batch("stall", [0, 3], sched, gmm, recorded_data)
+        ts = make_timesteps(1000, 100)
+        plan = AccelerationPlan(interval=(21, 99))
+        cal = calibrate_wg(solo(seeds), sched, x0, ts, plan)
+        acc = accelerated_sample(solo(seeds), sched, x0, ts,
+                                 dataclasses.replace(plan, wg=cal.wg))
+        real = [i for i in range(101) if i not in plan.selected()]
+        for traj in (cal.trajectory, acc):
+            assert traj.kind.dtype == np.int8 and traj.kind.shape == (3, 101)
+            assert (traj.kind[:, real] == 0).all()
+            assert sorted(traj.approximated + traj.fallbacks) == [
+                (r, i) for r in range(3) for i in plan.selected()]
+            assert all(np.array_equal(traj.row(j).kind, traj.kind[j]) for j in range(3))
+            with pytest.raises(AttributeError):
+                traj.approximated = ()
+        assert acc.nfe.tolist() == (100 - np.sum(acc.kind == 1, axis=1)).tolist()
+        assert Trajectory(ts, cal.trajectory.states).kind.tolist() == [[0] * 101] * 3
+
     @settings(max_examples=30, deadline=None)
     @example(kind="stall", seeds=[0], interval=(21, 99),
              phi_mode=PhiMode.SQRT_SNR, bias=0.0, per_row=True)
@@ -756,6 +791,78 @@ class TestCalibrateAndApply:
         if kind == "stall" and interval == (21, 99):  # zero true step: (pi, 0)
             assert any(cal.theta[i][0] == np.pi and cal.eps_r[i][0] == 0.0
                        for i in plan.selected())
+
+    @settings(max_examples=30, deadline=None)
+    @example(kind="stall", seeds=[0, 3], interval=(21, 99), r=2, picks=[0])
+    @example(kind="stall", seeds=[0, 3], interval=(21, 99), r=2, picks=[2, 1])
+    @example(kind="trace", seeds=[4, 1, 7], interval=(13, 39), r=3, picks=[2])
+    @example(kind="mixed", seeds=[5, 2], interval=(2, 38), r=2, picks=[0, 1, 2])
+    @example(kind="gmm", seeds=[0, 1], interval=None, r=2, picks=[1, 0])
+    @given(kind=st.sampled_from(["gmm", "trace", "mixed", "stall"]),
+           seeds=st.lists(st.integers(0, 11), min_size=1, max_size=4,
+                          unique=True),
+           interval=st.sampled_from([*INTERVALS_100, None]),
+           r=st.sampled_from([2, 3]),
+           picks=st.lists(st.integers(0, 4), min_size=1, max_size=5, unique=True))
+    @pytest.mark.filterwarnings("ignore:r=3 approximates")
+    def test_calibration_carrying_full_runs_equals_solo_runs(
+            self, sched, gmm, recorded_data, counting, kind, seeds, interval, r,
+            picks):
+        # The full runs of the whole batch ride in the calls of the
+        # calibration of its rows `rows` (any order; all of them is what
+        # per_seed_wg calibrates): row for row and bit for bit a solo
+        # sample_full and a solo calibrate_wg.
+        solo, seeds, x0 = _kind_batch(kind, seeds, sched, gmm, recorded_data)
+        rows = list(dict.fromkeys(p % len(seeds) for p in picks))
+        ts = make_timesteps(1000, 100)
+        plan = AccelerationPlan(interval=interval, r=r)
+        counted = counting(solo(seeds))
+        with _sampler_log() as logged:
+            cal = calibrate_wg(counted, sched, x0, ts, plan, rows=rows)
+        # one batched call per iteration, which carries the calibration's
+        # rows from the first selected iteration on; with no interval it is
+        # sample_full's own: no call and no row more
+        first = min(plan.selected(), default=101)
+        assert counted.calls == [(int(ts[i - 1]), len(seeds) + len(rows) * (i >= first))
+                                 for i in range(1, 101)]
+        # the calibrated rows as one batch of their own: the same values,
+        # the same lane-relative pairs, and the same warnings, which name
+        # calibrated rows only
+        with _sampler_log() as alone_logged:
+            alone = calibrate_wg(solo([seeds[k] for k in rows]), sched, x0[rows], ts,
+                                 plan)
+        assert logged == alone_logged
+        assert bool(logged) == (kind in ("mixed", "stall") and 0 in rows
+                                and alone.trajectory.fallbacks != ())
+        assert alone.full is None
+        for got, want in ((cal.wg, alone.wg), (cal.theta, alone.theta),
+                          (cal.eps_r, alone.eps_r)):
+            assert got.keys() == want.keys()
+            assert all(np.array_equal(got[i], want[i], equal_nan=True) for i in want)
+        for j, k in enumerate(seeds):
+            one, row = sample_full(solo(k), sched, x0[j], ts), cal.full.row(j)
+            assert np.array_equal(row.states, one.states)
+            assert row.nfe == one.nfe == 100
+            assert row.approximated == row.fallbacks == ()
+        for j, k in enumerate(rows):
+            one = calibrate_wg(solo(seeds[k]), sched, x0[k], ts, plan)
+            for got in (cal.trajectory.row(j), alone.trajectory.row(j)):
+                assert np.array_equal(got.states, one.trajectory.states)
+                assert got.nfe == one.trajectory.nfe == 100
+                assert got.approximated == one.trajectory.approximated
+                assert got.fallbacks == one.trajectory.fallbacks
+            assert {i: w[j] for i, w in cal.wg.items()} == one.wg
+            for got, want in ((cal.theta, one.theta), (cal.eps_r, one.eps_r)):
+                assert {i: v[j] for i, v in got.items() if not np.isnan(v[j])} == want
+
+    def test_carrying_full_runs_needs_a_batch_and_no_full(self, sched, gmm):
+        ts = make_timesteps(1000, 40)
+        plan = AccelerationPlan(interval=(13, 39))
+        x0 = np.stack([initial_noise(8, k) for k in range(2)])
+        full = sample_full(gmm, sched, x0, ts).states
+        for x, given in ((x0[0], None), (x0, full)):
+            with pytest.raises(ValueError, match="rows need"):
+                calibrate_wg(gmm, sched, x, ts, plan, full=given, rows=[0])
 
     @settings(max_examples=30, deadline=None)
     @example(kind="stall", seeds=[0], interval=(21, 99),
