@@ -13,10 +13,14 @@ For every workload named in CHANGE_DIR/BENCHMARK.json and workload seeds
 
 once in each checkout (SECONDS defaults to 10), the parent first for odd i
 and the change first for even i, so that drift of the host's speed hits
-both sides alike. OUT_JSON gets, per workload and side, the median and
-the first and third quartiles of every end-to-end metric, the failed and
-attempted run counts, and the seeds used; plus the Python and numpy
-versions and nproc that the runs report. Progress goes to stderr.
+both sides alike. OUT_JSON gets, per workload and side, the median, the
+first and third quartiles and the per-pair values ("pairs", in seed order) of
+every end-to-end metric, the failed and attempted run counts, and the
+seeds used; per workload, under "change_won", the number of pairs in
+which the change beat the parent on each metric, by its "better"
+direction in CHANGE_DIR/BENCHMARK.json (a tie is not a win); plus the
+Python and numpy versions and nproc that the runs report. Progress goes
+to stderr.
 
 OUT_JSON also gets each side's wall_speedup, from WALL_ROUNDS rounds of
 `--wall-speedup`, in alternating order. That mode imports CHECKOUT_DIR's
@@ -244,7 +248,9 @@ def main(argv) -> int:
     pairs = int(argv[4]) if len(argv) > 4 else 10
     seconds = float(argv[5]) if len(argv) > 5 else 10.0
     with open(os.path.join(sides["change"], "BENCHMARK.json")) as f:
-        workloads = [w["name"] for w in json.load(f)["workloads"]]
+        declared = json.load(f)
+    workloads = [w["name"] for w in declared["workloads"]]
+    better = {m["name"]: m["better"] for m in declared["end_to_end"]}
     record = {"pairs": pairs, "seconds": seconds, "workloads": {}}
     for workload in workloads:
         runs = {side: [] for side in sides}
@@ -259,12 +265,17 @@ def main(argv) -> int:
                     record.setdefault(key, info[key])
                 print(f"{workload} seed {seed} {side}: "
                       f"run_s {metrics['run_s']:.4f}", file=sys.stderr)
-        record["workloads"][workload] = {"seeds": seeds, **{
+        values = {side: {name: [r[0][name] for r in rs] for name in rs[0][0]}
+                  for side, rs in runs.items()}
+        won = {name: sum(c < p if better[name] == "lower" else c > p
+                         for p, c in zip(values["parent"][name], values["change"][name]))
+               for name in values["change"] if name in better}
+        record["workloads"][workload] = {"seeds": seeds, "change_won": won, **{
             side: {
                 "failed": sum(r[1] for r in rs),
                 "attempted": sum(r[2] for r in rs),
-                "metrics": {name: summary([r[0][name] for r in rs])
-                            for name in rs[0][0]},
+                "metrics": {name: {**summary(v), "pairs": v}
+                            for name, v in values[side].items()},
             } for side, rs in runs.items()}}
     for key, flag, rounds in (("wall_speedup", "--wall-speedup", WALL_ROUNDS),
                               ("read_trace", "--read-trace", READ_TRACE_ROUNDS),

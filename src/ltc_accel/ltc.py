@@ -195,19 +195,24 @@ def _setup(schedule: NoiseSchedule, timesteps, plan: AccelerationPlan, x_init,
     iteration i (target ts[i], sources ts[i-1], ts[i-2]) keyed by i in
     ascending order, validated as plan.validate(n, rows), and the states of
     `full` before the first of them, `full` checked to hold all n + 1 states
-    of a full run from x_init; None when there is no `full`."""
+    of a full run from x_init, or None; then, given `rows`, plan.wg as
+    (n_sel, S), else None, and the gammas as an (n_sel, 1) column."""
     ts = check_timesteps(timesteps, schedule.t_train)
     sel = plan.validate(len(ts) - 1, rows)
     j = np.add.outer((0, -1, -2), np.array(sel, dtype=np.int64))  # i, i - 1, i - 2
-    gammas = dict(zip(sel, gamma(*phi(schedule, ts[j], plan.phi_mode)).tolist()))
-    if full is None:
-        return ts, gammas, None
-    full = np.asarray(full, dtype=np.float64)
-    if (full.shape[:-2] + full.shape[-1:] != np.shape(x_init)
-            or full.shape[-2:-1] != ts.shape
-            or not np.array_equal(full[..., 0, :], x_init)):
-        raise ValueError(f"full of shape {full.shape} is not a full run from x_init")
-    return ts, gammas, full[..., :min(gammas, default=len(ts)), :]
+    g = gamma(*phi(schedule, ts[j], plan.phi_mode))
+    gammas = dict(zip(sel, g.tolist()))
+    wg = None if rows is None else np.empty((len(sel), *(rows or (1,))))  # a (d,) run: one row
+    for k, i in enumerate(sel if rows is not None else ()):
+        wg[k] = plan.wg[i]
+    if full is not None:
+        full = np.asarray(full, dtype=np.float64)
+        if (full.shape[:-2] + full.shape[-1:] != np.shape(x_init)
+                or full.shape[-2:-1] != ts.shape
+                or not np.array_equal(full[..., 0, :], x_init)):
+            raise ValueError(f"full of shape {full.shape} is not a full run from x_init")
+        full = full[..., :min(gammas, default=len(ts)), :]
+    return ts, gammas, full, wg, g[:, None]
 
 
 def accelerated_sample(denoiser, schedule: NoiseSchedule, x_init, timesteps,
@@ -223,19 +228,10 @@ def accelerated_sample(denoiser, schedule: NoiseSchedule, x_init, timesteps,
     real steps before it are the full runs'. Those steps count in nfe;
     the result is the same.
     """
-    ts, gammas, prefix = _setup(schedule, timesteps, plan, x_init, full,
-                                rows=np.shape(x_init)[:-1])
-    wg, g = _wg_rows(plan, gammas, len(np.atleast_2d(x_init)))
+    ts, gammas, prefix, wg, g = _setup(schedule, timesteps, plan, x_init, full,
+                                       rows=np.shape(x_init)[:-1])
     return _chain(denoiser, schedule, x_init, ts, gammas,
                   _extrapolation(gammas, (wg + plan.bias) * g), prefix=prefix)
-
-
-def _wg_rows(plan: AccelerationPlan, gammas: dict, n_rows: int):
-    """plan.wg as (n_sel, n_rows), a row per selected iteration; gammas as (n_sel, 1)."""
-    wg = np.empty((len(gammas), n_rows))
-    for k, i in enumerate(gammas):
-        wg[k] = plan.wg[i]
-    return wg, np.array(list(gammas.values()))[:, None]
 
 
 def _extrapolation(gammas: dict, coef: np.ndarray):
@@ -256,9 +252,8 @@ def _bias_objective(denoiser, schedule: NoiseSchedule, reference: Trajectory,
         raise ValueError(f"reference is not a batch: states {np.shape(reference.states)}")
     x_init = reference.states[:, 0]
     n_rows = len(x_init)
-    ts, gammas, prefix = _setup(schedule, reference.timesteps, plan, x_init,
-                                reference.states, rows=(n_rows,))
-    wg, g = _wg_rows(plan, gammas, n_rows)
+    ts, gammas, prefix, wg, g = _setup(schedule, reference.timesteps, plan, x_init,
+                                       reference.states, rows=(n_rows,))
 
     def objective(biases):
         b = np.asarray(biases, dtype=np.float64)
@@ -309,27 +304,26 @@ def calibrate_wg(denoiser, schedule: NoiseSchedule, x_init, timesteps,
     Given `rows` instead, those rows of the (S, d) batch x_init ride in its full
     runs' calls (after one sample_full of the grid's head), returned as `full`.
     """
-    ts, gammas, prefix = _setup(schedule, timesteps, plan, x_init, full)
+    ts, gammas, prefix, *_ = _setup(schedule, timesteps, plan, x_init, full)
     n, lead = len(ts) - 1, 0
     if rows is not None:
-        if full is not None or np.ndim(x_init) != 2:
-            raise ValueError("rows need an (S, d) x_init and no full")
+        if (full is not None or np.ndim(x_init) != 2 or not len(rows) or any(
+                isinstance(r, bool) or not isinstance(r, (int, np.integer))
+                or not 0 <= r < len(x_init) for r in rows)):
+            raise ValueError(f"rows need an (S, d) x_init, no full and its row indices: {rows!r}")
         lead, take = len(x_init), np.r_[:len(x_init), rows].astype(np.int64)
         head = sample_full(denoiser, schedule, x_init, ts[:min(gammas, default=n + 1)])
         denoiser, x_init, prefix = denoiser.take(take), x_init[take], head.states[take]
     n_rows = len(np.atleast_2d(x_init)) - lead
     wg = dict(zip(gammas, np.ones((len(gammas), n_rows))))  # fallbacks: neutral 1.0
     slot = {i: k for k, i in enumerate(gammas)}
-    # d_true, d_prev and x_real - x* by selected iteration and row; NaN on fallbacks
-    trues, prevs, misses = np.full((3, len(gammas), n_rows, *np.shape(x_init)[-1:]), np.nan)
+    # x_real by selected iteration and row, NaN on fallbacks; x, d_prev, x* come off the states
+    reals = np.full((len(gammas), n_rows, *np.shape(x_init)[-1:]), np.nan)
 
     def shadow(i, x, d_prev, rows, x_real):
-        d_true = x_real - x
-        w = wg_closed_form(d_true, d_prev, gammas[i])
-        x_star = approx_step(x, d_prev, w, gammas[i])
-        wg[i][rows], trues[slot[i], rows], prevs[slot[i], rows] = w, d_true, d_prev
-        misses[slot[i], rows] = x_real - x_star
-        return x_star
+        w = wg_closed_form(x_real - x, d_prev, gammas[i])
+        wg[i][rows], reals[slot[i], rows] = w, x_real
+        return approx_step(x, d_prev, w, gammas[i])
 
     traj = _chain(denoiser, schedule, x_init, ts, gammas, shadow, prefix=prefix,
                   shadow=True, full_rows=lead)
@@ -337,9 +331,12 @@ def calibrate_wg(denoiser, schedule: NoiseSchedule, x_init, timesteps,
     if lead:
         full = Trajectory(ts, traj.states[:lead], traj.nfe[:lead], traj.kind[:lead])
         traj = Trajectory(ts, traj.states[lead:], traj.nfe[lead:], traj.kind[lead:])
+    states = np.reshape(traj.states, (n_rows, n + 1, -1)).swapaxes(0, 1)
+    sel = np.array(list(gammas), dtype=np.int64)
+    d_true = reals - states[sel - 1]
     # a zero true displacement has theta = pi and eps_r = 0
-    theta = dict(zip(gammas, angle(trues, prevs)))
-    eps_r = dict(zip(gammas, relative_error(misses, 0.0, trues)))
+    theta = dict(zip(gammas, angle(d_true, states[sel - 1] - states[sel - 2])))
+    eps_r = dict(zip(gammas, relative_error(reals, states[sel], d_true)))
     if np.ndim(x_init) == 1:
         moved = [i for i in theta if not np.isnan(theta[i][0])]
         wg = {i: float(w[0]) for i, w in wg.items()}

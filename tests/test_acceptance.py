@@ -176,6 +176,24 @@ def test_criterion_5_end_to_end_error():
     assert ok
 
 
+def test_ltc_beats_uniform_ddim_at_equal_nfe():
+    # sd2-ddim-40 at d = 16: LTC's 26 NFE against a uniform 26-step DDIM,
+    # each scored by relative L2 distance from a 1000-step run's end state,
+    # the sampler's converged endpoint (the criteria score against the
+    # same-grid full run instead)
+    plan = AccelerationPlan(interval=(13, 39))
+    plan = replace(plan, wg=calibrate_wg(BENCH, SCHED, initial_noise(16, 0), TS40, plan).wg)
+    x0 = np.stack([initial_noise(16, seed) for seed in range(50)])
+    ref = sample_full(BENCH, SCHED, x0, make_timesteps(1000, 1000)).final
+    acc = accelerated_sample(BENCH, SCHED, x0, TS40, plan)
+    ddim = sample_full(BENCH, SCHED, x0, make_timesteps(1000, 26))
+    assert acc.nfe.tolist() == ddim.nfe.tolist() == [26] * 50
+    ltc_err, ddim_err = end_error(ref, acc.final)[1], end_error(ref, ddim.final)[1]
+    wins = int(np.sum(ltc_err < ddim_err))
+    assert wins >= 40, f"LTC closer in {wins} of 50 seeds (need >= 40)"
+    assert np.median(ltc_err) < np.median(ddim_err)
+
+
 def test_criterion_6_bias_refinement(tmp_path):
     # analytic concave stub: argmax at 0.02
     stub_ok = True

@@ -637,7 +637,7 @@ class TestCalibrateAndApply:
         sel = plan.selected()
         full = sample_full(den, s, x0, ts)
         acc = accelerated_sample(den, s, x0, ts, plan)
-        _, gammas, _ = _setup(s, ts, plan, x0, None)
+        _, gammas, *_ = _setup(s, ts, plan, x0, None)
         assert tuple(gammas) == sel
         coef = np.array([[(plan.wg[i] + plan.bias) * g] for i, g in gammas.items()])
         resumed = _chain(den, s, x0, ts, gammas, _extrapolation(gammas, coef),
@@ -660,28 +660,34 @@ class TestCalibrateAndApply:
         # after the chain; recompute them iteration by iteration from the
         # trajectory, over the rows each shadow step saw. Rows that fell
         # back stay NaN ("stall": row 0 up to iteration 49 and from 89 on).
+        # rows=[0, 1] carries the batch's full runs ahead of those rows.
         solo, seeds, x0 = _kind_batch(kind, [0, 3], sched, gmm, recorded_data)
-        den, ts = solo(seeds), make_timesteps(1000, 100)
+        ts = make_timesteps(1000, 100)
         plan = AccelerationPlan(interval=(21, 99))
-        cal = calibrate_wg(den, sched, x0, ts, plan)
-        _, gammas, _ = _setup(sched, ts, plan, x0, None)
-        states, fell = cal.trajectory.states, set(cal.trajectory.fallbacks)
-        assert bool(fell) == (kind == "stall")
-        assert sorted(cal.theta) == sorted(cal.eps_r) == list(plan.selected())
-        for i in plan.selected():
-            moved = np.array([r for r in range(len(seeds)) if (r, i) not in fell])
-            lost = [r for r in range(len(seeds)) if (r, i) in fell]
-            assert np.isnan(cal.theta[i][lost]).all() and np.isnan(cal.eps_r[i][lost]).all()
-            assert (cal.wg[i][lost] == 1.0).all()
-            t, t_prev = int(ts[i - 1]), int(ts[i])
-            x = states[moved, i - 1]
-            x_real = ddim_step(x, den.take(moved).epsilon_hat(x, t), sched, t, t_prev)
-            d_true, d_prev = x_real - x, x - states[moved, i - 2]
-            x_star = approx_step(x, d_prev, cal.wg[i][moved], gammas[i])
-            assert np.array_equal(x_star, states[moved, i])  # the chain went on from x*
-            assert np.array_equal(cal.theta[i][moved], angle(d_true, d_prev))
-            assert np.array_equal(cal.eps_r[i][moved],
-                                  relative_error(x_real, x_star, d_true))
+        _, gammas, *_ = _setup(sched, ts, plan, x0, None)
+        den = solo(seeds)
+        for rows in (None, [0, 1]):
+            cal = calibrate_wg(den, sched, x0, ts, plan, rows=rows)
+            lane = den if rows is None else den.take(rows)  # the calibrated rows
+            assert (cal.full is None) == (rows is None)
+            states, fell = cal.trajectory.states, set(cal.trajectory.fallbacks)
+            n_rows = len(states)
+            assert bool(fell) == (kind == "stall")
+            assert sorted(cal.theta) == sorted(cal.eps_r) == list(plan.selected())
+            for i in plan.selected():
+                moved = np.array([r for r in range(n_rows) if (r, i) not in fell])
+                lost = [r for r in range(n_rows) if (r, i) in fell]
+                assert np.isnan(cal.theta[i][lost]).all() and np.isnan(cal.eps_r[i][lost]).all()
+                assert (cal.wg[i][lost] == 1.0).all()
+                t, t_prev = int(ts[i - 1]), int(ts[i])
+                x = states[moved, i - 1]
+                x_real = ddim_step(x, lane.take(moved).epsilon_hat(x, t), sched, t, t_prev)
+                d_true, d_prev = x_real - x, x - states[moved, i - 2]
+                x_star = approx_step(x, d_prev, cal.wg[i][moved], gammas[i])
+                assert np.array_equal(x_star, states[moved, i])  # the chain went on from x*
+                assert np.array_equal(cal.theta[i][moved], angle(d_true, d_prev))
+                assert np.array_equal(cal.eps_r[i][moved],
+                                      relative_error(x_real, x_star, d_true))
 
     @pytest.mark.parametrize("kind", ["gmm", "stall"])
     def test_batch_bookkeeping_is_pinned(self, sched, gmm, recorded_data, kind):
@@ -863,6 +869,18 @@ class TestCalibrateAndApply:
         for x, given in ((x0[0], None), (x0, full)):
             with pytest.raises(ValueError, match="rows need"):
                 calibrate_wg(gmm, sched, x, ts, plan, full=given, rows=[0])
+
+    def test_calibrated_rows_must_be_row_indices(self, sched, gmm, counting):
+        # refused before any denoiser call, as sample_skipping refuses a bad
+        # position: a float or bool would pick row 1, -1 the last row
+        ts = make_timesteps(1000, 40)
+        plan = AccelerationPlan(interval=(13, 39))
+        x0 = np.stack([initial_noise(8, k) for k in range(3)])
+        for rows in ([1.5], [True], [-1], [5], []):
+            den = counting(gmm)
+            with pytest.raises(ValueError, match="rows need"):
+                calibrate_wg(den, sched, x0, ts, plan, rows=rows)
+            assert den.calls == []
 
     @settings(max_examples=30, deadline=None)
     @example(kind="stall", seeds=[0], interval=(21, 99),

@@ -144,7 +144,7 @@ def test_array_gamma_equals_scalar_calls_on_preset_grids(name, mode):
     assert looked_up.shape == (3, its.size)
     assert gamma(*looked_up).tolist() == scalar
     plan = AccelerationPlan(interval=cfg.interval, r=cfg.r, phi_mode=mode)
-    _, gammas, _ = _setup(s, ts, plan, None, None)
+    _, gammas, *_ = _setup(s, ts, plan, None, None)
     assert gammas == {i: scalar[i - 2] for i in plan.selected()}
 
 
