@@ -22,6 +22,13 @@ direction in CHANGE_DIR/BENCHMARK.json (a tie is not a win); plus the
 Python and numpy versions and nproc that the runs report. Progress goes
 to stderr.
 
+Next to perfbench's peak_rss_mb, each run of a pair also records
+own_peak_mb (lower is better): the workload's own peak, VmHWM in MiB of a
+fresh interpreter that runs the workload's config once for that seed, on
+an input that another fresh interpreter recorded. perfbench's figure is
+the larger of the workload's peak and that of the bench process, which
+ru_maxrss carries across execve.
+
 OUT_JSON also gets each side's wall_speedup, from WALL_ROUNDS rounds of
 `--wall-speedup`, in alternating order. That mode imports CHECKOUT_DIR's
 src/ in-process and, at each point of WALL_POINTS (a preset's grid and
@@ -40,10 +47,13 @@ number of batched epsilon_hat calls and the rows they evaluated.
 
 OUT_JSON also gets each side's read_trace timing, from READ_TRACE_ROUNDS
 rounds of `--read-trace`, in alternating order. That mode writes a
-READ_TRACE_SHAPE float32 trace (trace-wide's shape) with CHECKOUT_DIR's
-write_trace, times READ_TRACE_CALLS calls of its read_trace in-process
-after one dropped warm-up call, and prints the median, the quartiles
-and the minimum in ms.
+float32 trace of each of READ_TRACE_SHAPES (trace-wide's shape, and
+64-byte rows) with CHECKOUT_DIR's write_trace and times, in-process and
+interleaved, READ_TRACE_CALLS full reads and as many grid-selected reads
+(the t values of a READ_TRACE_GRID-step grid, as a run reads them), after
+one dropped warm-up pair. A read_trace without a ts parameter reads the
+whole trace for both. It prints the median, the quartiles and the
+minimum in ms, per shape and read, and whether reads select.
 
 OUT_JSON also gets each side's epsilon_hat timing, from EPS_ROUNDS
 rounds of `--epsilon-hat`, in alternating order. That mode imports
@@ -76,7 +86,9 @@ WALL_SEEDS = 20
 # headline report
 COUNT_POINTS = (("fig4-bias", "refine", "grid"), ("fig4-bias", "refine", "binary"),
                 ("sd2-ddim-40", "report", "grid"))
-READ_TRACE_SHAPE = (8, 1000, 1024)
+# (seeds, steps, dim): trace-wide's shape, and 64-byte rows
+READ_TRACE_SHAPES = ((8, 1000, 1024), (20, 1000, 16))
+READ_TRACE_GRID = 100
 READ_TRACE_CALLS = 150
 READ_TRACE_ROUNDS = 4
 # (rows, dim): the batches a run calls on the benchmark mixture
@@ -97,6 +109,43 @@ def bench(checkout: str, workload: str, seed: int, seconds: float):
                 if line.startswith("# ") and " = " in line)
     metrics = {k: v["value"] for k, v in result["metrics"].items()}
     return metrics, result["failed"], result["attempted"], info
+
+
+# Run in a fresh interpreter from a checkout's root: one run of a workload's
+# config (argv: workload, seed, out dir, trace manifest or ""), then VmHWM in kB.
+OWN_PEAK = """\
+import sys
+sys.path[:0] = ["src", "perfbench"]
+from ltc_accel import run
+from workloads import WORKLOADS, config
+w = WORKLOADS[sys.argv[1]]
+run(config(w, int(sys.argv[2]), sys.argv[3], sys.argv[4]), w.mode)
+with open("/proc/self/status") as f:
+    print(next(line.split()[1] for line in f if line.startswith("VmHWM:")))
+"""
+RECORD_INPUT = """\
+import sys
+sys.path[:0] = ["src", "perfbench"]
+from workloads import record_trace
+record_trace(sys.argv[1], int(sys.argv[2]))
+"""
+
+
+def own_peak_mb(checkout: str, workload: str, seed: int) -> float:
+    """VmHWM in MiB of a fresh interpreter that runs WORKLOAD's config once
+    for SEED on CHECKOUT (see the module docstring)."""
+    with tempfile.TemporaryDirectory() as tmp:
+        manifest = ""
+        if workload == "trace-wide":
+            manifest = os.path.join(tmp, "input", "eps.trace")
+            os.mkdir(os.path.dirname(manifest))
+            subprocess.run([sys.executable, "-c", RECORD_INPUT, manifest, str(seed)],
+                           cwd=checkout, check=True)
+        out = subprocess.run(
+            [sys.executable, "-c", OWN_PEAK, workload, str(seed),
+             os.path.join(tmp, "run"), manifest],
+            cwd=checkout, capture_output=True, text=True, check=True).stdout
+    return int(out.split()[-1]) / 1024.0
 
 
 def summary(values: list) -> dict:
@@ -186,23 +235,35 @@ def denoiser_counts(checkout: str) -> dict:
 
 
 def read_trace_ms(checkout: str) -> dict:
-    """Median, quartiles and minimum in ms of CHECKOUT's read_trace on a
-    READ_TRACE_SHAPE trace (see the module docstring)."""
+    """Per shape and read, median, quartiles and minimum in ms of CHECKOUT's
+    read_trace (see the module docstring)."""
     sys.path.insert(0, os.path.join(checkout, "src"))
+    import inspect
+
     import numpy as np
     from ltc_accel.model import read_trace, write_trace
+    from ltc_accel.sampler import make_timesteps
 
+    selects = "ts" in inspect.signature(read_trace).parameters
+    out = {"selects": selects}
     with tempfile.TemporaryDirectory() as tmp:
-        manifest = os.path.join(tmp, "eps.trace")
-        write_trace(manifest, np.random.default_rng(0).standard_normal(
-            READ_TRACE_SHAPE, dtype=np.float32))
-        times = []
-        for _ in range(READ_TRACE_CALLS + 1):  # the first call warms up, dropped
-            start = time.perf_counter()
-            read_trace(manifest)
-            times.append(1e3 * (time.perf_counter() - start))
-    return {"calls": READ_TRACE_CALLS, "min_ms": min(times[1:]),
-            **{f"{k}_ms": v for k, v in summary(times[1:]).items()}}
+        for shape in READ_TRACE_SHAPES:
+            manifest = os.path.join(tmp, "eps.trace")
+            write_trace(manifest, np.random.default_rng(0).standard_normal(
+                shape, dtype=np.float32))
+            ts = make_timesteps(shape[1], READ_TRACE_GRID)[:-1]
+            reads = {"full": (manifest,), "grid": (manifest, ts) if selects else (manifest,)}
+            times = {name: [] for name in reads}
+            for _ in range(READ_TRACE_CALLS + 1):  # the first pair warms up, dropped
+                for name, args in reads.items():
+                    start = time.perf_counter()
+                    read_trace(*args)
+                    times[name].append(1e3 * (time.perf_counter() - start))
+            for name, t in times.items():
+                out["x".join(map(str, shape)) + "-" + name] = {
+                    "calls": READ_TRACE_CALLS, "min_ms": min(t[1:]),
+                    **{f"{k}_ms": v for k, v in summary(t[1:]).items()}}
+    return out
 
 
 def epsilon_hat_us(checkout: str) -> dict:
@@ -251,6 +312,7 @@ def main(argv) -> int:
         declared = json.load(f)
     workloads = [w["name"] for w in declared["workloads"]]
     better = {m["name"]: m["better"] for m in declared["end_to_end"]}
+    better["own_peak_mb"] = "lower"
     record = {"pairs": pairs, "seconds": seconds, "workloads": {}}
     for workload in workloads:
         runs = {side: [] for side in sides}
@@ -260,11 +322,14 @@ def main(argv) -> int:
             for side in order:
                 metrics, failed, attempted, info = bench(
                     sides[side], workload, seed, seconds)
+                metrics["own_peak_mb"] = own_peak_mb(sides[side], workload, seed)
                 runs[side].append((metrics, failed, attempted))
                 for key in ("python", "numpy", "nproc"):
                     record.setdefault(key, info[key])
                 print(f"{workload} seed {seed} {side}: "
-                      f"run_s {metrics['run_s']:.4f}", file=sys.stderr)
+                      f"run_s {metrics['run_s']:.4f} "
+                      f"peak_rss_mb {metrics['peak_rss_mb']:.1f} "
+                      f"own_peak_mb {metrics['own_peak_mb']:.1f}", file=sys.stderr)
         values = {side: {name: [r[0][name] for r in rs] for name in rs[0][0]}
                   for side, rs in runs.items()}
         won = {name: sum(c < p if better[name] == "lower" else c > p

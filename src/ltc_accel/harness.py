@@ -280,14 +280,15 @@ def benchmark_gmm(schedule, dim: int = 16) -> DiagGmmDenoiser:
 
 def build_denoiser(cfg: ExperimentConfig, schedule, seeds):
     """The denoiser of a batch whose rows are `seeds`; for kind "trace" it
-    reads the trace."""
+    reads the steps of the run's grid from the trace."""
     if cfg.kind == "point":
         return PointMassDenoiser(cfg.mu, schedule)
     if cfg.kind == "gmm":
         return DiagGmmDenoiser(cfg.weights, cfg.means, cfg.variances, schedule)
     if cfg.kind == "gmm-bench":
         return benchmark_gmm(schedule, cfg.dim)
-    return RecordedTraceDenoiser(read_trace(cfg.manifest)[1], seeds)
+    ts = make_timesteps(cfg.t_train, cfg.steps)[:-1]  # every t a chain calls
+    return RecordedTraceDenoiser(read_trace(cfg.manifest, ts)[1], seeds, ts)
 
 
 def _base_plan(cfg: ExperimentConfig, interval, n: int) -> AccelerationPlan:

@@ -22,8 +22,8 @@ subset of a batch's rows. Three families:
   _CACHE_BYTES per denoiser.
 * RecordedTraceDenoiser: replays externally dumped epsilon_hat vectors
   keyed by (seed, t), read from a checksummed manifest + raw float32 file.
-  read_trace checks the CRC-32 of the bytes it read, the payload's two
-  halves summed in two threads and combined.
+  read_trace checksums every payload byte in 1 MiB chunks on two threads
+  and holds only the rows of the t values asked for, not the payload.
 """
 
 from __future__ import annotations
@@ -40,6 +40,7 @@ from .schedule import NoiseSchedule
 
 _MANIFEST_KEYS = ("dim", "steps", "seeds", "data", "endian", "crc32")
 _CACHE_BYTES = 1 << 21
+_CHUNK = 1 << 20  # bytes a trace read takes at once, rounded down to whole rows
 
 
 def _check_state(x, dim: int) -> np.ndarray:
@@ -195,8 +196,10 @@ def write_trace(manifest_path: str, data: np.ndarray) -> TraceManifest:
     seeds, steps, dim = arr.shape
     if steps < 1 or dim < 1:
         raise TraceError("steps and dim must be at least 1")
-    payload = np.ascontiguousarray(arr, dtype="<f4").tobytes()
     data_name = os.path.splitext(os.path.basename(manifest_path))[0] + ".f32"
+    if data_name == os.path.basename(manifest_path):
+        raise TraceError(f"manifest {manifest_path!r} would be its own payload")
+    payload = np.ascontiguousarray(arr, dtype="<f4")
     manifest = TraceManifest(
         dim=dim, steps=steps, seeds=seeds, data=data_name,
         crc32=f"{zlib.crc32(payload) & 0xFFFFFFFF:08x}",
@@ -226,31 +229,50 @@ def _crc32_combine(crc1: int, crc2: int, len2: int) -> int:
     return mul(power, crc1) ^ crc2
 
 
-def _crc32(payload) -> int:
-    """zlib.crc32 of payload, its upper half summed by a second thread that
-    runs nothing but zlib (which releases the GIL)."""
-    view = memoryview(payload)
-    half, upper = len(view) // 2, []
+def _read_rows(src, seeds: int, steps: int, dim: int, cols):
+    """Rows of a (seeds, steps, dim) <f4 payload at step indices cols (all if None) and its
+    CRC-32; src is a file descriptor or a payload read whole. Two threads each read a half
+    in chunks of about _CHUNK bytes, checksum each chunk in cache and copy out its rows."""
+    out = np.empty((seeds, steps if cols is None else len(cols), dim), "<f4")
+    flat, row, per = out.reshape(-1, dim), 4 * dim, max(1, _CHUNK // (4 * dim))
+    total, mid = seeds * steps, seeds * steps // 2
+    if cols is not None:  # payload row of each result row, in payload order
+        order = np.argsort(at := (np.arange(seeds)[:, None] * steps + cols).ravel())
+        at = at[order]
+    crcs = [0, 0]  # of each half, or the exception that ended it
 
-    def work():
+    def half(k, lo, hi):
+        buf = None if cols is None else np.empty((min(per, hi - lo), dim), "<f4")
         try:
-            upper.append(zlib.crc32(view[half:]))
+            for r0 in range(lo, hi, per):
+                r1 = min(r0 + per, hi)
+                chunk = flat[r0:r1] if cols is None else buf[:r1 - r0]
+                if isinstance(src, memoryview):
+                    memoryview(chunk).cast("B")[:] = src[row * r0:row * r1]
+                else:  # a short read leaves bytes that fail the checksum
+                    try:
+                        os.preadv(src, [chunk], row * r0)
+                    except OSError as e:
+                        raise TraceError(f"cannot read trace payload: {e}") from None
+                crcs[k] = zlib.crc32(chunk, crcs[k])
+                if cols is not None:
+                    a, b = np.searchsorted(at, (r0, r1))
+                    flat[order[a:b]] = chunk[at[a:b] - r0]
         except BaseException as e:  # raised again by the calling thread
-            upper.append(e)
+            crcs[k] = e
 
-    worker = threading.Thread(target=work)
+    worker = threading.Thread(target=half, args=(1, mid, total))
     worker.start()
-    try:
-        lower = zlib.crc32(view[:half])
-    finally:
-        worker.join()
-    if isinstance(upper[0], BaseException):
-        raise upper[0]
-    return _crc32_combine(lower, upper[0], len(view) - half)
+    half(0, 0, mid)
+    worker.join()
+    for crc in crcs:
+        if isinstance(crc, BaseException):
+            raise crc
+    return out, _crc32_combine(*crcs, (total - mid) * row)
 
 
-def read_trace(manifest_path: str) -> tuple[TraceManifest, np.ndarray]:
-    """Load a trace; length and crc32 must match the manifest exactly."""
+def read_trace(manifest_path: str, ts=None) -> tuple[TraceManifest, np.ndarray]:
+    """Load a trace, the steps of the t values ts or all; size and crc32 must match exactly."""
     fields = {}
     try:
         with open(manifest_path, "r", encoding="ascii") as f:
@@ -282,52 +304,70 @@ def read_trace(manifest_path: str) -> tuple[TraceManifest, np.ndarray]:
         raise TraceError(f"non-integer manifest field: {e}") from None
     if dim < 1 or steps < 1 or seeds < 0:
         raise TraceError("dim and steps must be >= 1, seeds >= 0")
+    cols = None if ts is None else steps - _integers(ts, "t values", 1, steps)
+    if cols is not None and (cols.ndim != 1 or len(np.unique(cols)) < len(cols)):
+        raise TraceError(f"trace t values must be distinct, got {ts!r}")
     data_path = os.path.join(os.path.dirname(manifest_path) or ".", fields["data"])
     expected = seeds * steps * dim * 4
     try:
-        with open(data_path, "rb") as f:
-            size = os.fstat(f.fileno()).st_size  # 0 for a pipe or a device
-            if size == expected or size == 0 and f.peek(1):  # else not read
-                payload = f.read(expected + 1)
-                size = len(payload)
+        f = open(data_path, "rb")
     except (OSError, ValueError) as e:  # ValueError: a NUL byte in the name
         raise TraceError(f"cannot read trace payload: {e}") from None
-    except (OverflowError, MemoryError):  # a device read for more than fits
-        raise TraceError(f"cannot hold the {expected} bytes the manifest implies") from None
-    if size != expected:
-        raise TraceError(f"trace payload is {size} bytes, manifest implies {expected}")
-    crc = f"{_crc32(payload):08x}"
-    if crc != fields["crc32"]:
-        raise TraceError(f"checksum mismatch: payload {crc}, manifest {fields['crc32']}")
-    arr = np.frombuffer(payload, dtype="<f4").reshape(seeds, steps, dim)
+    with f:  # read outside the try: an error of the checksum is raised as itself
+        try:
+            size = os.fstat(src := f.fileno()).st_size  # 0 for a pipe or a device
+            if size == 0 and f.peek(1):  # else not read
+                src = memoryview(f.read(expected + 1))
+                size = len(src)
+        except OSError as e:
+            raise TraceError(f"cannot read trace payload: {e}") from None
+        except (OverflowError, MemoryError):  # a device read for more than fits
+            raise TraceError(f"cannot hold the {expected} bytes the manifest implies") from None
+        if size != expected:
+            raise TraceError(f"trace payload is {size} bytes, manifest implies {expected}")
+        arr, crc = _read_rows(src, seeds, steps, dim, cols)
+    if f"{crc:08x}" != fields["crc32"]:
+        raise TraceError(f"checksum mismatch: payload {crc:08x}, manifest {fields['crc32']}")
     manifest = TraceManifest(dim=dim, steps=steps, seeds=seeds,
                              data=fields["data"], crc32=fields["crc32"])
     return manifest, arr
 
 
+def _integers(values, what: str, lo: int, hi: int) -> np.ndarray:
+    """values as an int64 array in lo..hi; a float or a bool is refused."""
+    given = values if isinstance(values, np.ndarray) else np.array(values, dtype=object)
+    if given.dtype.kind not in "iu" and not all(  # as given: [0, True] is int64
+            isinstance(v, (int, np.integer)) and not isinstance(v, bool) for v in given.flat):
+        raise TraceError(f"trace {what} must be integers, got {values!r}")
+    out = np.atleast_1d(np.asarray(values))
+    if np.any((out < lo) | (out > hi)):
+        raise TraceError(f"trace holds {what} {lo}..{hi}, got {values}")
+    return out.astype(np.int64)
+
+
 class RecordedTraceDenoiser:
     """Replays stored epsilon_hat vectors of one trace seed, or of a sequence
-    of seeds (one per batch row); the state is ignored beyond checks."""
+    of seeds (one per batch row); the state is ignored beyond checks. Column
+    j of data holds t = ts[j], or t = steps - j if ts is None."""
 
-    def __init__(self, data: np.ndarray, seed):
+    def __init__(self, data: np.ndarray, seed, ts=None):
         arr = np.asarray(data)
         if arr.ndim != 3:
             raise TraceError(f"trace data must have shape (seeds, steps, dim), got {arr.shape}")
-        rows = np.atleast_1d(np.asarray(seed))  # any int size; cast once in range
-        given = seed if isinstance(seed, np.ndarray) else np.array(seed, dtype=object)
-        if given.dtype.kind not in "iu" and not all(  # as given: [0, True] is int64
-                isinstance(s, (int, np.integer)) and not isinstance(s, bool) for s in given.flat):
-            raise TraceError(f"trace seeds must be integers, got {seed!r}")
-        if np.any((rows < 0) | (rows >= arr.shape[0])):
-            raise TraceError(f"trace holds seeds 0..{arr.shape[0] - 1}, got {seed}")
+        ts = None if ts is None else _integers(ts, "t values", 1, np.iinfo(np.int64).max)
+        if ts is not None and (ts.shape != arr.shape[1:2] or len(np.unique(ts)) < len(ts)):
+            raise TraceError(f"need {arr.shape[1]} distinct t values, got {ts.tolist()}")
         self._data = arr
-        self._rows = rows.astype(np.int64)
-        self.t_train = arr.shape[1]
+        self._rows = _integers(seed, "seeds", 0, arr.shape[0] - 1)
+        self._ts = ts
+        self._held = f"1 <= t <= {arr.shape[1]}" if ts is None else f"t in {ts.tolist()}"
+        self._col = dict(zip(range(arr.shape[1], 0, -1) if ts is None else ts.tolist(),
+                             range(arr.shape[1])))
         self.dim = arr.shape[2]
 
     def take(self, rows) -> "RecordedTraceDenoiser":
         """The denoiser for the batch rows `rows` of this one."""
-        return RecordedTraceDenoiser(self._data, self._rows[rows])
+        return RecordedTraceDenoiser(self._data, self._rows[rows], self._ts)
 
     def epsilon_hat(self, x, t: int) -> np.ndarray:
         x = _check_state(x, self.dim)
@@ -336,7 +376,6 @@ class RecordedTraceDenoiser:
                 f"{len(self._rows)} seed rows cannot serve a state of shape {x.shape}")
         if isinstance(t, bool) or not isinstance(t, (int, np.integer)):
             raise IndexError(f"epsilon_hat is defined for integer t, got {t!r}")
-        if not 1 <= t <= self.t_train:
-            raise TraceError(f"trace covers 1 <= t <= {self.t_train}, got t={t}")
-        # steps axis is ordered t = t_train down to 1
-        return self._data[self._rows, self.t_train - t].astype(np.float64).reshape(x.shape)
+        if t not in self._col:
+            raise TraceError(f"trace covers {self._held}, got t={t}")
+        return self._data[self._rows, self._col[t]].astype(np.float64).reshape(x.shape)

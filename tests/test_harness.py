@@ -1093,6 +1093,45 @@ def test_cli_oversized_trace_manifest_exits_4(tmp_path, capsys, monkeypatch):
             capsys.readouterr().err)
 
 
+def test_cli_t_train_beyond_the_trace_exits_4(tmp_path, capsys):
+    # a 30-step schedule asks the 24-step trace for t = 30 and t = 25
+    args = _trace_cli_args(tmp_path)
+    ini = tmp_path / "t.ini"
+    ini.write_text(ini.read_text().replace("t_train = 24", "t_train = 30"))
+    assert main(args) == 4
+    assert "trace holds t values 1..24, got [30 25 20 15 10  5]" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_cli_trace_run_holds_less_than_its_payload(tmp_path, capsys):
+    # a 10-step run keeps 10 of the trace's 1000 steps: its traced peak
+    # stays below the 4.1 MB payload that it checksums
+    write_trace(str(tmp_path / "big.trace"), np.random.default_rng(1).standard_normal(
+        (4, 1000, 256), dtype=np.float32))
+    ini = write_ini(tmp_path / "b.ini", f"""
+[sampling]
+steps = 10
+
+[denoiser]
+kind = trace
+manifest = {tmp_path / "big.trace"}
+
+[plan]
+interval = 3,9
+
+[run]
+seeds = 0,1,2,3
+""")
+    tracemalloc.start()
+    try:
+        assert main(["sample", "--config", ini, "--out", str(tmp_path / "o")]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 1000 * 256 * 4
+    capsys.readouterr()
+
+
 def test_cli_trace_with_too_few_seeds_exit(tmp_path, capsys):
     assert main(_trace_cli_args(tmp_path, seeds="0,1,2,3")) == 4
     assert "i/o error" in capsys.readouterr().err

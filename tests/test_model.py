@@ -1,7 +1,11 @@
 """Analytic denoisers: exact inversion, scores, and trace replay."""
 
+import os
+import tempfile
 import threading
+import tracemalloc
 import zlib
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -13,8 +17,8 @@ from ltc_accel import (ConfigError, NumericError, TraceError, benchmark_gmm,
 from ltc_accel import model
 from ltc_accel.model import (
     _CACHE_BYTES,
-    _crc32,
     _crc32_combine,
+    _read_rows,
     DiagGmmDenoiser,
     PointMassDenoiser,
     RecordedTraceDenoiser,
@@ -196,6 +200,15 @@ _checksummed = st.binary(max_size=600) | st.builds(
     st.integers(5 << 10, 40 << 10), st.integers(0, 2**32 - 1))
 
 
+@st.composite
+def _trace_reads(draw):
+    """(seeds, steps, dim, ts, chunk bytes) of a selected trace read."""
+    steps = draw(st.integers(1, 40))
+    return (draw(st.integers(0, 3)), steps, draw(st.sampled_from([1, 3, 1024])),
+            draw(st.lists(st.integers(1, steps), unique=True, max_size=steps)),
+            draw(st.sampled_from([1, 100, 4096, 1 << 20])))
+
+
 class TestTraceIO:
     def test_round_trip_is_bit_exact(self, tmp_path):
         rng = np.random.default_rng(0)
@@ -272,9 +285,123 @@ class TestTraceIO:
     @example(a=b"\x00" * 5121, b=bytes(range(256)) * 21)
     def test_split_checksum_equals_zlib(self, a, b):
         # the CRC-32 of a + b from the CRC-32s of its parts, and the
-        # two-thread checksum, both equal zlib's over the whole
+        # reader's two-thread checksum, both equal zlib's over the whole;
+        # the reader takes whole 4-byte rows, so it sums (a + b) * 4
         assert _crc32_combine(zlib.crc32(a), zlib.crc32(b), len(b)) == zlib.crc32(a + b)
-        assert _crc32(a + b) == zlib.crc32(a + b)
+        payload = (a + b) * 4
+        rows, crc = _read_rows(memoryview(payload), 1, len(a + b), 1, None)
+        assert crc == zlib.crc32(payload) and rows.tobytes() == payload
+
+    def test_manifest_path_ending_in_f32_is_refused(self, tmp_path):
+        # the payload would land on the manifest's own path
+        with pytest.raises(TraceError, match="its own payload"):
+            write_trace(str(tmp_path / "x.f32"), np.ones((1, 2, 2), dtype=np.float32))
+        assert list(tmp_path.iterdir()) == []
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=_trace_reads())
+    @example(case=(0, 5, 4, [2, 5], 4096))        # no seeds
+    @example(case=(1, 1, 3, [1], 1))              # a single row
+    @example(case=(1, 7, 1, [7, 1, 4], 1))        # 7 rows: halves of 3 and 4
+    @example(case=(3, 9, 1024, [9, 2, 5, 3], 1 << 20))
+    @example(case=(2, 6, 1024, [], 1 << 20))      # no t kept
+    def test_selected_read_equals_columns_of_the_full_read(self, case):
+        # any order or subset of t values, any chunk size: the kept rows
+        # equal the full read's, byte for byte, and so do every t kept
+        seeds, steps, dim, ts, chunk = case
+        data = np.random.default_rng(steps).standard_normal((seeds, steps, dim),
+                                                            dtype=np.float32)
+        ts = np.array(ts, dtype=np.int64)
+        with tempfile.TemporaryDirectory() as tmp, \
+                mock.patch.object(model, "_CHUNK", chunk):
+            path = os.path.join(tmp, "s.trace")
+            write_trace(path, data)
+            full = read_trace(path)[1]
+            picked = read_trace(path, ts)[1]
+        assert full.tobytes() == data.tobytes()
+        assert picked.shape == (seeds, len(ts), dim) and picked.dtype == np.float32
+        assert picked.tobytes() == full[:, steps - ts].tobytes()
+
+    def test_fifo_payload_gives_the_rows_of_a_file(self, tmp_path):
+        # a payload that cannot be sized (here a FIFO) is read whole and then
+        # kept row by row like a file's
+        data = np.random.default_rng(3).standard_normal((3, 40, 5), dtype=np.float32)
+        path = str(tmp_path / "f.trace")
+        write_trace(path, data)
+        fifo_manifest = tmp_path / "fifo.trace"
+        fifo_manifest.write_text((tmp_path / "f.trace").read_text().replace(
+            "data=f.f32", "data=f.fifo"), encoding="ascii")
+        os.mkfifo(tmp_path / "f.fifo")
+        for ts in (None, [40, 3, 17, 1]):
+            def feed():
+                with open(tmp_path / "f.fifo", "wb") as f:
+                    f.write(data.tobytes())
+
+            writer = threading.Thread(target=feed, daemon=True)
+            writer.start()
+            try:
+                got = read_trace(str(fifo_manifest), ts)[1]
+            finally:
+                writer.join(timeout=10)
+            assert not writer.is_alive()
+            assert got.tobytes() == read_trace(path, ts)[1].tobytes()
+
+    def test_flipped_byte_in_a_row_not_kept_fails_the_checksum(self, tmp_path):
+        # every byte is checksummed, kept or not, in either half and with
+        # chunks of one row or of many
+        path = str(tmp_path / "u.trace")
+        data_file = tmp_path / "u.f32"
+        write_trace(path, np.ones((2, 30, 5), dtype=np.float32))
+        good = data_file.read_bytes()
+        row = 5 * 4
+        ts = [30, 10]  # step indices 0 and 20 of each seed
+        for at in (3 * row, 25 * row + 7, 35 * row, 59 * row + row - 1):
+            raw = bytearray(good)
+            raw[at] ^= 0xFF
+            data_file.write_bytes(bytes(raw))
+            for chunk in (1, model._CHUNK):
+                with mock.patch.object(model, "_CHUNK", chunk), \
+                        pytest.raises(TraceError, match="checksum"):
+                    read_trace(path, ts)
+
+    @pytest.mark.parametrize("ts,match", [
+        ([1.5], "integers"), ([True], "integers"), (["3"], "integers"),
+        (np.array([2.0]), "integers"), ([3, 3], "distinct"), ([[1, 2]], "distinct"),
+        ([0], r"1\.\.4"), ([5], r"1\.\.4"), ([2**70], r"1\.\.4"),
+    ])
+    def test_t_values_are_checked(self, tmp_path, ts, match):
+        path = str(tmp_path / "v.trace")
+        write_trace(path, np.ones((1, 4, 2), dtype=np.float32))
+        with pytest.raises(TraceError, match=match):
+            read_trace(path, ts)
+
+    def test_selected_read_holds_less_than_half_the_payload(self, tmp_path):
+        # 100 of 1000 steps of an (8, 1000, 256) trace: the result is a tenth
+        # of the 8.2 MB payload, plus one chunk buffer per thread
+        data = np.random.default_rng(0).standard_normal((8, 1000, 256), dtype=np.float32)
+        path = str(tmp_path / "m.trace")
+        write_trace(path, data)
+        del data
+        ts = np.arange(1000, 0, -10)
+        tracemalloc.start()
+        try:
+            picked = read_trace(path, ts)[1]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert picked.shape == (8, 100, 256)
+        assert peak < (8 * 1000 * 256 * 4) // 2
+
+    def test_write_holds_no_copy_of_a_float32_payload(self, tmp_path):
+        data = np.random.default_rng(0).standard_normal((8, 1000, 256), dtype=np.float32)
+        tracemalloc.start()
+        try:
+            write_trace(str(tmp_path / "w.trace"), data)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        assert (tmp_path / "w.f32").read_bytes() == data.tobytes()
 
     @pytest.mark.parametrize(
         "mutate",
@@ -354,6 +481,25 @@ class TestRecordedTraceDenoiser:
             den.epsilon_hat(np.zeros(2), 4)
         with pytest.raises(TraceError, match=r"trace holds seeds 0\.\.2, got \[0, 3\]"):
             RecordedTraceDenoiser(data, [0, 3])
+
+    def test_holds_only_its_t_values(self):
+        # column j holds t = ts[j]; any other t is refused, and take() keeps ts
+        data = np.arange(3 * 4 * 2, dtype=np.float32).reshape(3, 4, 2)
+        ts = [9, 5, 7, 1]
+        den = RecordedTraceDenoiser(data, [2, 0], ts)
+        for j, t in enumerate(ts):
+            assert np.array_equal(den.epsilon_hat(np.zeros((2, 2)), t), data[[2, 0], j])
+        for t in (0, 2, 4, 8, 10, np.int64(6), 2**70):
+            with pytest.raises(TraceError, match=r"trace covers t in \[9, 5, 7, 1\], got"):
+                den.epsilon_hat(np.zeros((2, 2)), t)
+        sub = den.take([1])
+        assert np.array_equal(sub.epsilon_hat(np.zeros(2), 7), data[0, 2])
+        with pytest.raises(TraceError, match=r"trace covers t in \[9, 5, 7, 1\], got t=4"):
+            sub.epsilon_hat(np.zeros(2), 4)
+        for bad in ([9, 5, 7], [9, 5, 7, 1, 2], [9, 5, 5, 1], [[9, 5, 7, 1]],
+                    [9, 5, 7, 1.0], [9, 5, 7, True], [0, 5, 7, 1]):
+            with pytest.raises(TraceError):
+                RecordedTraceDenoiser(data, 0, bad)
 
     def test_seeds_must_be_integers(self):
         # a float or a bool is refused, not truncated to a row; numpy
