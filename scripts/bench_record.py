@@ -51,9 +51,8 @@ float32 trace of each of READ_TRACE_SHAPES (trace-wide's shape, and
 64-byte rows) with CHECKOUT_DIR's write_trace and times, in-process and
 interleaved, READ_TRACE_CALLS full reads and as many grid-selected reads
 (the t values of a READ_TRACE_GRID-step grid, as a run reads them), after
-one dropped warm-up pair. A read_trace without a ts parameter reads the
-whole trace for both. It prints the median, the quartiles and the
-minimum in ms, per shape and read, and whether reads select.
+one dropped warm-up pair. It prints the median, the quartiles and the
+minimum in ms, per shape and read.
 
 OUT_JSON also gets each side's epsilon_hat timing, from EPS_ROUNDS
 rounds of `--epsilon-hat`, in alternating order. That mode imports
@@ -63,11 +62,15 @@ rows at d = 1024; the mixture has k = 3 components), times EPS_CALLS
 calls of epsilon_hat that cycle over the t's of the sd2-ddim-40 grid,
 as a run does, after one dropped warm-up pass over the grid. It prints
 the median, the quartiles and the minimum in us per call.
+
+OUT_JSON also gets each side's src_lines, the line count of its
+src/ltc_accel/*.py, which aim 2 of ROADMAP.md tracks.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import glob
 import json
 import os
 import statistics
@@ -238,21 +241,18 @@ def read_trace_ms(checkout: str) -> dict:
     """Per shape and read, median, quartiles and minimum in ms of CHECKOUT's
     read_trace (see the module docstring)."""
     sys.path.insert(0, os.path.join(checkout, "src"))
-    import inspect
-
     import numpy as np
     from ltc_accel.model import read_trace, write_trace
     from ltc_accel.sampler import make_timesteps
 
-    selects = "ts" in inspect.signature(read_trace).parameters
-    out = {"selects": selects}
+    out = {}
     with tempfile.TemporaryDirectory() as tmp:
         for shape in READ_TRACE_SHAPES:
             manifest = os.path.join(tmp, "eps.trace")
             write_trace(manifest, np.random.default_rng(0).standard_normal(
                 shape, dtype=np.float32))
             ts = make_timesteps(shape[1], READ_TRACE_GRID)[:-1]
-            reads = {"full": (manifest,), "grid": (manifest, ts) if selects else (manifest,)}
+            reads = {"full": (manifest,), "grid": (manifest, ts)}
             times = {name: [] for name in reads}
             for _ in range(READ_TRACE_CALLS + 1):  # the first pair warms up, dropped
                 for name, args in reads.items():
@@ -264,6 +264,15 @@ def read_trace_ms(checkout: str) -> dict:
                     "calls": READ_TRACE_CALLS, "min_ms": min(t[1:]),
                     **{f"{k}_ms": v for k, v in summary(t[1:]).items()}}
     return out
+
+
+def src_lines(checkout: str) -> int:
+    """Lines of CHECKOUT's src/ltc_accel/*.py."""
+    total = 0
+    for path in glob.glob(os.path.join(checkout, "src", "ltc_accel", "*.py")):
+        with open(path, "rb") as f:
+            total += f.read().count(b"\n")
+    return total
 
 
 def epsilon_hat_us(checkout: str) -> dict:
@@ -352,6 +361,7 @@ def main(argv) -> int:
                 record[key][side].append(json.loads(subprocess.run(
                     [sys.executable, os.path.abspath(__file__), flag, sides[side]],
                     capture_output=True, text=True, check=True).stdout))
+    record["src_lines"] = {side: src_lines(path) for side, path in sides.items()}
     record["denoiser_counts"] = {side: json.loads(subprocess.run(
         [sys.executable, os.path.abspath(__file__), "--counts", path],
         capture_output=True, text=True, check=True).stdout)

@@ -22,13 +22,14 @@ subset of a batch's rows. Three families:
   _CACHE_BYTES per denoiser.
 * RecordedTraceDenoiser: replays externally dumped epsilon_hat vectors
   keyed by (seed, t), read from a checksummed manifest + raw float32 file.
-  read_trace checksums every payload byte in 1 MiB chunks on two threads
-  and holds only the rows of the t values asked for, not the payload.
+  read_trace checksums every byte of a regular payload file in 1 MiB chunks
+  on two threads and holds only the rows of the t values asked for.
 """
 
 from __future__ import annotations
 
 import os
+import stat
 import threading
 import zlib
 from dataclasses import dataclass
@@ -229,10 +230,10 @@ def _crc32_combine(crc1: int, crc2: int, len2: int) -> int:
     return mul(power, crc1) ^ crc2
 
 
-def _read_rows(src, seeds: int, steps: int, dim: int, cols):
-    """Rows of a (seeds, steps, dim) <f4 payload at step indices cols (all if None) and its
-    CRC-32; src is a file descriptor or a payload read whole. Two threads each read a half
-    in chunks of about _CHUNK bytes, checksum each chunk in cache and copy out its rows."""
+def _read_rows(fd: int, seeds: int, steps: int, dim: int, cols):
+    """Rows of the (seeds, steps, dim) <f4 payload open as fd at step indices cols (all if
+    None) and its CRC-32. Two threads each read a half in chunks of about _CHUNK bytes,
+    checksum each chunk in cache and copy out its rows."""
     out = np.empty((seeds, steps if cols is None else len(cols), dim), "<f4")
     flat, row, per = out.reshape(-1, dim), 4 * dim, max(1, _CHUNK // (4 * dim))
     total, mid = seeds * steps, seeds * steps // 2
@@ -247,13 +248,10 @@ def _read_rows(src, seeds: int, steps: int, dim: int, cols):
             for r0 in range(lo, hi, per):
                 r1 = min(r0 + per, hi)
                 chunk = flat[r0:r1] if cols is None else buf[:r1 - r0]
-                if isinstance(src, memoryview):
-                    memoryview(chunk).cast("B")[:] = src[row * r0:row * r1]
-                else:  # a short read leaves bytes that fail the checksum
-                    try:
-                        os.preadv(src, [chunk], row * r0)
-                    except OSError as e:
-                        raise TraceError(f"cannot read trace payload: {e}") from None
+                try:  # a short read leaves bytes that fail the checksum
+                    os.preadv(fd, [chunk], row * r0)
+                except OSError as e:
+                    raise TraceError(f"cannot read trace payload: {e}") from None
                 crcs[k] = zlib.crc32(chunk, crcs[k])
                 if cols is not None:
                     a, b = np.searchsorted(at, (r0, r1))
@@ -309,23 +307,19 @@ def read_trace(manifest_path: str, ts=None) -> tuple[TraceManifest, np.ndarray]:
         raise TraceError(f"trace t values must be distinct, got {ts!r}")
     data_path = os.path.join(os.path.dirname(manifest_path) or ".", fields["data"])
     expected = seeds * steps * dim * 4
-    try:
-        f = open(data_path, "rb")
+    try:  # non-blocking: a FIFO with no writer opens at once, to be refused below
+        fd = os.open(data_path, os.O_RDONLY | os.O_NONBLOCK)
     except (OSError, ValueError) as e:  # ValueError: a NUL byte in the name
         raise TraceError(f"cannot read trace payload: {e}") from None
-    with f:  # read outside the try: an error of the checksum is raised as itself
-        try:
-            size = os.fstat(src := f.fileno()).st_size  # 0 for a pipe or a device
-            if size == 0 and f.peek(1):  # else not read
-                src = memoryview(f.read(expected + 1))
-                size = len(src)
-        except OSError as e:
-            raise TraceError(f"cannot read trace payload: {e}") from None
-        except (OverflowError, MemoryError):  # a device read for more than fits
-            raise TraceError(f"cannot hold the {expected} bytes the manifest implies") from None
-        if size != expected:
-            raise TraceError(f"trace payload is {size} bytes, manifest implies {expected}")
-        arr, crc = _read_rows(src, seeds, steps, dim, cols)
+    try:
+        info = os.fstat(fd)
+        if not stat.S_ISREG(info.st_mode):
+            raise TraceError(f"trace payload {data_path} is not a regular file")
+        if info.st_size != expected:
+            raise TraceError(f"trace payload is {info.st_size} bytes, manifest implies {expected}")
+        arr, crc = _read_rows(fd, seeds, steps, dim, cols)
+    finally:
+        os.close(fd)
     if f"{crc:08x}" != fields["crc32"]:
         raise TraceError(f"checksum mismatch: payload {crc:08x}, manifest {fields['crc32']}")
     manifest = TraceManifest(dim=dim, steps=steps, seeds=seeds,

@@ -72,16 +72,20 @@ def make_timesteps(t_train: int, n_steps: int) -> np.ndarray:
 
 
 def check_timesteps(timesteps, t_train: int) -> np.ndarray:
-    ts = np.asarray(timesteps, dtype=np.int64)
+    ts = np.asarray(timesteps)
     if ts.ndim != 1 or ts.shape[0] < 2:
         raise ConfigError("timesteps must be a sequence of at least 2 indices")
-    if not np.all(np.diff(ts) < 0):
+    kind = ts.dtype.kind  # an integral float such as 40.0 counts as its integer
+    if kind not in "iuf" or (kind == "f" and np.any(ts != np.trunc(ts))) or (not isinstance(
+            timesteps, np.ndarray) and any(isinstance(v, (bool, np.bool_)) for v in timesteps)):
+        raise ConfigError(f"timesteps must be integers, got {timesteps!r}")
+    if not np.all(ts[1:] < ts[:-1]):
         raise ConfigError("timesteps must be strictly descending")
     if ts[0] > t_train or ts[-1] < 0:
         raise ConfigError(
             f"timesteps must lie within [0, {t_train}], got [{ts[-1]}, {ts[0]}]"
         )
-    return ts
+    return ts.astype(np.int64, copy=False)
 
 
 def ddim_step(x, eps, schedule: NoiseSchedule, t: int, t_prev: int) -> np.ndarray:
@@ -92,8 +96,9 @@ def ddim_step(x, eps, schedule: NoiseSchedule, t: int, t_prev: int) -> np.ndarra
     """
     if t_prev >= t:
         raise ConfigError(f"t_prev must be below t, got t={t}, t_prev={t_prev}")
-    if not 1 <= t <= schedule.t_train or t_prev < 0:
-        raise IndexError(f"step {t} -> {t_prev} outside schedule 0..{schedule.t_train}")
+    if isinstance(t, bool) or isinstance(t_prev, bool) or not (isinstance(t, (int, np.integer))
+            and isinstance(t_prev, (int, np.integer)) and 0 <= t_prev < t <= schedule.t_train):
+        raise IndexError(f"step {t!r} -> {t_prev!r} is not in the integers 0..{schedule.t_train}")
     x = np.asarray(x, dtype=np.float64)
     eps = np.asarray(eps, dtype=np.float64)
     if x.shape != eps.shape or x.ndim not in (1, 2):

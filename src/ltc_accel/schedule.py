@@ -105,9 +105,9 @@ def build_linear_beta(t_train: int, beta_start: float = 1e-4,
 def phi(schedule: NoiseSchedule, t, mode: PhiMode = PhiMode.SQRT_SNR):
     """Progress coordinate at t, a float, or an array for an integer array t. Undefined at t = 0."""
     ts = np.asarray(t)
-    if not ((1 <= ts) & (ts <= schedule.t_train)).all():
+    if ts.dtype.kind not in "iu" or not ((1 <= ts) & (ts <= schedule.t_train)).all():
         raise IndexError(
-            f"phi is defined for 1 <= t <= {schedule.t_train}, got t={t}"
+            f"phi is defined for integer 1 <= t <= {schedule.t_train}, got t={t}"
         )
     mode = PhiMode(mode)
     table = schedule.sqrt_snr if mode is PhiMode.SQRT_SNR else schedule.snr

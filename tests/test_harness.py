@@ -186,6 +186,8 @@ def test_parse_overlays_base_preserving_unset_keys(tmp_path):
     ("[DEFAULT]\nseeds = 5\n", r"unknown config section \[DEFAULT\]"),
     ("[DEFAULT]\nr = 3\n[plan]\ntau = 0.1\n", r"unknown config section \[DEFAULT\]"),
     ("[DEFAULT]\nr = 3\n[run]\nseeds = 0\n", r"unknown config section \[DEFAULT\]"),
+    ("[denoiser]\nkind = point\nmu = 1,x\n", "expected comma-separated floats, got '1,x'"),
+    ("steps = 40\n", "malformed config: File contains no section headers"),
 ])
 def test_parse_rejections(tmp_path, text, fragment):
     ini = write_ini(tmp_path / "bad.ini", text)
@@ -1045,9 +1047,8 @@ def test_cli_checksum_worker_failure_is_one_line(tmp_path, capsys, monkeypatch):
 @pytest.mark.parametrize("payload,size,implied", [
     ("sparse", 1 << 30, 1152), ("/dev/zero", 1153, 1152), ("empty", 0, 384 * 10**12)])
 def test_cli_trace_payload_read_is_bounded(tmp_path, capsys, payload, size, implied):
-    # a regular file of the wrong size is refused by its size, a device is
-    # read for one byte more than the manifest implies, and an empty file
-    # for none, even when the manifest implies 10**12 seeds
+    # a regular file of the wrong size is refused by its size, even when the
+    # manifest implies 10**12 seeds, and a device by its type: none is read
     args = _trace_cli_args(tmp_path)
     manifest, data = tmp_path / "eps.trace", tmp_path / "eps.f32"
     os.truncate(data, size if payload != "/dev/zero" else 0)
@@ -1063,34 +1064,31 @@ def test_cli_trace_payload_read_is_bounded(tmp_path, capsys, payload, size, impl
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert f"trace payload is {size} bytes, manifest implies {implied}" in (
+    assert (f"trace payload is {size} bytes, manifest implies {implied}"
+            if payload != "/dev/zero" else "trace payload /dev/zero is not a regular file") in (
         capsys.readouterr().err)
     assert peak < 16 << 20
 
 
-def test_cli_oversized_trace_manifest_exits_4(tmp_path, capsys, monkeypatch):
-    # 10**20 seeds of /dev/zero overflow one read's size; 10**12 seeds fit
-    # it but not memory, so that read is patched to fail as it would
+def test_cli_oversized_trace_manifest_exits_4(tmp_path, capsys):
+    # 10**20 and 10**12 seeds of /dev/zero: refused by the payload's type
+    # before anything is read or allocated
     args = _trace_cli_args(tmp_path)  # 384 payload bytes per seed
     manifest = tmp_path / "eps.trace"
     text = manifest.read_text(encoding="ascii").replace("data=eps.f32",
                                                         "data=/dev/zero")
-
-    class NoRoom(io.BufferedReader):
-        def read(self, size=-1):
-            raise MemoryError
-
-    def no_room(path, mode="r", **kwargs):
-        return NoRoom(io.FileIO(path)) if mode == "rb" else open(path, mode, **kwargs)
-
-    for seeds, patched in ((10**20, False), (10**12, True)):
-        if patched:
-            monkeypatch.setattr(model, "open", no_room, raising=False)
+    for seeds in (10**20, 10**12):
         manifest.write_text(text.replace("seeds=3", f"seeds={seeds}"),
                             encoding="ascii")
-        assert main(args) == 4
-        assert f"cannot hold the {384 * seeds} bytes the manifest implies" in (
-            capsys.readouterr().err)
+        tracemalloc.start()
+        try:
+            assert main(args) == 4
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert capsys.readouterr().err == (
+            "ltc: i/o error: trace payload /dev/zero is not a regular file\n")
+        assert peak < 1 << 20
 
 
 def test_cli_t_train_beyond_the_trace_exits_4(tmp_path, capsys):

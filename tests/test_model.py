@@ -1,5 +1,6 @@
 """Analytic denoisers: exact inversion, scores, and trace replay."""
 
+import errno
 import os
 import tempfile
 import threading
@@ -285,11 +286,14 @@ class TestTraceIO:
     @example(a=b"\x00" * 5121, b=bytes(range(256)) * 21)
     def test_split_checksum_equals_zlib(self, a, b):
         # the CRC-32 of a + b from the CRC-32s of its parts, and the
-        # reader's two-thread checksum, both equal zlib's over the whole;
-        # the reader takes whole 4-byte rows, so it sums (a + b) * 4
+        # reader's two-thread checksum of a file, both equal zlib's over the
+        # whole; the reader takes whole 4-byte rows, so it sums (a + b) * 4
         assert _crc32_combine(zlib.crc32(a), zlib.crc32(b), len(b)) == zlib.crc32(a + b)
         payload = (a + b) * 4
-        rows, crc = _read_rows(memoryview(payload), 1, len(a + b), 1, None)
+        with tempfile.TemporaryFile() as f:
+            f.write(payload)
+            f.flush()
+            rows, crc = _read_rows(f.fileno(), 1, len(a + b), 1, None)
         assert crc == zlib.crc32(payload) and rows.tobytes() == payload
 
     def test_manifest_path_ending_in_f32_is_refused(self, tmp_path):
@@ -322,29 +326,30 @@ class TestTraceIO:
         assert picked.shape == (seeds, len(ts), dim) and picked.dtype == np.float32
         assert picked.tobytes() == full[:, steps - ts].tobytes()
 
-    def test_fifo_payload_gives_the_rows_of_a_file(self, tmp_path):
-        # a payload that cannot be sized (here a FIFO) is read whole and then
-        # kept row by row like a file's
-        data = np.random.default_rng(3).standard_normal((3, 40, 5), dtype=np.float32)
-        path = str(tmp_path / "f.trace")
-        write_trace(path, data)
-        fifo_manifest = tmp_path / "fifo.trace"
-        fifo_manifest.write_text((tmp_path / "f.trace").read_text().replace(
-            "data=f.f32", "data=f.fifo"), encoding="ascii")
+    def test_fifo_or_device_payload_is_refused(self, tmp_path):
+        # a FIFO with no writer opens at once and, like a device, is refused
+        # by its type before any byte is read; the read runs off the test's
+        # thread so that a read that blocks fails here instead of hanging
+        write_trace(str(tmp_path / "f.trace"), np.ones((3, 40, 5), dtype=np.float32))
+        text = (tmp_path / "f.trace").read_text(encoding="ascii")
         os.mkfifo(tmp_path / "f.fifo")
-        for ts in (None, [40, 3, 17, 1]):
-            def feed():
-                with open(tmp_path / "f.fifo", "wb") as f:
-                    f.write(data.tobytes())
+        for data in (str(tmp_path / "f.fifo"), "/dev/zero"):
+            manifest = tmp_path / "p.trace"
+            manifest.write_text(text.replace("data=f.f32", f"data={data}"), encoding="ascii")
+            caught = []
 
-            writer = threading.Thread(target=feed, daemon=True)
-            writer.start()
-            try:
-                got = read_trace(str(fifo_manifest), ts)[1]
-            finally:
-                writer.join(timeout=10)
-            assert not writer.is_alive()
-            assert got.tobytes() == read_trace(path, ts)[1].tobytes()
+            def read():
+                try:
+                    read_trace(str(manifest))
+                except BaseException as e:
+                    caught.append(e)
+
+            reader = threading.Thread(target=read, daemon=True)
+            reader.start()
+            reader.join(timeout=5)
+            assert not reader.is_alive()
+            assert len(caught) == 1 and isinstance(caught[0], TraceError)
+            assert str(caught[0]) == f"trace payload {data} is not a regular file"
 
     def test_flipped_byte_in_a_row_not_kept_fails_the_checksum(self, tmp_path):
         # every byte is checksummed, kept or not, in either half and with
@@ -404,23 +409,57 @@ class TestTraceIO:
         assert (tmp_path / "w.f32").read_bytes() == data.tobytes()
 
     @pytest.mark.parametrize(
-        "mutate",
+        "mutate,match",
         [
-            lambda lines: lines + ["extra=1"],
-            lambda lines: lines[1:],
-            lambda lines: lines + [lines[0]],
-            lambda lines: [l.replace("little", "big") for l in lines],
-            lambda lines: ["dim=x" if l.startswith("dim=") else l for l in lines],
+            (lambda lines: lines + ["extra=1"], "unknown manifest field: 'extra'"),
+            (lambda lines: lines[1:], r"missing fields: \['dim'\]"),
+            (lambda lines: lines + [lines[0]], "duplicate manifest field: 'dim'"),
+            (lambda lines: [l.replace("little", "big") for l in lines], "endianness"),
+            (lambda lines: ["dim=x" if l.startswith("dim=") else l for l in lines],
+             "non-integer manifest field"),
+            (lambda lines: lines + ["dim 2"], "malformed manifest line: 'dim 2'"),
+            # blank lines are skipped, so the missing field is what is refused
+            (lambda lines: ["", "  "] + lines[1:] + [""], r"missing fields: \['dim'\]"),
         ],
-        ids=["unknown-key", "missing-key", "duplicate-key", "big-endian", "non-integer"],
+        ids=["unknown-key", "missing-key", "duplicate-key", "big-endian", "non-integer",
+             "no-equals", "blank-line-skipped"],
     )
-    def test_malformed_manifest_rejected(self, tmp_path, mutate):
+    def test_malformed_manifest_rejected(self, tmp_path, mutate, match):
         path = str(tmp_path / "m.trace")
         write_trace(path, np.ones((1, 2, 2), dtype=np.float32))
         lines = (tmp_path / "m.trace").read_text().strip().split("\n")
         (tmp_path / "m.trace").write_text("\n".join(mutate(lines)) + "\n")
-        with pytest.raises(TraceError):
+        with pytest.raises(TraceError, match=match):
             read_trace(path)
+
+    @pytest.mark.parametrize("half", [0, 1], ids=["lower-half", "upper-half"])
+    def test_failing_read_in_either_half_is_a_trace_error(self, tmp_path, monkeypatch,
+                                                          half):
+        # the payload fits one chunk per half, read at offset 0 and at mid
+        path = str(tmp_path / "r.trace")
+        write_trace(path, np.ones((2, 300, 5), dtype=np.float32))
+        mid = (2 * 300 // 2) * 5 * 4
+        preadv = os.preadv
+
+        def failing(fd, buffers, offset):
+            if (offset >= mid) == bool(half):
+                raise OSError(errno.EIO, "Input/output error")
+            return preadv(fd, buffers, offset)
+
+        monkeypatch.setattr(os, "preadv", failing)
+        threads = threading.active_count()
+        with pytest.raises(TraceError) as caught:
+            read_trace(path)
+        assert str(caught.value) == "cannot read trace payload: [Errno 5] Input/output error"
+        assert threading.active_count() == threads
+
+    def test_write_refuses_data_that_is_not_a_trace(self, tmp_path):
+        for data, match in ((np.ones((2, 3), np.float32), r"shape \(seeds, steps, dim\)"),
+                            (np.ones((1, 0, 2), np.float32), "at least 1"),
+                            (np.ones((1, 2, 0), np.float32), "at least 1")):
+            with pytest.raises(TraceError, match=match):
+                write_trace(str(tmp_path / "w.trace"), data)
+        assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("kind", ["point", "gmm", "trace"])
@@ -465,6 +504,11 @@ class TestRecordedTraceDenoiser:
             den.epsilon_hat(np.zeros(2), 4)
         with pytest.raises(TraceError, match=r"trace holds seeds 0\.\.0, got 1"):
             RecordedTraceDenoiser(data, seed=1)
+
+    def test_data_must_be_three_dimensional(self):
+        for data in (np.zeros((3, 2), np.float32), np.zeros((1, 1, 3, 2), np.float32)):
+            with pytest.raises(TraceError, match=r"shape \(seeds, steps, dim\)"):
+                RecordedTraceDenoiser(data, 0)
 
 
     def test_seed_rows(self):

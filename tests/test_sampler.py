@@ -92,6 +92,25 @@ def test_ddim_step_rejects_bad_ordering(sched):
         ddim_step(np.zeros(2), np.zeros(3), sched, t=10, t_prev=5)
 
 
+def test_ddim_step_refuses_non_integer_steps(sched):
+    # a bool or a float step gets the module's IndexError, not numpy's
+    # broadcast error from a boolean index
+    x = np.zeros(2)
+    for t, t_prev in ((True, 0), (10, False), (10.0, 5), (10, 5.0), (np.float64(10), 5)):
+        with pytest.raises(IndexError, match="is not in the integers 0..1000"):
+            ddim_step(x, x, sched, t, t_prev)
+    assert np.array_equal(ddim_step(x + 1, x, sched, np.int64(10), np.int32(5)),
+                          ddim_step(x + 1, x, sched, 10, 5))
+
+
+def test_ddim_step_refuses_a_non_finite_result(sched):
+    # finite inputs whose update overflows
+    x = np.array([1e308, 0.0])
+    with np.errstate(over="ignore"), \
+            pytest.raises(NumericError, match="non-finite state at t=1000"):
+        ddim_step(x, -x, sched, t=1000, t_prev=500)
+
+
 def test_point_mass_run_ends_exactly_at_mu(sched):
     mu = np.array([0.4, -0.9, 2.2])
     den = PointMassDenoiser(mu, sched)
@@ -134,6 +153,21 @@ def test_sample_full_rejects_bad_inputs(sched):
         sample_full(den, sched, np.zeros(2), [1200, 600, 0])
     with pytest.raises(NumericError):
         sample_full(den, sched, np.array([np.inf, 0.0]), [100, 0])
+    for grid in ([100], [], [[100, 0]]):
+        with pytest.raises(ConfigError, match="at least 2 indices"):
+            sample_full(den, sched, np.zeros(2), grid)
+    # a bool or a non-integral value is refused, not truncated to a step
+    for grid in ([3.7, 2.2, 0.1], [True, False], [100, True], [np.True_, 0],
+                 np.array([True, False]), np.array([100.5, 0.0]), [np.nan, 0], ["3", "0"]):
+        with pytest.raises(ConfigError, match="timesteps must be integers"):
+            sample_full(den, sched, np.zeros(2), grid)
+    # an integral float or an unsigned grid is its integer grid
+    ts = [100, 40, 0]
+    want = sample_full(den, sched, np.ones(2), ts).states
+    for grid in ([100.0, 40.0, 0.0], np.array(ts, np.uint64), np.array(ts, np.int32)):
+        traj = sample_full(den, sched, np.ones(2), grid)
+        assert traj.timesteps.dtype == np.int64 and np.array_equal(traj.timesteps, ts)
+        assert np.array_equal(traj.states, want)
 
 
 @pytest.fixture(scope="module")

@@ -66,6 +66,10 @@ def test_from_alpha_bar_validates_table():
         NoiseSchedule.from_alpha_bar([1.0, 0.5, -0.1])
     with pytest.raises(ConfigError, match="non-finite"):
         NoiseSchedule.from_alpha_bar([1.0, 0.5, np.nan])
+    with pytest.raises(ConfigError, match="one-dimensional"):
+        NoiseSchedule.from_alpha_bar([[1.0, 0.5], [0.25, 0.125]])
+    with pytest.raises(ConfigError, match="t_train \\+ 1 = 4 entries, got 3"):
+        NoiseSchedule(t_train=3, alpha_bar=[1.0, 0.5, 0.25])
 
 
 def test_tables_are_immutable():
@@ -88,9 +92,10 @@ def test_phi_simple_table():
 
 
 def test_phi_rejects_out_of_range_t():
+    # a bool or a float is refused too, not taken as a mask or an index
     s = build_linear_beta(40)
-    for t in (0, -1, 41):
-        with pytest.raises(IndexError):
+    for t in (0, -1, 41, True, False, 2.0, np.array([3.0, 2.0]), np.array([True, False])):
+        with pytest.raises(IndexError, match="integer"):
             phi(s, t)
 
 
