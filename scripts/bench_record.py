@@ -5,6 +5,7 @@ Usage: python scripts/bench_record.py PARENT_DIR CHANGE_DIR OUT_JSON [PAIRS [SEC
        python scripts/bench_record.py --counts CHECKOUT_DIR
        python scripts/bench_record.py --read-trace CHECKOUT_DIR
        python scripts/bench_record.py --epsilon-hat CHECKOUT_DIR
+       python scripts/bench_record.py --startup CHECKOUT_DIR
 
 For every workload named in CHANGE_DIR/BENCHMARK.json and workload seeds
 1..PAIRS (default 10), runs
@@ -63,6 +64,19 @@ calls of epsilon_hat that cycle over the t's of the sd2-ddim-40 grid,
 as a run does, after one dropped warm-up pass over the grid. It prints
 the median, the quartiles and the minimum in us per call.
 
+OUT_JSON also gets each side's start-up time, from STARTUP_ROUNDS rounds
+of `--startup`, in alternating order. That mode times STARTUP_RUNS fresh
+interpreters that run `import ltc_accel.cli` from CHECKOUT_DIR's src/, as
+perfbench's setup_s does, each with a blocking Popen.wait() and no timeout
+(a wait with a timeout polls, in sleeps of up to 50 ms). It runs them in two
+bytecode settings, alternating run by run: "no_cache", with
+PYTHONDONTWRITEBYTECODE=1 and no PYTHONPYCACHEPREFIX, so that the package is
+compiled at every start, as in a sandbox that sets that variable; and
+"warm_cache", with PYTHONPYCACHEPREFIX in a temporary directory that one
+dropped run filled. Per setting it prints the median, the quartiles and
+the minimum in s, and, from STARTUP_IMPORTTIME_RUNS more runs under
+`-X importtime`, the median self time in us of each ltc_accel module.
+
 OUT_JSON also gets each side's src_lines, the line count of its
 src/ltc_accel/*.py, which aim 2 of ROADMAP.md tracks.
 """
@@ -98,6 +112,9 @@ READ_TRACE_ROUNDS = 4
 EPS_POINTS = ((1, 16), (10, 16), (20, 16), (8, 1024))
 EPS_CALLS = 2000
 EPS_ROUNDS = 4
+STARTUP_RUNS = 15
+STARTUP_IMPORTTIME_RUNS = 5
+STARTUP_ROUNDS = 2
 
 
 def bench(checkout: str, workload: str, seed: int, seconds: float):
@@ -303,9 +320,49 @@ def epsilon_hat_us(checkout: str) -> dict:
     return out
 
 
+def startup_s(checkout: str) -> dict:
+    """Per bytecode setting, fresh-interpreter import times of CHECKOUT's
+    ltc_accel.cli (see the module docstring)."""
+    base = {k: v for k, v in os.environ.items() if k != "PYTHONPYCACHEPREFIX"}
+    base["PYTHONPATH"] = os.pathsep.join(
+        p for p in (os.path.join(checkout, "src"), os.environ.get("PYTHONPATH", "")) if p)
+
+    def once(env, *flags) -> tuple:
+        start = time.perf_counter()
+        proc = subprocess.Popen([sys.executable, *flags, "-c", "import ltc_accel.cli"],
+                                cwd=checkout, env=env, stderr=subprocess.PIPE, text=True)
+        err = proc.stderr.read()
+        if proc.wait() != 0:
+            raise RuntimeError(f"import ltc_accel.cli failed: {err[-500:]}")
+        return time.perf_counter() - start, err
+
+    with tempfile.TemporaryDirectory() as prefix:
+        envs = {"no_cache": dict(base, PYTHONDONTWRITEBYTECODE="1"),
+                "warm_cache": {**{k: v for k, v in base.items()
+                                  if k != "PYTHONDONTWRITEBYTECODE"},
+                               "PYTHONPYCACHEPREFIX": prefix}}
+        once(envs["warm_cache"])  # fills the cache, dropped
+        times = {name: [] for name in envs}
+        for k in range(STARTUP_RUNS):
+            for name in (envs if k % 2 == 0 else reversed(list(envs))):
+                times[name].append(once(envs[name])[0])
+        selfs = {name: {} for name in envs}
+        for _ in range(STARTUP_IMPORTTIME_RUNS):
+            for name, env in envs.items():
+                for line in once(env, "-X", "importtime")[1].splitlines():
+                    cells = [c.strip() for c in line.partition(":")[2].split("|")]
+                    if len(cells) == 3 and cells[2].startswith("ltc_accel"):
+                        selfs[name].setdefault(cells[2], []).append(int(cells[0]))
+    return {name: {"runs": STARTUP_RUNS, "min_s": min(t), **{
+        f"{k}_s": v for k, v in summary(t).items()}, "importtime_self_us": {
+            module: statistics.median(us) for module, us in sorted(selfs[name].items())}}
+        for name, t in times.items()}
+
+
 def main(argv) -> int:
     modes = {"--wall-speedup": wall_speedup, "--counts": denoiser_counts,
-             "--read-trace": read_trace_ms, "--epsilon-hat": epsilon_hat_us}
+             "--read-trace": read_trace_ms, "--epsilon-hat": epsilon_hat_us,
+             "--startup": startup_s}
     if len(argv) == 3 and argv[1] in modes:
         json.dump(modes[argv[1]](os.path.abspath(argv[2])), sys.stdout, indent=1,
                   sort_keys=True)
@@ -353,7 +410,8 @@ def main(argv) -> int:
             } for side, rs in runs.items()}}
     for key, flag, rounds in (("wall_speedup", "--wall-speedup", WALL_ROUNDS),
                               ("read_trace", "--read-trace", READ_TRACE_ROUNDS),
-                              ("epsilon_hat", "--epsilon-hat", EPS_ROUNDS)):
+                              ("epsilon_hat", "--epsilon-hat", EPS_ROUNDS),
+                              ("startup", "--startup", STARTUP_ROUNDS)):
         record[key] = {side: [] for side in sides}
         for k in range(rounds):
             for side in (sides if k % 2 == 0 else reversed(list(sides))):

@@ -48,50 +48,3 @@ from .sampler import (
     sample_skipping,
 )
 from .schedule import NoiseSchedule, PhiMode, build_linear_beta, gamma, phi
-
-__all__ = [
-    "AccelerationPlan",
-    "BiasSearchResult",
-    "CalibrationResult",
-    "DiagGmmDenoiser",
-    "ExperimentConfig",
-    "PointMassDenoiser",
-    "RecordedTraceDenoiser",
-    "RunReport",
-    "TraceManifest",
-    "Trajectory",
-    "accelerated_sample",
-    "aggregate",
-    "angle",
-    "angle_trace",
-    "approx_step",
-    "benchmark_gmm",
-    "calibrate_wg",
-    "ddim_step",
-    "detect_interval",
-    "end_error",
-    "golden_section_max",
-    "initial_noise",
-    "make_timesteps",
-    "nfe_speedup",
-    "parse_config",
-    "preset",
-    "psnr",
-    "read_trace",
-    "run",
-    "refine_bias",
-    "relative_error",
-    "sample_full",
-    "sample_skipping",
-    "wg_closed_form",
-    "write_trace",
-    "ConfigError",
-    "LtcError",
-    "NoiseSchedule",
-    "NumericError",
-    "PhiMode",
-    "TraceError",
-    "build_linear_beta",
-    "gamma",
-    "phi",
-]

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, _integral
 from .ltc import (
     BIAS_INTERVAL_DEFAULT,
     AccelerationPlan,
@@ -155,8 +155,7 @@ class ExperimentConfig:
                 and self.bias == "refine"):
             raise ConfigError(f"bias must be a float or 'refine', got {self.bias!r}")
         iv = self.interval
-        pair = isinstance(iv, tuple) and len(iv) == 2 and all(
-            isinstance(v, (int, np.integer)) and not isinstance(v, bool) for v in iv)
+        pair = isinstance(iv, tuple) and len(iv) == 2 and _integral(iv)
         if not (pair or iv is None or isinstance(iv, str) and iv == "auto"):
             raise ConfigError("interval must be None, 'auto' or a tuple of two "
                               f"integers, got {iv!r}")
@@ -167,13 +166,10 @@ class ExperimentConfig:
                 raise ConfigError(f"{f.name} must be {f.type}, got {v!r}")
         if not self.seeds:
             raise ConfigError("at least one seed is required")
-        if not all(isinstance(s, (int, np.integer)) and not isinstance(s, bool)
-                   for s in self.seeds):
-            raise ConfigError(f"seeds must be integers, got {self.seeds!r}")
+        if not _integral(self.seeds, 0):
+            raise ConfigError(f"seeds must be non-negative integers, got {self.seeds!r}")
         if len(set(self.seeds)) != len(self.seeds):
             raise ConfigError("seeds must be distinct")
-        if min(self.seeds) < 0:
-            raise ConfigError(f"seeds must be non-negative, got {min(self.seeds)}")
         if self.phi_mode not in tuple(m.value for m in PhiMode):
             raise ConfigError(f"unknown phi_mode {self.phi_mode!r}")
         if self.bias_search not in ("grid", "binary"):
@@ -270,8 +266,8 @@ def benchmark_gmm(schedule, dim: int = 16) -> DiagGmmDenoiser:
     oscillation while the state commits to a mode, then a long coherent
     stretch where consecutive transitions stay nearly parallel.
     """
-    if dim < 1:
-        raise ConfigError(f"benchmark mixture dim must be at least 1, got {dim}")
+    if not _integral((dim,), 1):
+        raise ConfigError(f"benchmark mixture dim must be at least 1 and an integer, got {dim!r}")
     rng = np.random.default_rng(20240601)
     means = rng.uniform(-4.5, 4.5, size=(3, dim))
     variances = rng.uniform(0.6, 1.4, size=(3, dim))

@@ -34,6 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import errors  # errors._integral: harness holds no private name of ltc
 from .errors import ConfigError, NumericError
 from .metrics import aggregate, psnr
 from .sampler import Trajectory, _chain, check_timesteps, sample_full
@@ -146,8 +147,7 @@ class AccelerationPlan:
                 and len(self.interval) == 2):
             raise ConfigError("interval must be None or a tuple of two integers, "
                               f"got {self.interval!r}")
-        if not all(isinstance(v, (int, np.integer)) and not isinstance(v, bool)
-                   for v in (self.r, *(self.interval or ()))):
+        if not errors._integral((self.r, *(self.interval or ()))):
             raise ConfigError(f"r and the interval must be integers, got {self.r!r}, {self.interval!r}")
         if self.r < 2:
             raise ConfigError(f"r must be at least 2, got {self.r}")
@@ -307,9 +307,8 @@ def calibrate_wg(denoiser, schedule: NoiseSchedule, x_init, timesteps,
     ts, gammas, prefix, *_ = _setup(schedule, timesteps, plan, x_init, full)
     n, lead = len(ts) - 1, 0
     if rows is not None:
-        if (full is not None or np.ndim(x_init) != 2 or not len(rows) or any(
-                isinstance(r, bool) or not isinstance(r, (int, np.integer))
-                or not 0 <= r < len(x_init) for r in rows)):
+        if (full is not None or np.ndim(x_init) != 2 or not len(rows)
+                or not errors._integral(rows, 0, len(x_init) - 1)):
             raise ValueError(f"rows need an (S, d) x_init, no full and its row indices: {rows!r}")
         lead, take = len(x_init), np.r_[:len(x_init), rows].astype(np.int64)
         head = sample_full(denoiser, schedule, x_init, ts[:min(gammas, default=n + 1)])

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, NumericError, TraceError
+from .errors import ConfigError, NumericError, TraceError, _integral
 from .schedule import NoiseSchedule
 
 _MANIFEST_KEYS = ("dim", "steps", "seeds", "data", "endian", "crc32")
@@ -54,7 +54,7 @@ def _check_state(x, dim: int) -> np.ndarray:
 
 
 def _check_t(t: int, t_train: int):
-    if isinstance(t, bool) or not (isinstance(t, (int, np.integer)) and 1 <= t <= t_train):
+    if not _integral((t,), 1, t_train):
         raise IndexError(f"epsilon_hat is defined for integer t in [1, {t_train}], got {t!r}")
 
 
@@ -329,9 +329,7 @@ def read_trace(manifest_path: str, ts=None) -> tuple[TraceManifest, np.ndarray]:
 
 def _integers(values, what: str, lo: int, hi: int) -> np.ndarray:
     """values as an int64 array in lo..hi; a float or a bool is refused."""
-    given = values if isinstance(values, np.ndarray) else np.array(values, dtype=object)
-    if given.dtype.kind not in "iu" and not all(  # as given: [0, True] is int64
-            isinstance(v, (int, np.integer)) and not isinstance(v, bool) for v in given.flat):
+    if not _integral(values if isinstance(values, np.ndarray) else np.array(values, dtype=object)):
         raise TraceError(f"trace {what} must be integers, got {values!r}")
     out = np.atleast_1d(np.asarray(values))
     if np.any((out < lo) | (out > hi)):
@@ -368,7 +366,7 @@ class RecordedTraceDenoiser:
         if x.shape[:-1] != self._rows.shape and not (x.ndim == 1 and len(self._rows) == 1):
             raise ValueError(
                 f"{len(self._rows)} seed rows cannot serve a state of shape {x.shape}")
-        if isinstance(t, bool) or not isinstance(t, (int, np.integer)):
+        if not _integral((t,)):
             raise IndexError(f"epsilon_hat is defined for integer t, got {t!r}")
         if t not in self._col:
             raise TraceError(f"trace covers {self._held}, got t={t}")

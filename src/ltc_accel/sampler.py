@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, NumericError
+from .errors import ConfigError, NumericError, _integral
 from .schedule import NoiseSchedule
 
 log = logging.getLogger(__name__)
@@ -61,8 +61,9 @@ class Trajectory:
 
 def make_timesteps(t_train: int, n_steps: int) -> np.ndarray:
     """Evenly spaced descending grid from t_train to 0 with n_steps + 1 points."""
-    if n_steps < 1:
-        raise ConfigError("need at least one sampling step")
+    if not _integral((t_train, n_steps), 1):
+        raise ConfigError("need at least one sampling step on integer t_train, n_steps >= 1, "
+                          f"got {t_train!r}, {n_steps!r}")
     ts = np.rint(np.linspace(t_train, 0, n_steps + 1)).astype(np.int64)
     if not np.all(np.diff(ts) < 0):
         raise ConfigError(
@@ -75,9 +76,9 @@ def check_timesteps(timesteps, t_train: int) -> np.ndarray:
     ts = np.asarray(timesteps)
     if ts.ndim != 1 or ts.shape[0] < 2:
         raise ConfigError("timesteps must be a sequence of at least 2 indices")
-    kind = ts.dtype.kind  # an integral float such as 40.0 counts as its integer
-    if kind not in "iuf" or (kind == "f" and np.any(ts != np.trunc(ts))) or (not isinstance(
-            timesteps, np.ndarray) and any(isinstance(v, (bool, np.bool_)) for v in timesteps)):
+    whole = ts.dtype.kind == "f" and np.all(ts == np.trunc(ts))  # 40.0 counts as its integer
+    if not _integral([v for v in timesteps if not isinstance(v, (float, np.floating))]
+                     if whole else timesteps):
         raise ConfigError(f"timesteps must be integers, got {timesteps!r}")
     if not np.all(ts[1:] < ts[:-1]):
         raise ConfigError("timesteps must be strictly descending")
@@ -94,11 +95,10 @@ def ddim_step(x, eps, schedule: NoiseSchedule, t: int, t_prev: int) -> np.ndarra
     Reconstructs x0_hat from the noise prediction, then re-corrupts it to
     the t_prev noise level along the same predicted direction.
     """
+    if not _integral((t_prev, t), 0, schedule.t_train):
+        raise IndexError(f"step {t!r} -> {t_prev!r} is not in the integers 0..{schedule.t_train}")
     if t_prev >= t:
         raise ConfigError(f"t_prev must be below t, got t={t}, t_prev={t_prev}")
-    if isinstance(t, bool) or isinstance(t_prev, bool) or not (isinstance(t, (int, np.integer))
-            and isinstance(t_prev, (int, np.integer)) and 0 <= t_prev < t <= schedule.t_train):
-        raise IndexError(f"step {t!r} -> {t_prev!r} is not in the integers 0..{schedule.t_train}")
     x = np.asarray(x, dtype=np.float64)
     eps = np.asarray(eps, dtype=np.float64)
     if x.shape != eps.shape or x.ndim not in (1, 2):
@@ -196,7 +196,7 @@ def sample_skipping(denoiser, schedule: NoiseSchedule, x_init, timesteps,
     n = len(ts) - 1
     positions = set(skipped)
     for p in positions:
-        if isinstance(p, bool) or not isinstance(p, (int, np.integer)) or not 1 <= p <= n - 1:
+        if not _integral((p,), 1, n - 1):
             raise ValueError(
                 f"only interior grid positions 1..{n - 1} can be skipped, got {p!r}"
             )

@@ -23,7 +23,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import ConfigError, NumericError
+from .errors import ConfigError, NumericError, _integral
 
 
 class PhiMode(str, Enum):
@@ -48,11 +48,11 @@ class NoiseSchedule:
         ab = np.array(self.alpha_bar, dtype=np.float64, copy=True)
         if ab.ndim != 1:
             raise ConfigError("alpha_bar must be one-dimensional")
-        if self.t_train < 1 or ab.shape[0] != self.t_train + 1:
-            raise ConfigError(
-                f"alpha_bar must have t_train + 1 = {self.t_train + 1} entries, "
-                f"got {ab.shape[0]}"
-            )
+        if not _integral((self.t_train,), 1):
+            raise ConfigError(f"t_train must be at least 1 and an integer, got {self.t_train!r}")
+        if ab.shape[0] != self.t_train + 1:
+            raise ConfigError(f"alpha_bar must have t_train + 1 = {self.t_train + 1} entries, "
+                              f"got {ab.shape[0]}")
         if not np.all(np.isfinite(ab)):
             raise ConfigError("alpha_bar contains non-finite entries")
         if ab[0] != 1.0:
@@ -90,8 +90,8 @@ def build_linear_beta(t_train: int, beta_start: float = 1e-4,
     alpha_bar_t = prod_{s<=t} (1 - beta_s) with beta_s evaluated on an
     evenly spaced grid of t_train points.
     """
-    if t_train < 2:
-        raise ConfigError("t_train must be at least 2")
+    if not _integral((t_train,), 2):
+        raise ConfigError(f"t_train must be at least 2 and an integer, got {t_train!r}")
     if not (0.0 < beta_start <= beta_end < 1.0):
         raise ConfigError(
             f"betas must satisfy 0 < beta_start <= beta_end < 1, "
@@ -104,8 +104,8 @@ def build_linear_beta(t_train: int, beta_start: float = 1e-4,
 
 def phi(schedule: NoiseSchedule, t, mode: PhiMode = PhiMode.SQRT_SNR):
     """Progress coordinate at t, a float, or an array for an integer array t. Undefined at t = 0."""
-    ts = np.asarray(t)
-    if ts.dtype.kind not in "iu" or not ((1 <= ts) & (ts <= schedule.t_train)).all():
+    ts = np.asarray(t)  # an integer array to index with: [] is float64
+    if ts.dtype.kind not in "iu" or not _integral(t, 1, schedule.t_train):
         raise IndexError(
             f"phi is defined for integer 1 <= t <= {schedule.t_train}, got t={t}"
         )

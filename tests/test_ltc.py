@@ -439,12 +439,18 @@ class TestAccelerationPlan:
         # r and the bounds: an int or numpy integer, not a bool
         for r, interval in ((2.5, (13, 39)), (2.0, (13, 39)), (True, (13, 39)),
                             (2, (13.0, 39)), (2, (13, 39.0)), (2, (np.True_, 39)),
-                            (2, (13, False)), ("2", None)):
-            with pytest.raises(ConfigError, match="must be integers"):
+                            (2, (13, False)), ("2", None), (np.True_, None), (1.5, None),
+                            ("3", None), (2, (1.5, 39)), (2, ("3", 39)), (2, (0, True)),
+                            (2, (True, 3)), ([2], None), ((), None)):
+            with pytest.raises(ConfigError, match="r and the interval must be integers"):
                 AccelerationPlan(interval=interval, r=r).validate(40)
-        plan = AccelerationPlan(interval=(np.int64(13), np.int32(39)), r=np.int64(2))
-        assert plan.validate(40) == tuple(range(13, 40, 2))
-        for interval in ((1, 2, 3), (13,)):
+        for r in (np.int32(2), np.uint64(2)):
+            plan = AccelerationPlan(interval=(np.int32(13), np.uint64(39)), r=r)
+            assert plan.validate(40) == tuple(range(13, 40, 2))
+        for interval in ((0, 39), (13, 40), (13, 2**70)):
+            with pytest.raises(ConfigError, match=r"interval \[\d+, \d+\] must satisfy"):
+                AccelerationPlan(interval=interval).validate(40)
+        for interval in ((1, 2, 3), (13,), ()):
             with pytest.raises(ConfigError, match="tuple of two integers"):
                 AccelerationPlan(interval=interval).validate(40)
 

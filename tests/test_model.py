@@ -373,11 +373,18 @@ class TestTraceIO:
         ([1.5], "integers"), ([True], "integers"), (["3"], "integers"),
         (np.array([2.0]), "integers"), ([3, 3], "distinct"), ([[1, 2]], "distinct"),
         ([0], r"1\.\.4"), ([5], r"1\.\.4"), ([2**70], r"1\.\.4"),
+        (True, "integers"), (np.True_, "integers"), (2.0, "integers"), (1.5, "integers"),
+        ("3", "integers"), ([0, True], "integers"), ([True, 3], "integers"),
+        (5, r"1\.\.4"), (2**70, r"1\.\.4"),
+        ([], None), (np.int32(3), None), (np.uint64(3), None),  # None: read
     ])
     def test_t_values_are_checked(self, tmp_path, ts, match):
         path = str(tmp_path / "v.trace")
-        write_trace(path, np.ones((1, 4, 2), dtype=np.float32))
-        with pytest.raises(TraceError, match=match):
+        write_trace(path, np.arange(8, dtype=np.float32).reshape(1, 4, 2))
+        if match is None:  # t = 3 is step 1
+            assert read_trace(path, ts)[1].tolist() == [[[2.0, 3.0]] * np.size(ts)]
+            return
+        with pytest.raises(TraceError, match=f"trace (holds )?t values (must be )?{match}"):
             read_trace(path, ts)
 
     def test_selected_read_holds_less_than_half_the_payload(self, tmp_path):
@@ -551,13 +558,14 @@ class TestRecordedTraceDenoiser:
         data = np.arange(3 * 4 * 2, dtype=np.float32).reshape(3, 4, 2)
         # [0, True] is int64 to numpy; its elements are checked as given
         for seed in (1.5, 1.0, True, np.bool_(False), [0, 2.9], [True],
-                     np.array([0.0, 2.0]), "1", [0, True], (np.True_, 1)):
+                     np.array([0.0, 2.0]), "1", [0, True], (np.True_, 1), [True, 3]):
             with pytest.raises(TraceError, match="trace seeds must be integers"):
                 RecordedTraceDenoiser(data, seed)
-        for seed in (np.int32(1), np.array([2, 0], np.uint8), [np.int64(2), 1]):
+        for seed in (np.int32(1), np.array([2, 0], np.uint8), [np.int64(2), 1],
+                     np.uint64(2), []):
             den = RecordedTraceDenoiser(data, seed)
             assert np.array_equal(den.take(slice(None))._rows, np.atleast_1d(seed))
-        for seed in (2**70, [0, 2**70], [np.int64(1), -2**70]):
+        for seed in (2**70, [0, 2**70], [np.int64(1), -2**70], 3, -1):
             with pytest.raises(TraceError, match=r"trace holds seeds 0\.\.2"):
                 RecordedTraceDenoiser(data, seed)
 

@@ -158,13 +158,18 @@ def test_sample_full_rejects_bad_inputs(sched):
             sample_full(den, sched, np.zeros(2), grid)
     # a bool or a non-integral value is refused, not truncated to a step
     for grid in ([3.7, 2.2, 0.1], [True, False], [100, True], [np.True_, 0],
-                 np.array([True, False]), np.array([100.5, 0.0]), [np.nan, 0], ["3", "0"]):
+                 np.array([True, False]), np.array([100.5, 0.0]), [np.nan, 0], ["3", "0"],
+                 [1.5, 0], [100.0, True], [100, "3"], [0, True], [True, 3]):
         with pytest.raises(ConfigError, match="timesteps must be integers"):
+            sample_full(den, sched, np.zeros(2), grid)
+    for grid in ([1001, 0], [2**70, 0], [100, -1]):
+        with pytest.raises(ConfigError, match=r"timesteps must lie within \[0, 1000\]"):
             sample_full(den, sched, np.zeros(2), grid)
     # an integral float or an unsigned grid is its integer grid
     ts = [100, 40, 0]
     want = sample_full(den, sched, np.ones(2), ts).states
-    for grid in ([100.0, 40.0, 0.0], np.array(ts, np.uint64), np.array(ts, np.int32)):
+    for grid in ([100.0, 40.0, 0.0], np.array(ts, np.uint64), np.array(ts, np.int32),
+                 [100, 40.0, 0], [np.int32(100), np.uint64(40), 0]):
         traj = sample_full(den, sched, np.ones(2), grid)
         assert traj.timesteps.dtype == np.int64 and np.array_equal(traj.timesteps, ts)
         assert np.array_equal(traj.states, want)

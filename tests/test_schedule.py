@@ -92,11 +92,17 @@ def test_phi_simple_table():
 
 
 def test_phi_rejects_out_of_range_t():
-    # a bool or a float is refused too, not taken as a mask or an index
+    # a bool or a float is refused too, not taken as a mask or an index; the
+    # elements are checked as given, so [True, 3] is refused though numpy
+    # makes it int64, and [] gets phi's own message, not numpy's
     s = build_linear_beta(40)
-    for t in (0, -1, 41, True, False, 2.0, np.array([3.0, 2.0]), np.array([True, False])):
-        with pytest.raises(IndexError, match="integer"):
+    for t in (0, -1, 41, 2**70, True, False, np.True_, 2.0, 1.5, "3", np.array([3.0, 2.0]),
+              np.array([True, False]), [0, True], [True, 3], []):
+        with pytest.raises(IndexError, match=r"phi is defined for integer 1 <= t <= 40"):
             phi(s, t)
+    for t in (np.int32(3), np.uint64(3)):
+        assert phi(s, t) == phi(s, 3)
+    assert np.array_equal(phi(s, np.array([3, 4], np.uint64)), phi(s, np.array([3, 4])))
 
 
 @pytest.mark.parametrize("mode", [PhiMode.SQRT_SNR, PhiMode.SNR])
