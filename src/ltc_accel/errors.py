@@ -22,6 +22,10 @@ class TraceError(LtcError, ValueError):
     requested seed or t (exit 4)."""
 
 
+# the most float64 values one array can hold: a larger count is refused before numpy sizes by it
+_MAX_FLOATS = np.iinfo(np.intp).max // 8
+
+
 def _integral(values, lo=-np.inf, hi=np.inf) -> bool:
     """Whether values, one value or a flat list, tuple, range or array, holds only ints
     and numpy integers in lo..hi, as given: [0, True] holds a bool; (t,) needs an int t."""

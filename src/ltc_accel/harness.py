@@ -5,7 +5,9 @@ rejected, seeds are always explicit, and reruns of the same config write
 byte-identical files. Each config field declares its INI key, and a
 config is checked when it is built or replaced. A run is one in-process
 pass over one (S, d) batch whose rows are the seeds in sorted order: it
-reads a trace once, and each step of a chain is one batched call. The
+reads a trace once and samples while the trace's checksum runs, and each
+step of a chain is one batched call. Every file of the bundle is written
+after the sampling, once the checksum holds. The
 full runs carry the calibration's rows from the first selected iteration
 on; the accelerated runs resume from them after the real steps before
 it, and the bias grid with its zero probe is one chain. `--jobs` is
@@ -32,7 +34,7 @@ from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from .errors import ConfigError, _integral
+from .errors import _MAX_FLOATS, ConfigError, _integral
 from .ltc import (
     BIAS_INTERVAL_DEFAULT,
     AccelerationPlan,
@@ -268,15 +270,18 @@ def benchmark_gmm(schedule, dim: int = 16) -> DiagGmmDenoiser:
     """
     if not _integral((dim,), 1):
         raise ConfigError(f"benchmark mixture dim must be at least 1 and an integer, got {dim!r}")
+    if 3 * dim > _MAX_FLOATS:  # three components
+        raise ConfigError(f"benchmark mixture dim = {dim} is more than an array can hold")
     rng = np.random.default_rng(20240601)
     means = rng.uniform(-4.5, 4.5, size=(3, dim))
     variances = rng.uniform(0.6, 1.4, size=(3, dim))
     return DiagGmmDenoiser([0.5, 0.3, 0.2], means, variances, schedule)
 
 
-def build_denoiser(cfg: ExperimentConfig, schedule, seeds):
+def build_denoiser(cfg: ExperimentConfig, schedule, seeds, pending: list):
     """The denoiser of a batch whose rows are `seeds`; for kind "trace" it
-    reads the steps of the run's grid from the trace."""
+    reads the steps of the run's grid from the trace, whose checksum is left
+    to `pending` as read_trace leaves it."""
     if cfg.kind == "point":
         return PointMassDenoiser(cfg.mu, schedule)
     if cfg.kind == "gmm":
@@ -284,7 +289,7 @@ def build_denoiser(cfg: ExperimentConfig, schedule, seeds):
     if cfg.kind == "gmm-bench":
         return benchmark_gmm(schedule, cfg.dim)
     ts = make_timesteps(cfg.t_train, cfg.steps)[:-1]  # every t a chain calls
-    return RecordedTraceDenoiser(read_trace(cfg.manifest, ts)[1], seeds, ts)
+    return RecordedTraceDenoiser(read_trace(cfg.manifest, ts, pending)[1], seeds, ts)
 
 
 def _base_plan(cfg: ExperimentConfig, interval, n: int) -> AccelerationPlan:
@@ -319,7 +324,9 @@ def _write_manifest(out_dir: str, mode: str, cfg: ExperimentConfig,
 
 
 def run(cfg: ExperimentConfig, mode: str) -> RunReport:
-    """Execute one mode and write its CSV bundle into cfg.out."""
+    """Execute one mode and write its CSV bundle into cfg.out. A trace's
+    checksum runs while the chains sample, and the output directory is made
+    only once it holds."""
     if mode not in MODES:
         raise ConfigError(f"unknown mode {mode!r}; known: {', '.join(MODES)}")
     if not cfg.out:
@@ -331,11 +338,7 @@ def run(cfg: ExperimentConfig, mode: str) -> RunReport:
     # error wins over an I/O one; under interval = auto all of it but the
     # interval, which the full runs decide.
     base = _base_plan(cfg, None if cfg.interval == "auto" else cfg.interval, n)
-    out_dir = cfg.out
     seeds = tuple(sorted(cfg.seeds))
-    den = build_denoiser(cfg, schedule, seeds)
-    os.makedirs(out_dir, exist_ok=True)
-    x0 = np.stack([initial_noise(den.dim, seed) for seed in seeds])
     cal_row = seeds.index(cfg.seeds[0] if cfg.calibration_seed == -1
                           else cfg.calibration_seed)
 
@@ -344,84 +347,94 @@ def run(cfg: ExperimentConfig, mode: str) -> RunReport:
     accel = mode in ("sample", "refine", "ablate-skip", "report")
     refine = mode == "refine" or cfg.bias == "refine"
     calibrated = table or accel or refine
-    files: dict = {}
+    tables: list = []  # (name, schema, columns) of each CSV, written at the end
     result_lines: dict = {}
-    # The full runs ride in the calibration's calls unless the plan needs them first.
-    auto = cfg.interval == "auto"
-    full = sample_full(den, schedule, x0, ts) if auto or not calibrated else None
-    if auto:
-        base = _base_plan(cfg, detect_interval(angle_trace(full.row(cal_row)), cfg.tau), n)
-        result_lines["interval"] = ("none" if base.interval is None else
-                                    "{},{}".format(*base.interval))
+    bias = None
+    pending: list = []  # the trace's checksum, awaited before anything is written
 
     def emit(name: str, schema: str, *columns) -> None:
-        files[name] = write_csv(os.path.join(out_dir, name), schema, columns)
+        tables.append((name, schema, columns))
 
-    # Every later chain shares the full runs' real steps before the first selected
-    # iteration, so an empty plan adds no call to the full runs' own.
-    if calibrated:
-        # Every row when each needs its own wg, else the calibration seed's
-        # alone; calibrate_wg ignores the base plan's wg and bias.
-        cal_rows = (list(range(len(seeds))) if table or cfg.per_seed_wg
-                    else [cal_row])
-        cal = (calibrate_wg(den, schedule, x0, ts, base, rows=cal_rows) if full is None
-               else calibrate_wg(den.take(cal_rows), schedule, x0[cal_rows], ts, base,
-                                 full=full.states[cal_rows]))
-        full = cal.full if full is None else full
-        k = cal_rows.index(cal_row)
-        plan = replace(base, wg=cal.wg if cfg.per_seed_wg else
-                       {i: float(w[k]) for i, w in cal.wg.items()})
+    try:
+        den = build_denoiser(cfg, schedule, seeds, pending)
+        x0 = np.stack([initial_noise(den.dim, seed) for seed in seeds])
+        # The full runs ride in the calibration's calls unless the plan needs them first.
+        auto = cfg.interval == "auto"
+        full = sample_full(den, schedule, x0, ts) if auto or not calibrated else None
+        if auto:
+            base = _base_plan(cfg, detect_interval(angle_trace(full.row(cal_row)), cfg.tau), n)
+            result_lines["interval"] = ("none" if base.interval is None else
+                                        "{},{}".format(*base.interval))
 
-    # Resolve the bias first so every CSV below reflects the chosen value.
-    bias = None
-    if refine:
-        found = refine_bias(den, schedule, full, plan, (cfg.bias_lo, cfg.bias_hi),
-                            cfg.bias_search)
-        emit("psnr_summary.csv", "psnr_summary", found.grid,
-             *aggregate(found.grid_psnr.T))
-        bias = found.bias
-        result_lines["bias"] = repr(bias)
-        plan = replace(plan, bias=bias)
+        # Every later chain shares the full runs' real steps before the first selected
+        # iteration, so an empty plan adds no call to the full runs' own.
+        if calibrated:
+            # Every row when each needs its own wg, else the calibration seed's
+            # alone; calibrate_wg ignores the base plan's wg and bias.
+            cal_rows = (list(range(len(seeds))) if table or cfg.per_seed_wg
+                        else [cal_row])
+            cal = (calibrate_wg(den, schedule, x0, ts, base, rows=cal_rows) if full is None
+                   else calibrate_wg(den.take(cal_rows), schedule, x0[cal_rows], ts, base,
+                                     full=full.states[cal_rows]))
+            full = cal.full if full is None else full
+            k = cal_rows.index(cal_row)
+            plan = replace(base, wg=cal.wg if cfg.per_seed_wg else
+                           {i: float(w[k]) for i, w in cal.wg.items()})
 
-    if traces:
-        iters = np.arange(2, n + 1)
-        angles = angle_trace(full)
-        for seed, a in zip(seeds, angles):
-            emit(f"angle_seed{seed}.csv", "angle", iters, a)
-        mean, lo, hi = aggregate(angles)
-        emit("angle_mean.csv", "angle", iters, mean)
-        emit("angle_min.csv", "angle", iters, lo)
-        emit("angle_max.csv", "angle", iters, hi)
+        # Resolve the bias first so every CSV below reflects the chosen value.
+        if refine:
+            found = refine_bias(den, schedule, full, plan, (cfg.bias_lo, cfg.bias_hi),
+                                cfg.bias_search)
+            emit("psnr_summary.csv", "psnr_summary", found.grid,
+                 *aggregate(found.grid_psnr.T))
+            bias = found.bias
+            result_lines["bias"] = repr(bias)
+            plan = replace(plan, bias=bias)
 
-    if table:
-        sel = base.selected()
-        # one series per seed; the reshape keeps them when sel is empty
-        mean, lo, hi = aggregate(
-            np.reshape([cal.wg[i] for i in sel], (len(sel), len(seeds))).T)
-        emit("latent_wg_summary.csv", "latent_wg_summary", sel, mean, lo, hi)
+        if traces:
+            iters = np.arange(2, n + 1)
+            angles = angle_trace(full)
+            for seed, a in zip(seeds, angles):
+                emit(f"angle_seed{seed}.csv", "angle", iters, a)
+            mean, lo, hi = aggregate(angles)
+            emit("angle_mean.csv", "angle", iters, mean)
+            emit("angle_min.csv", "angle", iters, lo)
+            emit("angle_max.csv", "angle", iters, hi)
 
-    if accel:
-        acc = accelerated_sample(den, schedule, x0, ts, plan, full=full.states)
-        err_abs = [np.linalg.norm(f - a, axis=1)
-                   for f, a in zip(full.states, acc.states)]
-        norms = [np.linalg.norm(f, axis=1) for f in full.states]
-        err_rel = [100.0 * d / np.where(m == 0.0, np.inf, m)
-                   for d, m in zip(err_abs, norms)]
-        positions = np.arange(n + 1)
-        emit("error_summary.csv", "error_summary", positions, *aggregate(err_rel))
-        emit("error_abs_summary.csv", "error_summary", positions, *aggregate(err_abs))
+        if table:
+            sel = base.selected()
+            # one series per seed; the reshape keeps them when sel is empty
+            mean, lo, hi = aggregate(
+                np.reshape([cal.wg[i] for i in sel], (len(sel), len(seeds))).T)
+            emit("latent_wg_summary.csv", "latent_wg_summary", sel, mean, lo, hi)
 
-    if mode == "ablate-skip":
-        skip = sample_skipping(den, schedule, x0, ts, set(base.selected()))
-        emit("ablation.csv", "ablation", seeds, psnr(full.final, acc.final),
-             psnr(full.final, skip.final), acc.nfe, skip.nfe)
+        if accel:
+            acc = accelerated_sample(den, schedule, x0, ts, plan, full=full.states)
+            err_abs = [np.linalg.norm(f - a, axis=1)
+                       for f, a in zip(full.states, acc.states)]
+            norms = [np.linalg.norm(f, axis=1) for f in full.states]
+            err_rel = [100.0 * d / np.where(m == 0.0, np.inf, m)
+                       for d, m in zip(err_abs, norms)]
+            positions = np.arange(n + 1)
+            emit("error_summary.csv", "error_summary", positions, *aggregate(err_rel))
+            emit("error_abs_summary.csv", "error_summary", positions, *aggregate(err_abs))
 
-    # In angles mode a full run is compared to itself: unit speedup, zero end
-    # error. Its constant rows also serve dim = 1, where psnr has no peak.
-    emit("report.csv", "report", *(
-        (seeds, *([v] * len(seeds) for v in (n, n, 1.0, PSNR_CAP, 0.0, 0.0)))
-        if mode == "angles" else _rows(seeds, full, acc if accel else cal.trajectory)))
+        if mode == "ablate-skip":
+            skip = sample_skipping(den, schedule, x0, ts, set(base.selected()))
+            emit("ablation.csv", "ablation", seeds, psnr(full.final, acc.final),
+                 psnr(full.final, skip.final), acc.nfe, skip.nfe)
 
-    _write_manifest(out_dir, mode, cfg, result_lines, files)
+        # In angles mode a full run is compared to itself: unit speedup, zero end
+        # error. Its constant rows also serve dim = 1, where psnr has no peak.
+        emit("report.csv", "report", *(
+            (seeds, *([v] * len(seeds) for v in (n, n, 1.0, PSNR_CAP, 0.0, 0.0)))
+            if mode == "angles" else _rows(seeds, full, acc if accel else cal.trajectory)))
+    finally:  # so a checksum failure wins over what its unverified rows caused
+        for confirm in pending:
+            confirm()
+
+    os.makedirs(cfg.out, exist_ok=True)
+    files = {name: write_csv(os.path.join(cfg.out, name), schema, columns)
+             for name, schema, columns in tables}
+    _write_manifest(cfg.out, mode, cfg, result_lines, files)
     return RunReport(bias=bias, files=files)
-

@@ -22,8 +22,11 @@ subset of a batch's rows. Three families:
   _CACHE_BYTES per denoiser.
 * RecordedTraceDenoiser: replays externally dumped epsilon_hat vectors
   keyed by (seed, t), read from a checksummed manifest + raw float32 file.
-  read_trace checksums every byte of a regular payload file in 1 MiB chunks
-  on two threads and holds only the rows of the t values asked for.
+  read_trace preads only the rows of the t values asked for, then checksums
+  every byte of the regular payload file in 1 MiB chunks, the kept rows as
+  they were read, on one checker thread when the payload spans more than two
+  chunks. A caller may sample on the rows while the checker runs, and awaits
+  it before keeping any result.
 """
 
 from __future__ import annotations
@@ -42,6 +45,7 @@ from .schedule import NoiseSchedule
 _MANIFEST_KEYS = ("dim", "steps", "seeds", "data", "endian", "crc32")
 _CACHE_BYTES = 1 << 21
 _CHUNK = 1 << 20  # bytes a trace read takes at once, rounded down to whole rows
+_RUN = 1 << 12  # bytes of adjacent kept rows worth a pread of their own
 
 
 def _check_state(x, dim: int) -> np.ndarray:
@@ -212,65 +216,88 @@ def write_trace(manifest_path: str, data: np.ndarray) -> TraceManifest:
     return manifest
 
 
-def _crc32_combine(crc1: int, crc2: int, len2: int) -> int:
-    """zlib's crc32_combine: the CRC-32 of a + b from crc32(a), crc32(b)
-    and len(b), crc1 * x^(8 len2) + crc2 modulo the CRC-32 polynomial."""
-    def mul(a, b):  # bit-reflected polynomials: x^0 is bit 31
-        p = 0
-        while a:
-            if a & 0x80000000:
-                p ^= b
-            a, b = (a << 1) & 0xFFFFFFFF, (b >> 1) ^ (0xEDB88320 if b & 1 else 0)
-        return p
-    power = 1 << 31  # x^0, squared per bit of len2 and times x^8 per 1 bit
-    for bit in bin(len2)[2:]:
-        power = mul(power, power)
-        if bit == "1":
-            power = mul(1 << 23, power)
-    return mul(power, crc1) ^ crc2
-
-
-def _read_rows(fd: int, seeds: int, steps: int, dim: int, cols):
+def _read_rows(fd: int, seeds: int, steps: int, dim: int, cols, crc32: str):
     """Rows of the (seeds, steps, dim) <f4 payload open as fd at step indices cols (all if
-    None) and its CRC-32. Two threads each read a half in chunks of about _CHUNK bytes,
-    checksum each chunk in cache and copy out its rows."""
+    None), and a callable that awaits their check and raises what failed it. The calling
+    thread preads each run of kept rows, adjacent in the payload and in the result and cut
+    at chunk bounds, straight into the result when it holds _RUN bytes or more; shorter runs
+    come out of reads of up to _CHUNK bytes. Then one checker thread, which closes fd, keeps
+    a running CRC-32 of the payload in chunks of about _CHUNK bytes: a chunk that is one kept
+    run is summed from the result, any other is read and summed with its kept rows replaced
+    by the result's, so every kept byte is a summed byte. The CRC must be the hex crc32."""
     out = np.empty((seeds, steps if cols is None else len(cols), dim), "<f4")
     flat, row, per = out.reshape(-1, dim), 4 * dim, max(1, _CHUNK // (4 * dim))
-    total, mid = seeds * steps, seeds * steps // 2
-    if cols is not None:  # payload row of each result row, in payload order
-        order = np.argsort(at := (np.arange(seeds)[:, None] * steps + cols).ravel())
-        at = at[order]
-    crcs = [0, 0]  # of each half, or the exception that ended it
+    total = seeds * steps
+    # payload row of each result row, in payload order
+    at = (np.arange(seeds)[:, None] * steps + (np.arange(steps) if cols is None else cols)).ravel()
+    order = np.argsort(at)
+    at = at[order]
+    starts = np.flatnonzero((np.diff(at, prepend=-2) != 1) | (np.diff(order, prepend=-2) != 1)
+                            | (at % per == 0))
+    heads, firsts, lens = at[starts], order[starts], np.diff(starts, append=len(at))
+    whole = (heads % per == 0) & (lens == np.minimum(per, total - heads))
+    whole = dict(zip(heads[whole].tolist(), firsts[whole].tolist()))  # chunk -> result row
+    buf = np.empty((min(per, total), dim), "<f4")
 
-    def half(k, lo, hi):
-        buf = None if cols is None else np.empty((min(per, hi - lo), dim), "<f4")
+    def pread(chunk, r):  # a short read leaves bytes that fail the checksum
         try:
-            for r0 in range(lo, hi, per):
-                r1 = min(r0 + per, hi)
-                chunk = flat[r0:r1] if cols is None else buf[:r1 - r0]
-                try:  # a short read leaves bytes that fail the checksum
-                    os.preadv(fd, [chunk], row * r0)
-                except OSError as e:
-                    raise TraceError(f"cannot read trace payload: {e}") from None
-                crcs[k] = zlib.crc32(chunk, crcs[k])
-                if cols is not None:
-                    a, b = np.searchsorted(at, (r0, r1))
-                    flat[order[a:b]] = chunk[at[a:b] - r0]
-        except BaseException as e:  # raised again by the calling thread
-            crcs[k] = e
+            os.preadv(fd, [chunk], row * r)
+        except OSError as e:
+            raise TraceError(f"cannot read trace payload: {e}") from None
 
-    worker = threading.Thread(target=half, args=(1, mid, total))
-    worker.start()
-    half(0, 0, mid)
-    worker.join()
-    for crc in crcs:
-        if isinstance(crc, BaseException):
-            raise crc
-    return out, _crc32_combine(*crcs, (total - mid) * row)
+    long = lens * row >= _RUN
+    for p, o, k in zip(heads[long].tolist(), firsts[long].tolist(), lens[long].tolist()):
+        pread(flat[o:o + k], p)
+    short = np.repeat(~long, lens)
+    sat, sorder, a = at[short], order[short], 0
+    while a < len(sat):  # the short runs within one buffer of the first left
+        b = int(np.searchsorted(sat, sat[a] + per))
+        chunk = buf[:sat[b - 1] + 1 - sat[a]]
+        pread(chunk, sat[a])
+        flat[sorder[a:b]] = chunk[sat[a:b] - sat[a]]
+        a = b
+    failed = []  # the exception that ended the check
+
+    def check():
+        try:
+            crc = 0
+            for r0 in range(0, total, per):
+                n = min(per, total - r0)
+                if r0 in whole:
+                    crc = zlib.crc32(flat[whole[r0]:whole[r0] + n], crc)
+                    continue
+                chunk = buf[:n]
+                pread(chunk, r0)
+                a, b = np.searchsorted(at, (r0, r0 + n))
+                chunk[at[a:b] - r0] = flat[order[a:b]]
+                crc = zlib.crc32(chunk, crc)
+            if f"{crc:08x}" != crc32:
+                raise TraceError(f"checksum mismatch: payload {crc:08x}, manifest {crc32}")
+        except BaseException as e:  # raised again by the thread that awaits the check
+            failed.append(e)
+        finally:
+            os.close(fd)
+
+    checker = threading.Thread(target=check)
+    if total * row > 2 * _CHUNK:  # else a thread costs more than the CRC-32 it hides
+        checker.start()
+    else:
+        check()
+
+    def confirm() -> None:
+        if checker.is_alive():
+            checker.join()
+        if failed:
+            raise failed[0]
+
+    return out, confirm
 
 
-def read_trace(manifest_path: str, ts=None) -> tuple[TraceManifest, np.ndarray]:
-    """Load a trace, the steps of the t values ts or all; size and crc32 must match exactly."""
+def read_trace(manifest_path: str, ts=None, pending=None) -> tuple[TraceManifest, np.ndarray]:
+    """Load a trace, the steps of the t values ts or all; size and crc32 must match exactly.
+    The rows come back checked, unless pending is a list: then read_trace appends to it a
+    callable that awaits the check and raises what failed it, and nothing computed from
+    the rows may be kept before that call returns."""
     fields = {}
     try:
         with open(manifest_path, "r", encoding="ascii") as f:
@@ -317,11 +344,14 @@ def read_trace(manifest_path: str, ts=None) -> tuple[TraceManifest, np.ndarray]:
             raise TraceError(f"trace payload {data_path} is not a regular file")
         if info.st_size != expected:
             raise TraceError(f"trace payload is {info.st_size} bytes, manifest implies {expected}")
-        arr, crc = _read_rows(fd, seeds, steps, dim, cols)
-    finally:
+        arr, confirm = _read_rows(fd, seeds, steps, dim, cols, fields["crc32"])
+    except BaseException:  # once started, the checker closes fd
         os.close(fd)
-    if f"{crc:08x}" != fields["crc32"]:
-        raise TraceError(f"checksum mismatch: payload {crc:08x}, manifest {fields['crc32']}")
+        raise
+    if pending is None:
+        confirm()
+    else:
+        pending.append(confirm)
     manifest = TraceManifest(dim=dim, steps=steps, seeds=seeds,
                              data=fields["data"], crc32=fields["crc32"])
     return manifest, arr

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, NumericError, _integral
+from .errors import _MAX_FLOATS, ConfigError, NumericError, _integral
 from .schedule import NoiseSchedule
 
 log = logging.getLogger(__name__)
@@ -64,12 +64,11 @@ def make_timesteps(t_train: int, n_steps: int) -> np.ndarray:
     if not _integral((t_train, n_steps), 1):
         raise ConfigError("need at least one sampling step on integer t_train, n_steps >= 1, "
                           f"got {t_train!r}, {n_steps!r}")
-    ts = np.rint(np.linspace(t_train, 0, n_steps + 1)).astype(np.int64)
-    if not np.all(np.diff(ts) < 0):
-        raise ConfigError(
-            f"{n_steps} steps cannot be placed distinctly on 0..{t_train}"
-        )
-    return ts
+    if t_train >= _MAX_FLOATS:  # no schedule of t_train + 1 entries fits in an array
+        raise ConfigError(f"t_train = {t_train} is more than an array can hold")
+    if n_steps > t_train:  # else a spacing t_train / n_steps >= 1 keeps the points distinct
+        raise ConfigError(f"{n_steps} steps cannot be placed distinctly on 0..{t_train}")
+    return np.rint(np.linspace(t_train, 0, n_steps + 1)).astype(np.int64)
 
 
 def check_timesteps(timesteps, t_train: int) -> np.ndarray:

@@ -23,7 +23,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import ConfigError, NumericError, _integral
+from .errors import _MAX_FLOATS, ConfigError, NumericError, _integral
 
 
 class PhiMode(str, Enum):
@@ -92,6 +92,8 @@ def build_linear_beta(t_train: int, beta_start: float = 1e-4,
     """
     if not _integral((t_train,), 2):
         raise ConfigError(f"t_train must be at least 2 and an integer, got {t_train!r}")
+    if t_train >= _MAX_FLOATS:
+        raise ConfigError(f"t_train = {t_train} is more than an array can hold")
     if not (0.0 < beta_start <= beta_end < 1.0):
         raise ConfigError(
             f"betas must satisfy 0 < beta_start <= beta_end < 1, "
@@ -104,14 +106,14 @@ def build_linear_beta(t_train: int, beta_start: float = 1e-4,
 
 def phi(schedule: NoiseSchedule, t, mode: PhiMode = PhiMode.SQRT_SNR):
     """Progress coordinate at t, a float, or an array for an integer array t. Undefined at t = 0."""
-    ts = np.asarray(t)  # an integer array to index with: [] is float64
-    if ts.dtype.kind not in "iu" or not _integral(t, 1, schedule.t_train):
+    ts = np.asarray(t)  # float64 for [], which holds no integer, and [np.int32(3), np.uint64(4)]
+    if not (_integral(t, 1, schedule.t_train) and (ts.size or ts.dtype.kind in "iu")):
         raise IndexError(
             f"phi is defined for integer 1 <= t <= {schedule.t_train}, got t={t}"
         )
     mode = PhiMode(mode)
     table = schedule.sqrt_snr if mode is PhiMode.SQRT_SNR else schedule.snr
-    return table[ts] if ts.ndim else float(table[t])
+    return table[ts.astype(np.int64, copy=False)] if ts.ndim else float(table[t])
 
 
 def gamma(phi_t, phi_t1, phi_t2):

@@ -3,6 +3,7 @@ byte-level determinism, exit codes."""
 
 import configparser
 import contextlib
+import errno
 import functools
 import hashlib
 import io
@@ -808,6 +809,20 @@ def test_cli_bad_denoiser_parameters_exit_2_and_create_nothing(tmp_path, capsys,
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("section,key", [
+    ("sampling", "steps"), ("schedule", "t_train"), ("denoiser", "dim")])
+def test_cli_count_too_large_to_size_exits_2(tmp_path, capsys, section, key):
+    # 2**70 is refused where it enters, with its value, before numpy would
+    # size an array by it; a steps above t_train is never placed distinctly
+    ini = write_ini(tmp_path / "h.ini", f"[{section}]\n{key} = {2**70}\n")
+    assert main(["sample", "--config", ini, "--seed-set", "0",
+                 "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("ltc: configuration error") and str(2**70) in err
+    assert "Traceback" not in err and len(err.splitlines()) == 1
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("seeds", [
     ["3", "18446744073709551615", "1180591620717411303424"],
     ["3", "18446744073709551615"],  # one uint64 apart, float64 with a 3
@@ -1026,9 +1041,16 @@ def test_cli_corrupt_trace_exit(tmp_path, capsys):
     assert not (tmp_path / "o" / "report.csv").exists()
 
 
-def test_cli_checksum_worker_failure_is_one_line(tmp_path, capsys, monkeypatch):
-    # zlib failing off the calling thread, on the payload's upper half: the
-    # CLI reports it as any OSError, one line and no thread traceback
+@pytest.fixture
+def overlapped(monkeypatch):
+    # chunks of 16 of the small trace's 72 rows: its 1,152 bytes span more
+    # than two chunks, so a run checks them on a thread while it samples
+    monkeypatch.setattr(model, "_CHUNK", 256)
+
+
+def test_cli_checksum_worker_failure_is_one_line(tmp_path, capsys, monkeypatch, overlapped):
+    # zlib failing in the checker, off the calling thread: the CLI reports
+    # it as any OSError, one line and no thread traceback
     args = _trace_cli_args(tmp_path)
 
     class OffThreadFailure:
@@ -1042,6 +1064,83 @@ def test_cli_checksum_worker_failure_is_one_line(tmp_path, capsys, monkeypatch):
     assert main(args) == 4
     assert capsys.readouterr().err == (
         "ltc: i/o error: crc32 failed off the calling thread\n")
+
+
+def _exits_4_with_nothing_made(tmp_path, capsys, args, message):
+    # the checker is joined before the output directory is made, and always
+    threads = threading.active_count()
+    assert main(args) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("ltc: i/o error: ") and message in err
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+    assert threading.active_count() == threads
+
+
+def test_cli_flipped_byte_in_a_row_not_kept_exits_4(tmp_path, capsys, overlapped):
+    # the 6-step grid on t_train = 24 keeps t = 24, 20, ..., 4: step index
+    # 1 (t = 23) of trace seed 0, 16 bytes in, is never sampled
+    args = _trace_cli_args(tmp_path)
+    payload = tmp_path / "eps.f32"
+    raw = bytearray(payload.read_bytes())
+    raw[16 + 1] ^= 0xFF
+    payload.write_bytes(bytes(raw))
+    _exits_4_with_nothing_made(tmp_path, capsys, args, "checksum mismatch")
+
+
+def test_cli_checksum_wins_over_a_numeric_error_its_rows_caused(tmp_path, capsys, overlapped):
+    # a NaN in the first row sampled (t = 24 of trace seed 0): with a
+    # manifest that vouches for it the run fails in sampling (exit 3); with
+    # the recorded checksum, sampling fails the same way before the join,
+    # and the mismatch is what the CLI reports
+    args = _trace_cli_args(tmp_path)
+    manifest, payload = tmp_path / "eps.trace", tmp_path / "eps.f32"
+    raw = bytearray(payload.read_bytes())
+    raw[0:4] = np.array([np.nan], "<f4").tobytes()
+    payload.write_bytes(bytes(raw))
+    recorded = manifest.read_text(encoding="ascii")
+    manifest.write_text(recorded.replace(
+        recorded.split("crc32=")[1].strip(), f"{zlib.crc32(bytes(raw)):08x}"),
+        encoding="ascii")
+    assert main(args) == 3
+    assert capsys.readouterr().err.startswith("ltc: numeric error: ")
+    assert not (tmp_path / "o").exists()
+    manifest.write_text(recorded, encoding="ascii")
+    _exits_4_with_nothing_made(tmp_path, capsys, args, "checksum mismatch")
+
+
+def test_cli_kept_row_that_differs_from_the_checked_bytes_exits_4(tmp_path, capsys,
+                                                                 monkeypatch, overlapped):
+    # the first read of a kept row returns other bytes than the payload holds,
+    # as a payload rewritten after that read would; the checker sums the kept
+    # rows as they were read
+    args = _trace_cli_args(tmp_path)
+    preadv, reads = os.preadv, []
+
+    def changing(fd, buffers, offset):
+        n = preadv(fd, buffers, offset)
+        if threading.current_thread() is threading.main_thread() and not reads:
+            reads.append(offset)
+            np.asarray(buffers[0]).view(np.uint8).reshape(-1)[0] ^= 0xFF
+        return n
+
+    monkeypatch.setattr(os, "preadv", changing)
+    _exits_4_with_nothing_made(tmp_path, capsys, args, "checksum mismatch")
+    assert reads == [0]
+
+
+def test_cli_failing_read_in_the_checker_exits_4(tmp_path, capsys, monkeypatch, overlapped):
+    args = _trace_cli_args(tmp_path)
+    preadv = os.preadv
+
+    def failing(fd, buffers, offset):
+        if threading.current_thread() is not threading.main_thread():
+            raise OSError(errno.EIO, "Input/output error")
+        return preadv(fd, buffers, offset)
+
+    monkeypatch.setattr(os, "preadv", failing)
+    _exits_4_with_nothing_made(tmp_path, capsys, args,
+                               "cannot read trace payload: [Errno 5] Input/output error")
 
 
 @pytest.mark.parametrize("payload,size,implied", [

@@ -3,7 +3,9 @@
 Each site gets the same inputs through its public entry point and answers
 with its own exception and message, so each keeps its exit code. phi, the
 timestep grids, the plan's r and interval, and a trace's t values and seeds
-take the same inputs in their modules' own tests.
+take the same inputs in their modules' own tests. Every site that takes a
+sequence serves one that mixes numpy integer types, which numpy itself would
+turn into floats.
 """
 
 from dataclasses import replace
@@ -13,7 +15,7 @@ import pytest
 
 from ltc_accel import (AccelerationPlan, ConfigError, DiagGmmDenoiser, NoiseSchedule,
                        RecordedTraceDenoiser, TraceError, benchmark_gmm, build_linear_beta,
-                       calibrate_wg, ddim_step, make_timesteps, preset, sample_skipping)
+                       calibrate_wg, ddim_step, make_timesteps, phi, preset, sample_skipping)
 
 SCHED = build_linear_beta(1000)
 X = np.full(4, 0.3)
@@ -104,3 +106,21 @@ def test_every_site_keeps_one_integer_rule(site):
             call([])
     for v in (good, np.int32(good), np.uint64(good)):
         call(v)
+
+
+# np.asarray([np.int32(3), np.uint64(4)]) is float64
+MIXED = (np.int32(3), np.uint64(4))
+SEQUENCE_SITES = {
+    "config-interval": lambda: replace(preset("sd2-ddim-40"), interval=MIXED),
+    "config-seeds": lambda: replace(preset("sd2-ddim-40"), seeds=MIXED),
+    "calibrate_wg-rows": lambda: calibrate_wg(
+        GMM, SCHED, np.vstack([X3, X3]), TS10, AccelerationPlan(interval=(3, 9)),
+        rows=list(MIXED)),
+    "sample_skipping": lambda: sample_skipping(GMM, SCHED, X, TS10, set(MIXED)),
+    "phi": lambda: phi(SCHED, list(MIXED)),
+}
+
+
+@pytest.mark.parametrize("site", SEQUENCE_SITES)
+def test_a_sequence_of_mixed_integer_types_is_served(site):
+    SEQUENCE_SITES[site]()

@@ -18,7 +18,6 @@ from ltc_accel import (ConfigError, NumericError, TraceError, benchmark_gmm,
 from ltc_accel import model
 from ltc_accel.model import (
     _CACHE_BYTES,
-    _crc32_combine,
     _read_rows,
     DiagGmmDenoiser,
     PointMassDenoiser,
@@ -205,7 +204,7 @@ _checksummed = st.binary(max_size=600) | st.builds(
 def _trace_reads(draw):
     """(seeds, steps, dim, ts, chunk bytes) of a selected trace read."""
     steps = draw(st.integers(1, 40))
-    return (draw(st.integers(0, 3)), steps, draw(st.sampled_from([1, 3, 1024])),
+    return (draw(st.integers(0, 3)), steps, draw(st.sampled_from([1, 3, 256, 1024])),
             draw(st.lists(st.integers(1, steps), unique=True, max_size=steps)),
             draw(st.sampled_from([1, 100, 4096, 1 << 20])))
 
@@ -240,22 +239,23 @@ class TestTraceIO:
 
     def test_corrupted_payload_fails_checksum(self, tmp_path):
         # a flipped byte at either end of the payload or on either side of
-        # the split between its halves, in 48 bytes and in 12 KB
+        # the bound between its two chunks, in 48 bytes and in 12 KB
         path = str(tmp_path / "c.trace")
         data_file = tmp_path / "c.f32"
         for shape in ((2, 3, 2), (2, 300, 5)):
             write_trace(path, np.ones(shape, dtype=np.float32))
             good = data_file.read_bytes()
-            half = len(good) // 2
+            half = len(good) // 2  # whole rows, so one chunk of half bytes ends there
             for at in (0, 5, half - 1, half, len(good) - 1):
                 raw = bytearray(good)
                 raw[at] ^= 0xFF
                 data_file.write_bytes(bytes(raw))
-                with pytest.raises(TraceError, match="checksum"):
+                with mock.patch.object(model, "_CHUNK", half), \
+                        pytest.raises(TraceError, match="checksum"):
                     read_trace(path)
 
     def test_checksum_worker_failure_reaches_the_caller(self, tmp_path, monkeypatch):
-        # zlib failing on the upper half, off the calling thread: read_trace
+        # zlib failing in the checker, off the calling thread: read_trace
         # raises that very exception, threading.excepthook stays silent and
         # no thread outlives the call
         path = str(tmp_path / "w.trace")
@@ -272,6 +272,7 @@ class TestTraceIO:
         hooked = []
         monkeypatch.setattr(threading, "excepthook", hooked.append)
         monkeypatch.setattr(model, "zlib", OffThreadFailure)
+        monkeypatch.setattr(model, "_CHUNK", 4096)  # 12 KB: more than two chunks
         threads = threading.active_count()
         with pytest.raises(RuntimeError) as caught:
             read_trace(path)
@@ -284,17 +285,25 @@ class TestTraceIO:
     @example(a=b"", b=b"\x01")
     @example(a=b"\xff", b=b"")
     @example(a=b"\x00" * 5121, b=bytes(range(256)) * 21)
-    def test_split_checksum_equals_zlib(self, a, b):
-        # the CRC-32 of a + b from the CRC-32s of its parts, and the
-        # reader's two-thread checksum of a file, both equal zlib's over the
-        # whole; the reader takes whole 4-byte rows, so it sums (a + b) * 4
-        assert _crc32_combine(zlib.crc32(a), zlib.crc32(b), len(b)) == zlib.crc32(a + b)
+    def test_checksum_equals_zlib(self, a, b):
+        # the checker's running CRC-32 of a file, in one chunk or in chunks of
+        # 4 KiB, equals zlib's over the whole and differs from any other; the
+        # reader takes whole 4-byte rows, so it sums (a + b) * 4
         payload = (a + b) * 4
+        crc = zlib.crc32(payload)
         with tempfile.TemporaryFile() as f:
             f.write(payload)
             f.flush()
-            rows, crc = _read_rows(f.fileno(), 1, len(a + b), 1, None)
-        assert crc == zlib.crc32(payload) and rows.tobytes() == payload
+            for chunk in (4096, model._CHUNK):
+                with mock.patch.object(model, "_CHUNK", chunk):  # the checker closes its fd
+                    rows, confirm = _read_rows(os.dup(f.fileno()), 1, len(a + b), 1, None,
+                                               f"{crc:08x}")
+                    confirm()
+                    assert rows.tobytes() == payload
+                    confirm = _read_rows(os.dup(f.fileno()), 1, len(a + b), 1, None,
+                                         f"{crc ^ 1:08x}")[1]
+                with pytest.raises(TraceError, match=f"checksum mismatch: payload {crc:08x}"):
+                    confirm()
 
     def test_manifest_path_ending_in_f32_is_refused(self, tmp_path):
         # the payload would land on the manifest's own path
@@ -306,9 +315,11 @@ class TestTraceIO:
     @given(case=_trace_reads())
     @example(case=(0, 5, 4, [2, 5], 4096))        # no seeds
     @example(case=(1, 1, 3, [1], 1))              # a single row
-    @example(case=(1, 7, 1, [7, 1, 4], 1))        # 7 rows: halves of 3 and 4
+    @example(case=(1, 7, 1, [7, 1, 4], 1))        # 7 rows, a chunk each
     @example(case=(3, 9, 1024, [9, 2, 5, 3], 1 << 20))
     @example(case=(2, 6, 1024, [], 1 << 20))      # no t kept
+    @example(case=(2, 12, 256, [12, 11, 10, 9, 5], 1 << 20))  # 4 KiB runs and 1 KiB rows
+    @example(case=(1, 5, 1024, [5, 4, 3], 8192))  # a chunk kept whole, one in part
     def test_selected_read_equals_columns_of_the_full_read(self, case):
         # any order or subset of t values, any chunk size: the kept rows
         # equal the full read's, byte for byte, and so do every t kept
@@ -352,7 +363,7 @@ class TestTraceIO:
             assert str(caught[0]) == f"trace payload {data} is not a regular file"
 
     def test_flipped_byte_in_a_row_not_kept_fails_the_checksum(self, tmp_path):
-        # every byte is checksummed, kept or not, in either half and with
+        # every byte is checksummed, kept or not, at either end and with
         # chunks of one row or of many
         path = str(tmp_path / "u.trace")
         data_file = tmp_path / "u.f32"
@@ -389,7 +400,7 @@ class TestTraceIO:
 
     def test_selected_read_holds_less_than_half_the_payload(self, tmp_path):
         # 100 of 1000 steps of an (8, 1000, 256) trace: the result is a tenth
-        # of the 8.2 MB payload, plus one chunk buffer per thread
+        # of the 8.2 MB payload, plus the checker's chunk buffer
         data = np.random.default_rng(0).standard_normal((8, 1000, 256), dtype=np.float32)
         path = str(tmp_path / "m.trace")
         write_trace(path, data)
@@ -439,26 +450,75 @@ class TestTraceIO:
         with pytest.raises(TraceError, match=match):
             read_trace(path)
 
-    @pytest.mark.parametrize("half", [0, 1], ids=["lower-half", "upper-half"])
-    def test_failing_read_in_either_half_is_a_trace_error(self, tmp_path, monkeypatch,
-                                                          half):
-        # the payload fits one chunk per half, read at offset 0 and at mid
+    @pytest.mark.parametrize("chunk,overlapped", [(4096, True), (1 << 20, False)])
+    def test_pending_check_runs_on_a_thread_for_more_than_two_chunks(
+            self, tmp_path, monkeypatch, chunk, overlapped):
+        # given a list, read_trace returns the rows of a 12 KB payload while a
+        # checker thread still sums it when that is more than two chunks, and
+        # after summing it on the calling thread when not; the callable it
+        # leaves awaits the check either way
+        path = str(tmp_path / "p.trace")
+        write_trace(path, np.ones((2, 300, 5), dtype=np.float32))
+        release = threading.Event()
+
+        class HeldOffThread:
+            @staticmethod
+            def crc32(data, value=0):
+                if threading.current_thread() is not threading.main_thread():
+                    assert release.wait(5)
+                return zlib.crc32(data, value)
+
+        monkeypatch.setattr(model, "zlib", HeldOffThread)
+        monkeypatch.setattr(model, "_CHUNK", chunk)
+        threads, pending = threading.active_count(), []
+        rows = read_trace(path, [300, 1], pending)[1]
+        assert threading.active_count() == threads + overlapped and len(pending) == 1
+        release.set()
+        pending[0]()
+        assert threading.active_count() == threads
+        assert rows.tolist() == [[[1.0] * 5] * 2] * 2
+
+    @pytest.mark.parametrize("dim", [5, 1024], ids=["short-runs", "long-runs"])
+    def test_kept_row_read_other_than_the_payload_fails_the_checksum(self, tmp_path,
+                                                                     monkeypatch, dim):
+        # the calling thread's reads of the kept rows, from a buffer of their
+        # chunk or straight into the result, return other bytes than the
+        # payload holds: the checker sums the kept rows as they were read
+        path = str(tmp_path / "k.trace")
+        write_trace(path, np.ones((2, 30, dim), dtype=np.float32))
+        preadv = os.preadv
+
+        def changing(fd, buffers, offset):
+            n = preadv(fd, buffers, offset)
+            if threading.current_thread() is threading.main_thread():
+                np.asarray(buffers[0]).view(np.uint8).reshape(-1)[-1] ^= 0xFF
+            return n
+
+        monkeypatch.setattr(os, "preadv", changing)
+        with pytest.raises(TraceError, match="checksum mismatch"):
+            read_trace(path, [30, 10])
+
+    @pytest.mark.parametrize("checker", [False, True], ids=["kept-rows", "checker"])
+    def test_failing_read_is_a_trace_error(self, tmp_path, monkeypatch, checker):
+        # the calling thread's read of the kept rows, or the checker's read
+        # of the rows the grid does not keep, fails
         path = str(tmp_path / "r.trace")
         write_trace(path, np.ones((2, 300, 5), dtype=np.float32))
-        mid = (2 * 300 // 2) * 5 * 4
         preadv = os.preadv
 
         def failing(fd, buffers, offset):
-            if (offset >= mid) == bool(half):
+            if (threading.current_thread() is not threading.main_thread()) == checker:
                 raise OSError(errno.EIO, "Input/output error")
             return preadv(fd, buffers, offset)
 
         monkeypatch.setattr(os, "preadv", failing)
-        threads = threading.active_count()
+        monkeypatch.setattr(model, "_CHUNK", 4096)  # 12 KB: more than two chunks
+        threads, fds = threading.active_count(), len(os.listdir("/proc/self/fd"))
         with pytest.raises(TraceError) as caught:
-            read_trace(path)
+            read_trace(path, [300, 1])
         assert str(caught.value) == "cannot read trace payload: [Errno 5] Input/output error"
         assert threading.active_count() == threads
+        assert len(os.listdir("/proc/self/fd")) == fds  # the payload is closed
 
     def test_write_refuses_data_that_is_not_a_trace(self, tmp_path):
         for data, match in ((np.ones((2, 3), np.float32), r"shape \(seeds, steps, dim\)"),

@@ -40,6 +40,16 @@ def test_make_timesteps_rejects_unrepresentable_grid():
         make_timesteps(5, 10)
     with pytest.raises(ConfigError, match="at least one sampling step"):
         make_timesteps(1000, 0)
+    # refused with their values, before numpy sizes or casts anything by them
+    with pytest.raises(ConfigError, match=f"^{2**70} steps cannot be placed distinctly"):
+        make_timesteps(1000, 2**70)
+    for t_train in (2**63, 2**70):
+        with pytest.raises(ConfigError, match=f"t_train = {t_train} is more than an array"):
+            make_timesteps(t_train, 10)
+    # every steps up to t_train is placed distinctly
+    for t_train in range(1, 120):
+        for n in range(1, t_train + 1):
+            assert np.all(np.diff(make_timesteps(t_train, n)) < 0)
 
 
 def test_ddim_step_golden_value():

@@ -103,6 +103,8 @@ def test_phi_rejects_out_of_range_t():
     for t in (np.int32(3), np.uint64(3)):
         assert phi(s, t) == phi(s, 3)
     assert np.array_equal(phi(s, np.array([3, 4], np.uint64)), phi(s, np.array([3, 4])))
+    # numpy makes this list float64, yet each element meets the rule
+    assert np.array_equal(phi(s, [np.int32(3), np.uint64(4)]), phi(s, np.array([3, 4])))
 
 
 @pytest.mark.parametrize("mode", [PhiMode.SQRT_SNR, PhiMode.SNR])
